@@ -153,7 +153,6 @@ def _scaling_record(
         "node_count": node_count,
         "duration": duration,
         "event_queue": "calendar",
-        "mac_model": "poll",
         "engine_backend": backend,
         "shard_count": shards,
         "commit": _git_commit(),

@@ -76,7 +76,7 @@ def run_point(
     ``repeat`` takes the best of N identical runs — the right estimator for
     wall-clock on a shared/noisy box, since every run computes the same
     deterministic trial and only the interference differs.  ``tuning``
-    selects the engine configuration (event queue, MAC model) to measure.
+    selects the engine configuration (event queue, backend) to measure.
     """
     factory = (
         reference_protocol_factory(protocol)
@@ -108,7 +108,6 @@ def build_record(
     with_off: bool = False,
     repeat: int = 1,
     event_queue: str = "calendar",
-    mac_model: str = "poll",
     engine_backend: str = "serial",
     shard_count: int = 0,
 ) -> Dict:
@@ -118,7 +117,6 @@ def build_record(
     scenario = scale.scenario.with_pause_time(pause_time)
     tuning = EngineTuning(
         event_queue=event_queue,
-        mac_model=mac_model,
         engine_backend=engine_backend,
         shard_count=shard_count,
     )
@@ -128,7 +126,6 @@ def build_record(
         "node_count": scenario.node_count,
         "duration": scenario.duration,
         "event_queue": event_queue,
-        "mac_model": mac_model,
         "engine_backend": engine_backend,
         "shard_count": tuning.resolved_shard_count() if engine_backend != "serial" else 0,
         "commit": _git_commit(),
@@ -154,16 +151,13 @@ def build_record(
 def record_key(record: Dict) -> str:
     """The trajectory-document key for one record.
 
-    The engine's default configuration (calendar queue, poll MAC) keeps the
-    bare scale name — so the committed baseline history stays comparable —
-    and non-default axes are appended: ``paper-tier+frozen``,
-    ``smoke+heap``, ``smoke+heap+frozen``, ``smoke+sharded2``.
+    The engine's default configuration (calendar queue, serial backend)
+    keeps the bare scale name and non-default axes are appended:
+    ``smoke+heap``, ``smoke+sharded2``, ``smoke+heap+sharded2``.
     """
     key = record["scale"]
     if record.get("event_queue", "calendar") != "calendar":
         key += f"+{record['event_queue']}"
-    if record.get("mac_model", "poll") != "poll":
-        key += f"+{record['mac_model']}"
     if record.get("engine_backend", "serial") != "serial":
         key += f"+{record['engine_backend']}{record.get('shard_count', 0)}"
     return key
@@ -216,7 +210,6 @@ def _print_record(record: Dict) -> None:
     print(
         f"scale={record['scale']} pause={record['pause_time']:g} "
         f"queue={record.get('event_queue', 'calendar')} "
-        f"mac={record.get('mac_model', 'poll')} "
         + (
             f"backend={record['engine_backend']}x{record.get('shard_count', 0)} "
             if record.get("engine_backend", "serial") != "serial"
@@ -321,13 +314,6 @@ def main(argv=None) -> int:
         help="event-queue implementation to measure (default: calendar)",
     )
     parser.add_argument(
-        "--mac",
-        choices=("poll", "frozen"),
-        default="poll",
-        help="MAC backoff model to measure (default: poll); non-default "
-        "axes get their own trajectory record (e.g. 'paper-tier+frozen')",
-    )
-    parser.add_argument(
         "--engine-backend",
         choices=("serial", "sharded"),
         default="serial",
@@ -350,7 +336,6 @@ def main(argv=None) -> int:
         with_off=args.with_off,
         repeat=args.repeat,
         event_queue=args.queue,
-        mac_model=args.mac,
         engine_backend=args.engine_backend,
         shard_count=args.shards,
     )

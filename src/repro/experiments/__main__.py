@@ -130,7 +130,7 @@ from .paper import (
     table1_text,
 )
 from .runner import collect_sweep
-from .store import ResultsStore
+from .store import ResultsStore, StoreVersionError
 from .trajectory import (
     merge_stores,
     metric_trajectories,
@@ -733,7 +733,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     fast_paths = FastPaths.none() if args.fast_paths == "off" else FastPaths()
     tuning = EngineTuning(
         event_queue=args.queue,
-        mac_model=args.mac,
         engine_backend=args.engine_backend or "serial",
         shard_count=args.shards if args.shards is not None else 0,
     )
@@ -1251,13 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="calendar",
         help="event-queue implementation to profile (default: calendar)",
     )
-    profile.add_argument(
-        "--mac",
-        choices=("poll", "frozen"),
-        default="poll",
-        help="MAC backoff model to profile: the polling carrier-sense "
-        "loop or the event-driven freeze/resume model (default: poll)",
-    )
     add_backend_args(profile)
     add_propagation_arg(profile)
     profile.add_argument(
@@ -1313,7 +1305,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "out", None) is None and args.command == "run":
         args.out = f"sweep-{args.scale}"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StoreVersionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def cli() -> None:

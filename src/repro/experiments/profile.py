@@ -92,22 +92,16 @@ _LAYER_RULES: Tuple[Tuple[str, str], ...] = (
 )
 
 #: MAC functions (methods and hot-path closures) that make up the backoff /
-#: timer machinery rather than frame handling: the poll model's polling
-#: cycle, the frozen model's freeze/resume callbacks, and the shared
-#: attempt/defer scheduling.  Split out as the ``mac.timers`` sub-layer so
-#: a profile shows how much of "mac" is timer churn — the exact cost the
-#: frozen MAC model exists to delete.
+#: timer machinery rather than frame handling.  Split out as the
+#: ``mac.timers`` sub-layer so a profile shows how much of "mac" is timer
+#: churn.
 _MAC_TIMER_NAMES = frozenset(
     {
         "_try_dequeue",
         "_attempt",
-        "_fast_attempt",
-        "_frozen_attempt",
-        "_defer",
-        "poll",      # poll model: carrier-sense polling closure
-        "fire",      # both models: end-of-backoff firing closure
-        "draw",      # frozen model: backoff draw closure
-        "on_idle",   # frozen model: idle-edge resume callback
+        "fire",      # end-of-backoff firing closure
+        "draw",      # backoff draw closure
+        "on_idle",   # idle-edge resume callback
         "proceed",   # post-transmission proceed step
     }
 )
@@ -199,7 +193,6 @@ class TrialProfile:
     summary: TrialSummary
     layers: List[LayerCost] = field(default_factory=list)
     event_queue: str = "calendar"
-    mac_model: str = "poll"
     engine_backend: str = "serial"
     shard_count: int = 0  #: effective shard count; 0 under the serial backend
     faults: Optional[str] = None  #: fault preset name, when the trial is faulted
@@ -222,7 +215,6 @@ class TrialProfile:
             "events_per_second": round(self.events_per_second, 1),
             "fast_paths": self.fast_paths,
             "event_queue": self.event_queue,
-            "mac_model": self.mac_model,
             "engine_backend": self.engine_backend,
             "shard_count": self.shard_count,
             "faults": self.faults,
@@ -239,7 +231,7 @@ class TrialProfile:
             f"pause={self.pause_time:g}s "
             f"({self.node_count} nodes, {self.duration:g}s simulated, "
             f"fast paths {'on' if self.fast_paths else 'off'}, "
-            f"queue={self.event_queue}, mac={self.mac_model}"
+            f"queue={self.event_queue}"
             + (
                 f", backend={self.engine_backend}x{self.shard_count}"
                 if self.engine_backend != "serial"
@@ -256,7 +248,6 @@ class TrialProfile:
                 f"  sync: {self.pdes['windows']} windows, "
                 f"{self.pdes['handoffs']} handoffs, "
                 f"{self.pdes['boundary_receptions']} boundary receptions, "
-                f"{self.pdes['boundary_busy_marks']} boundary busy marks, "
                 f"{self.pdes['boundary_faults']} boundary faults"
             )
             lines.append(
@@ -295,9 +286,8 @@ def profile_trial(
     ``fast_paths=FastPaths.none()`` profiles the reference slow path (the
     before side of a before/after table), including OLSR's full per-tick
     route recomputation via :func:`reference_protocol_factory`.
-    ``tuning`` selects the engine configuration (event queue, MAC model),
-    defaulting like :func:`build_network` — profiling the frozen MAC is
-    ``tuning=EngineTuning(mac_model="frozen")``.  ``faults`` is a label
+    ``tuning`` selects the engine configuration (event queue, backend),
+    defaulting like :func:`build_network`.  ``faults`` is a label
     (the preset name) recorded in the profile when ``scenario`` carries a
     fault plan; it does not install faults itself.  ``track_allocations``
     adds a tracemalloc pass — allocation sites grouped by the same layers —
@@ -368,7 +358,6 @@ def profile_trial(
         summary=summary,
         layers=layers,
         event_queue=engine_tuning.event_queue,
-        mac_model=engine_tuning.mac_model,
         engine_backend=engine_tuning.engine_backend,
         shard_count=sync.shard_count if sync is not None else 0,
         faults=faults if scenario.faults else None,

@@ -63,9 +63,42 @@ from .jobs import TrialJob, plan_sweep
 if TYPE_CHECKING:  # import cycle guard: runner -> executor -> store
     from .runner import SweepResults
 
-__all__ = ["FailureRecord", "ResultsStore", "TornCellWarning"]
+__all__ = [
+    "FailureRecord",
+    "ResultsStore",
+    "StoreVersionError",
+    "TornCellWarning",
+]
 
-STORE_VERSION = 1
+#: Bumped whenever stored cells stop being comparable with freshly simulated
+#: ones.  Tuning is not part of a cell's content key, so a change of the
+#: simulated *model* has no other way to keep old and new cells apart.
+STORE_VERSION = 2
+
+#: Why each earlier version's cells cannot be read, for the error message.
+_RETIRED_VERSIONS = {
+    1: "its cells were simulated under the polling MAC model retired in "
+    "PR 12 and share content keys with the current model's cells, so they "
+    "cannot be mixed",
+}
+
+
+class StoreVersionError(ValueError):
+    """A store document written under a different :data:`STORE_VERSION`."""
+
+
+def _require_current_version(path: Path, data: Any) -> None:
+    version = data.get("version") if isinstance(data, dict) else None
+    if version == STORE_VERSION:
+        return
+    # Garbage versions may be unhashable; only ints name a retired version.
+    reason = _RETIRED_VERSIONS.get(version) if type(version) is int else None
+    raise StoreVersionError(
+        f"{path} was written by an incompatible store version "
+        f"({version!r}; this code reads {STORE_VERSION})"
+        + (f": {reason}" if reason else "")
+        + "; re-run the sweep into a fresh directory"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,12 +214,7 @@ class ResultsStore:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._mark_torn(job.content_key, path, repr(exc))
             return None
-        version = data.get("version") if isinstance(data, dict) else None
-        if version != STORE_VERSION:
-            raise ValueError(
-                f"{path} was written by an incompatible store version "
-                f"({version!r}; this code reads {STORE_VERSION})"
-            )
+        _require_current_version(path, data)
         try:
             summary = TrialSummary.from_dict(data["summary"])
         except (KeyError, TypeError) as exc:
@@ -368,11 +396,18 @@ class ResultsStore:
         _atomic_write_json(self.meta_path, meta)
 
     def read_meta(self) -> Optional[Dict[str, Any]]:
-        """The sweep metadata, or ``None`` for a fresh/foreign directory."""
+        """The sweep metadata, or ``None`` for a directory with no ``sweep.json``.
+
+        Raises :class:`StoreVersionError` for a ``sweep.json`` of another
+        version (or none: a foreign document), so every reader and writer —
+        all of which start here — fails closed before touching a cell.
+        """
         try:
-            return json.loads(self.meta_path.read_text(encoding="utf-8"))
+            meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
+        _require_current_version(self.meta_path, meta)
+        return meta
 
     def require_meta(self) -> Dict[str, Any]:
         """Like :meth:`read_meta` but raises for a directory with no sweep."""

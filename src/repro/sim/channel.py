@@ -140,7 +140,6 @@ class Channel:
         max_node_speed: float = DEFAULT_MAX_NODE_SPEED,
         use_spatial_index: bool = True,
         use_reception_memo: bool = True,
-        use_busy_cache: bool = True,
         use_airtime_memo: bool = True,
         use_object_pool: bool = True,
         use_grid_prefilter: bool = True,
@@ -194,19 +193,11 @@ class Channel:
         # of each); every one of them can be disabled independently and the
         # trial outcome is bit-identical either way.
         self._use_reception_memo = use_reception_memo
-        self._use_busy_cache = use_busy_cache
         self._use_object_pool = use_object_pool
         self._use_batch_receptions = use_batch_receptions
         # Reception sets per origin node, valid only at _memo_time.
         self._reception_memo: Dict[NodeId, List[NodeId]] = {}
         self._memo_time: float = -1.0
-        # node -> time before which the node is provably inside carrier-sense
-        # range of a transmission that is still on the air.
-        self._busy_until: Dict[NodeId, float] = {}
-        # Reception-to-carrier-sense slack: a node within reception range
-        # stays within carrier-sense range for any interval over which it
-        # can drift at most this far.
-        self._cs_margin = phy.carrier_sense_range - phy.reception_range
         # Air time per distinct packet size (pure in size_bytes).
         self._airtime_memo: Optional[Dict[int, float]] = (
             {} if use_airtime_memo else None
@@ -235,14 +226,13 @@ class Channel:
         self._transmit_tap = None
         # Sharded-PDES probe (repro.sim.pdes.ShardedSimulator), installed
         # only under engine_backend="sharded": deliveries switch the
-        # delivery context to the receiver's shard and cross-seam effects
-        # (receptions, busy-until certifications) are counted as boundary
-        # events.  None under the serial backend.
+        # delivery context to the receiver's shard and cross-seam
+        # receptions are counted as boundary events.  None under the
+        # serial backend.
         self._pdes = None
-        # Frozen-backoff sleepers (mac_model="frozen"): node -> mutable
-        # [horizon_hint, on_idle] pairs, woken by the idle-edge check at the
-        # end of each transmission's finish event.  Empty (and therefore
-        # free) under the poll MAC model.
+        # Frozen-backoff sleepers: node -> mutable [horizon_hint, on_idle]
+        # pairs, woken by the idle-edge check at the end of each
+        # transmission's completion event (see freeze()).
         self._sleepers: Dict[NodeId, list] = {}
         self.stats = ChannelStats()
 
@@ -258,7 +248,6 @@ class Channel:
         self._grid_dirty = True
         self._positions.pop(listener.node_id, None)
         self._last_exact.pop(listener.node_id, None)
-        self._busy_until.pop(listener.node_id, None)
         self._segment_providers.pop(listener.node_id, None)
         self._segment_cache.pop(listener.node_id, None)
         self._reception_memo.clear()
@@ -283,16 +272,16 @@ class Channel:
 
         Once installed, every candidate reception consults
         ``faults.blocked(...)`` — an O(active faults) check that suppresses
-        the reception entirely (no collision, no busy-cache seeding, no
-        delivery) when a fault window covers the link.
+        the reception entirely (no collision, no delivery) when a fault
+        window covers the link.
         """
         self._faults = faults
 
     def install_pdes(self, simulator) -> None:
         """Attach the sharded backend's boundary-event probe.
 
-        ``simulator`` must expose ``deliver_context`` / ``note_busy_mark``
-        / ``set_node_context`` (:class:`~repro.sim.pdes.ShardedSimulator`).
+        ``simulator`` must expose ``deliver_context`` / ``set_node_context``
+        (:class:`~repro.sim.pdes.ShardedSimulator`).
         The probe only switches delivery contexts and counts seam
         crossings; it changes no schedule entry and no RNG draw, so a
         sharded trial stays bit-identical to a serial one.
@@ -332,18 +321,6 @@ class Channel:
         """The shared physical-layer configuration."""
         return self._phy
 
-    def busy_until_view(self) -> Dict[NodeId, float]:
-        """Read-only view of the carrier-sense busy-until cache.
-
-        ``view.get(node, 0.0) > now`` means the node is provably inside
-        carrier-sense range of a transmission still on the air (see
-        :meth:`is_busy_near`).  The MAC's backoff fast path checks this
-        dictionary directly before paying for a full carrier-sense call;
-        with the cache disabled the dictionary simply stays empty.  Callers
-        must never write to it.
-        """
-        return self._busy_until
-
     def airtime(self, frame: Frame) -> float:
         """``phy.transmission_time(frame)``, memoised per packet size.
 
@@ -379,7 +356,6 @@ class Channel:
         # teleport invalidates them with everything else.
         self._reception_memo.clear()
         self._memo_time = -1.0
-        self._busy_until.clear()
         self._segment_cache.clear()
 
     def _position_of(self, node_id: NodeId) -> Tuple[float, float]:
@@ -565,135 +541,27 @@ class Channel:
 
     def is_busy_near(self, node_id: NodeId) -> bool:
         """True when a transmission is in progress within carrier-sense range."""
-        now = self._simulator.now
-        if self._use_busy_cache and now < self._busy_until.get(node_id, 0.0):
-            # A transmission still on the air was certified within
-            # carrier-sense range for every instant before busy_until
-            # (distance + worst-case drift at its end time <= cs range), so
-            # no geometry is needed.  The hot case: a deferring MAC polls
-            # many times during one long frame.
-            return True
-        if self._pd:
-            return self._is_busy_near_delayed(node_id, now)
-        active = self._active_transmissions
-        while active and active[0][0] <= now:
-            heapq.heappop(active)
-        if not active:
-            return False
-        carrier_sense_range = self._phy.carrier_sense_range
-        max_speed = self._max_node_speed
-        known = self._last_exact.get(node_id) if self._use_spatial_index else None
-        if known is not None:
-            # Decide each d <= cs_range comparison from the last exact
-            # position plus a drift bound; only an answer inside the
-            # uncertainty band forces a fresh interpolation.  A negative age
-            # means the position is exact until a future time (paused
-            # node): zero drift.
-            known_time = known[2]
-            # Clamp the age, not the product: an age of -inf (node static
-            # forever) times a zero speed bound would otherwise be NaN.
-            age = now - known_time
-            drift = max_speed * age if age > 0.0 else 0.0
-            px = known[0]
-            py = known[1]
-            ambiguous = False
-            for _, _, transmission in active:
-                tx, ty = transmission.position
-                dx = tx - px
-                dy = ty - py
-                distance = (dx * dx + dy * dy) ** 0.5
-                if distance + drift <= carrier_sense_range:
-                    if self._use_busy_cache:
-                        exposure = transmission.end - known_time
-                        margin = max_speed * exposure if exposure > 0.0 else 0.0
-                        if distance + margin <= carrier_sense_range:
-                            self._busy_until[node_id] = transmission.end
-                    return True
-                if distance - drift <= carrier_sense_range:
-                    ambiguous = True
-            if not ambiguous:
-                return False
-        position = self._position_of(node_id)
-        px, py = position
-        for _, _, transmission in active:
-            tx, ty = transmission.position
-            dx = tx - px
-            dy = ty - py
-            if (dx * dx + dy * dy) ** 0.5 <= carrier_sense_range:
-                if (
-                    self._use_busy_cache
-                    and (dx * dx + dy * dy) ** 0.5
-                    + max_speed * (transmission.end - now)
-                    <= carrier_sense_range
-                ):
-                    self._busy_until[node_id] = transmission.end
-                return True
-        return False
-
-    def _is_busy_near_delayed(self, node_id: NodeId, now: float) -> bool:
-        """Carrier sense under finite propagation delay.
-
-        A transmission occupies the medium at a node from its start until
-        its trailing edge *arrives*: ``end + delay * distance``.  The
-        leading edge is modelled conservatively as the transmit instant
-        (physically it arrives ``delay * distance`` later; at realistic
-        delays that is sub-microsecond, and sensing early only defers — it
-        never misses a busy medium).  Heap entries are keyed by the latest
-        possible trailing-edge arrival (``end + delay * cs_range``), so the
-        lazy prune below is exact for every node.
-        """
-        active = self._active_transmissions
-        while active and active[0][0] <= now:
-            heapq.heappop(active)
-        if not active:
-            return False
-        pd = self._pd
-        carrier_sense_range = self._phy.carrier_sense_range
-        max_speed = self._max_node_speed
-        use_cache = self._use_busy_cache
-        busy_until = self._busy_until
-        px, py = self._position_of(node_id)
-        for _, _, transmission in active:
-            tx, ty = transmission.position
-            dx = tx - px
-            dy = ty - py
-            distance = (dx * dx + dy * dy) ** 0.5
-            if distance > carrier_sense_range:
-                continue
-            end = transmission.end
-            if end + pd * distance <= now:
-                continue
-            if use_cache and distance + max_speed * (end - now) <= carrier_sense_range:
-                # Certified to stay inside carrier-sense range until the
-                # (undelayed) end — the conservative lower bound on this
-                # node's trailing edge — so defer polls become cache hits.
-                if busy_until.get(node_id, 0.0) < end:
-                    busy_until[node_id] = end
-            return True
-        return False
+        return self.busy_horizon(node_id) > self._simulator.now
 
     def busy_horizon(self, node_id: NodeId) -> float:
         """Latest end time of any in-progress transmission within carrier-sense
         range of ``node_id``, or ``0.0`` when the medium is idle there.
 
-        The frozen-backoff MAC model (``mac_model="frozen"``) schedules a
-        single wake-up at this time instead of polling the medium every
-        backoff slot: a return value greater than ``now`` means *frozen until
-        then*; a value at or below ``now`` means the medium is idle and the
-        countdown may run.  The horizon is evaluated against exact current
-        positions — a transmission outside carrier-sense range now may drift
-        into range later, and a new transmission may start before the
-        horizon, so callers must re-check at every wake-up (the frozen MAC
-        does).  Expired transmissions are pruned here exactly as in
-        :meth:`is_busy_near`, so a wake-up scheduled *at* the horizon
-        observes an idle medium.
+        The MAC's freeze/resume backoff reads it: a return value greater
+        than ``now`` means *frozen until then*; a value at or below ``now``
+        means the medium is idle and the countdown may run.  The horizon is
+        evaluated against
+        exact current positions — a transmission outside carrier-sense range
+        now may drift into range later, and a new transmission may start
+        before the horizon, so callers must re-check at every wake-up (the
+        MAC does).  Expired transmissions are pruned first, so a wake-up
+        scheduled *at* the horizon observes an idle medium.
 
         The returned value is *exact* (each in-or-out-of-range decision is
         settled conservatively from the last exact position plus a drift
         bound, with fresh interpolation only inside the ambiguity band), and
-        deliberately independent of every FastPaths flag — in particular it
-        never consults the ``busy_until`` certification cache — so a
-        frozen-model trial is bit-identical across FastPaths settings.
+        deliberately independent of every FastPaths flag, so a trial is
+        bit-identical across FastPaths settings.
 
         Under the finite-delay channel the horizon is the latest trailing-
         edge *arrival* (``end + delay * distance``), and deadlock-freedom
@@ -750,7 +618,17 @@ class Channel:
         return horizon
 
     def _busy_horizon_delayed(self, node_id: NodeId, now: float) -> float:
-        """Frozen-MAC wake horizon under finite propagation delay."""
+        """:meth:`busy_horizon` under finite propagation delay.
+
+        A transmission occupies the medium at a node from its start until
+        its trailing edge *arrives*: ``end + delay * distance``.  The
+        leading edge is modelled conservatively as the transmit instant
+        (physically it arrives ``delay * distance`` later; at realistic
+        delays that is sub-microsecond, and sensing early only defers — it
+        never misses a busy medium).  Heap entries are keyed by the latest
+        possible trailing-edge arrival (``end + delay * cs_range``), so the
+        lazy prune below is exact for every node.
+        """
         active = self._active_transmissions
         while active and active[0][0] <= now:
             heapq.heappop(active)
@@ -777,8 +655,8 @@ class Channel:
     ) -> None:
         """Register a frozen-backoff sleeper to be woken at an idle edge.
 
-        The frozen MAC model calls this instead of scheduling its own
-        wake-up when :meth:`busy_horizon` says the medium is busy: the
+        The MAC calls this instead of scheduling its own wake-up when
+        :meth:`busy_horizon` says the medium is busy: the
         medium near a frozen node can only become idle when a transmission
         ends (mobility-induced idleness is picked up at the next end, a few
         air times later at most), and every transmission end runs a finish
@@ -843,15 +721,6 @@ class Channel:
         active_receptions = self._active_receptions
         pool = self._reception_pool if self._use_object_pool else None
         end = now + duration
-        # Carrier-sense certification for receivers (see below): every
-        # receiver is within reception range now, so while the worst-case
-        # drift over the air time fits inside the reception-to-carrier-sense
-        # margin it provably stays within carrier-sense range until `end`.
-        seed_busy = (
-            self._use_busy_cache
-            and self._max_node_speed * duration <= self._cs_margin
-        )
-        busy_until = self._busy_until
         faults = self._faults
         pdes = self._pdes
         position_of = self._position_of
@@ -868,7 +737,7 @@ class Channel:
                 for receiver_id in receiver_ids:
                     if faults.blocked(transmitter, receiver_id, position_of):
                         # The frame never reaches this radio: no reception
-                        # record, no collision, no busy-cache certification.
+                        # record, no collision.
                         stats.fault_suppressed += 1
                     else:
                         kept_append(receiver_id)
@@ -896,17 +765,13 @@ class Channel:
                 reception.collided = collided
                 actives.append(reception)
                 receptions_append(reception)
-                if seed_busy and busy_until.get(receiver_id, 0.0) < end:
-                    busy_until[receiver_id] = end
-                    if pdes is not None:
-                        pdes.note_busy_mark(transmitter, receiver_id)
         else:
             for receiver_id in receiver_ids:
                 if faults is not None and faults.blocked(
                     transmitter, receiver_id, position_of
                 ):
                     # The frame never reaches this radio: no reception record,
-                    # no collision, no busy-cache certification.
+                    # no collision.
                     stats.fault_suppressed += 1
                     continue
                 if pool:
@@ -930,12 +795,6 @@ class Channel:
                 reception.collided = collided
                 actives.append(reception)
                 receptions_append(reception)
-                if seed_busy and busy_until.get(receiver_id, 0.0) < end:
-                    # These are exactly the nodes about to contend to relay a
-                    # flood: their defer polls become dictionary hits.
-                    busy_until[receiver_id] = end
-                    if pdes is not None:
-                        pdes.note_busy_mark(transmitter, receiver_id)
         stats.receptions_started += len(receptions)
 
         radio_receive = self._radio_receive
@@ -994,40 +853,9 @@ class Channel:
                 pdes.set_node_context(transmitter)
             if on_complete is not None:
                 on_complete(delivered_to_target)
-            # Idle-edge wake-check for frozen-backoff sleepers (see freeze()).
             # Runs last so a retry scheduled by on_complete contends from
-            # this same edge like every woken sleeper.  Value mutation is
-            # legal mid-iteration; deletions are batched after it.
-            sleepers = self._sleepers
-            if sleepers:
-                wake_now = self._simulator.now
-                active = self._active_transmissions
-                while active and active[0][0] <= wake_now:
-                    heapq.heappop(active)
-                woke = None
-                if not active:
-                    # Medium idle everywhere: every sleeper wakes, no
-                    # geometry needed.
-                    woke = list(sleepers)
-                else:
-                    busy_horizon = self.busy_horizon
-                    for node_id, entry in sleepers.items():
-                        if entry[0] > wake_now:
-                            continue
-                        horizon = busy_horizon(node_id)
-                        if horizon > wake_now:
-                            entry[0] = horizon
-                        elif woke is None:
-                            woke = [node_id]
-                        else:
-                            woke.append(node_id)
-                if woke is not None:
-                    for node_id in woke:
-                        on_idle = sleepers.pop(node_id)[1]
-                        if pdes is not None:
-                            # The resume belongs to the woken sleeper.
-                            pdes.set_node_context(node_id)
-                        on_idle()
+            # this same idle edge like every woken sleeper.
+            self._wake_sleepers(pdes)
 
         self._simulator.call_in(duration, finish, 1)
         return duration
@@ -1047,7 +875,7 @@ class Channel:
         are per-receiver events at each trailing-edge arrival (so delivery
         order follows distance), and a single completion event at
         ``end + delay * cs_range`` — after every possible delivery and
-        sense edge — runs the sender's ACK callback and the frozen-MAC
+        sense edge — runs the sender's ACK callback and the sleeper
         wake-check.  Half-duplex and fault checks are evaluated at the
         transmit instant like the instantaneous model (the leading-edge
         approximation; sub-microsecond at physical delays).
@@ -1081,17 +909,9 @@ class Channel:
         faults = self._faults
         pdes = self._pdes
         position_of = self._position_of
-        busy_until = self._busy_until
         radio_receive = self._radio_receive
         call_in = simulator.call_in
         ox, oy = origin
-        # Same conservative certification as the instantaneous path, against
-        # the undelayed end (a lower bound on every receiver's trailing
-        # edge): drift over the air time must fit the cs margin.
-        seed_busy = (
-            self._use_busy_cache
-            and self._max_node_speed * duration <= self._cs_margin
-        )
         receptions: List[_Reception] = []
         receptions_append = receptions.append
         # Mutable cell shared by the per-receiver deliveries and the
@@ -1158,10 +978,6 @@ class Channel:
             reception.collided = collided
             actives.append(reception)
             receptions_append(reception)
-            if seed_busy and busy_until.get(receiver_id, 0.0) < end:
-                busy_until[receiver_id] = end
-                if pdes is not None:
-                    pdes.note_busy_mark(transmitter, receiver_id)
             call_in(rec_end - now, lambda r=reception: deliver(r), 1)
         stats.receptions_started += len(receptions)
 
@@ -1185,8 +1001,8 @@ class Channel:
     def _wake_sleepers(self, pdes) -> None:
         """Idle-edge wake-check for frozen-backoff sleepers (see freeze()).
 
-        The delayed completion events call this; the instantaneous finish
-        path keeps its original inline copy.
+        Called last by every transmission's completion event.  Value
+        mutation is legal mid-iteration; deletions are batched after it.
         """
         sleepers = self._sleepers
         if not sleepers:

@@ -14,26 +14,13 @@ The MAC models the parts of 802.11 DCF the paper's evaluation depends on:
 
 Collisions themselves are decided by the :class:`~repro.sim.channel.Channel`.
 
-Two backoff models are implemented, selected by ``mac_model``
-(:class:`~repro.sim.tuning.EngineTuning` wires it through ``build_network``):
-
-``"poll"`` (default)
-    The seed-faithful polling loop: while the medium is busy the MAC draws a
-    random defer and re-senses after it, so a saturated channel costs tens
-    of poll events per transmitted frame — ~85% of all events in a
-    paper-tier SRP trial.  Bit-identical across every FastPaths setting.
-
-``"frozen"``
-    Event-driven freeze/resume: while the medium is busy the MAC schedules
-    exactly one wake-up at the channel's *busy horizon* (the latest end time
-    of any carrier-sensed transmission — the same certification the
-    busy-until cache is built from), and counts its random backoff down only
-    from an idle edge, re-freezing if the countdown is interrupted.  The
-    poll storm disappears outright.  This is a *model* change — the backoff
-    process differs, so trials are not bit-identical to the poll model — and
-    its contract is the science gate (paper + faults registries) plus the
-    A/B trajectory in EXPERIMENTS.md.  Within the frozen model, FastPaths
-    on/off remains bit-identical.
+Backoff is event-driven freeze/resume — what DCF's frozen backoff counter
+does (:meth:`Mac._attempt`): while the medium is busy the MAC schedules **no
+events at all** and the channel wakes it at the first verified idle edge, so
+a saturated trial costs a handful of events per transmitted frame (8.7 in a
+paper-tier OLSR trial).  This is a modelling choice, validated by the
+science gate rather than against a slot-by-slot DCF; EXPERIMENTS.md "The
+engine floor" states its error bound.
 """
 
 from __future__ import annotations
@@ -89,33 +76,13 @@ class Mac:
         rng: random.Random,
         *,
         position_provider: Callable[[], "tuple[float, float]"],
-        use_fast_backoff: bool = True,
         use_frame_pool: bool = True,
-        mac_model: str = "poll",
     ) -> None:
         self.node_id = node_id
         self._simulator = simulator
         self._channel = channel
         self._rng = rng
-        # Bound-method caches for the per-attempt hot path (a trial makes
-        # hundreds of thousands of backoff decisions).
         self._call_in = simulator.call_in
-        self._randint = rng.randint
-        # The fast backoff path draws slots straight through the primitive
-        # ``randint`` bottoms out in: ``randint(a, b)`` is exactly
-        # ``a + _randbelow(b - a + 1)``, and ``Random._randbelow`` is the
-        # rejection loop over ``getrandbits(n.bit_length())``.  Re-running
-        # that loop inline with a precomputed bit length consumes the
-        # identical underlying getrandbits draws, so the slot sequence is
-        # bit-identical while skipping three layers of dispatch per draw.
-        # Only exact for random.Random itself (a subclass could override
-        # the primitives), hence the type check.
-        self._use_fast_backoff = use_fast_backoff and type(rng) is random.Random
-        if mac_model not in ("poll", "frozen"):
-            raise ValueError(
-                f"unknown MAC model {mac_model!r}; expected 'poll' or 'frozen'"
-            )
-        self._use_frozen = mac_model == "frozen"
         # Free list of Frame objects (recycled once off the air).
         self._frame_pool: "list[Frame]" = []
         self._use_frame_pool = use_frame_pool
@@ -231,124 +198,40 @@ class Mac:
         frame = self._queue[0]
         self._attempt(frame, attempt=0)
 
-    def _attempt(self, frame: Frame, attempt: int, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            return
-        if self._use_frozen:
-            self._frozen_attempt(frame, attempt)
-            return
-        if self._use_fast_backoff:
-            self._fast_attempt(frame, attempt)
-            return
-        if self._channel.is_busy_near(self.node_id):
-            self._defer(frame, attempt)
-            return
-        # Random pre-transmission jitter breaks synchronisation of broadcast
-        # floods (every node relaying the same RREQ at the same instant).
-        jitter_slots = self._randint(0, self._windows[attempt])
-        epoch_now = self._epoch
-        self._call_in(
-            jitter_slots * self._slot_time,
-            lambda: self._transmit(frame, attempt, epoch_now),
-        )
+    def _attempt(self, frame: Frame, attempt: int) -> None:
+        """One event-driven freeze/resume backoff for ``(frame, attempt)``.
 
-    def _fast_attempt(self, frame: Frame, attempt: int) -> None:
-        """The backoff loop as two closures reused across every defer.
+        One ``on_idle``/``fire`` closure pair serves the whole attempt, and
+        a busy medium costs *no events at all*: the MAC registers
+        ``on_idle`` as a channel sleeper
+        (:meth:`~repro.sim.channel.Channel.freeze`) and the channel's own
+        end-of-transmission events wake it at the first idle edge:
 
-        A saturated channel makes tens of defer polls per transmitted frame,
-        and the slow path pays for each with a fresh lambda, a dispatch
-        through ``_attempt``/``_defer``, three layers of ``randint``
-        validation and the ``call_in`` wrapper.  Here one ``poll``/``fire``
-        closure pair serves the whole (frame, attempt), slots come from the
-        inlined ``_randbelow`` rejection loop with the bit length
-        precomputed (the window is a per-attempt constant), and entries go
-        straight onto the engine heap via
-        :meth:`~repro.sim.engine.Simulator.hot_scheduler`.  The decision
-        sequence, the RNG draws, the scheduled (time, priority, sequence)
-        entries and the global scheduling order are identical to the slow
-        path:
-
-        * defer  = ``randint(1, w)``  = ``1 + _randbelow(w)``
-        * jitter = ``randint(0, w)``  = ``_randbelow(w + 1)``
-        * ``_randbelow(n)`` = ``getrandbits(n.bit_length())`` redrawn while
-          ``>= n``
-        """
-        epoch = self._epoch
-        window = self._windows[attempt]
-        defer_bits = window.bit_length()
-        jitter_n = window + 1
-        jitter_bits = jitter_n.bit_length()
-        slot = self._slot_time
-        getrandbits = self._rng.getrandbits
-        is_busy_near = self._channel.is_busy_near
-        # The channel's busy-until cache, consulted inline: a hit answers
-        # the carrier-sense question from one dict lookup (the cache is
-        # exact — see Channel.is_busy_near); a miss falls through to the
-        # full call.  Disabled cache => empty dict => always falls through.
-        busy_until = self._channel.busy_until_view().get
-        node_id = self.node_id
-        simulator = self._simulator
-        push, next_sequence = simulator.hot_scheduler()
-
-        def poll() -> None:
-            if self._epoch != epoch:
-                return
-            now = simulator.now
-            if now < busy_until(node_id, 0.0) or is_busy_near(node_id):
-                r = getrandbits(defer_bits)
-                while r >= window:
-                    r = getrandbits(defer_bits)
-                push(((1 + r) * slot + now, 0, next_sequence(), poll))
-            else:
-                r = getrandbits(jitter_bits)
-                while r >= jitter_n:
-                    r = getrandbits(jitter_bits)
-                push((r * slot + now, 0, next_sequence(), fire))
-
-        def fire() -> None:
-            if self._epoch != epoch:
-                return
-            now = simulator.now
-            if now < busy_until(node_id, 0.0) or is_busy_near(node_id):
-                r = getrandbits(defer_bits)
-                while r >= window:
-                    r = getrandbits(defer_bits)
-                push(((1 + r) * slot + now, 0, next_sequence(), poll))
-            else:
-                self._transmit_frame(frame, attempt)
-
-        poll()
-
-    def _frozen_attempt(self, frame: Frame, attempt: int) -> None:
-        """The event-driven freeze/resume backoff (``mac_model="frozen"``).
-
-        One ``resume``/``fire`` closure pair serves the whole (frame,
-        attempt), like the poll model's fast path — but a busy medium costs
-        *no events at all*: the MAC registers ``resume`` as a channel
-        sleeper (:meth:`~repro.sim.channel.Channel.freeze`) and the
-        channel's own end-of-transmission finish events wake it at the
-        first idle edge:
-
-        * ``resume`` runs at an idle edge (or inline at the first attempt).
-          Medium busy — freeze: register with the channel and wait, with
-          **no RNG draw** (the counter is frozen).  Medium idle — draw the
-          backoff ``randint(0, w)`` once and count it down in a single
-          scheduled event.
-        * ``fire`` runs when the countdown elapses.  Medium busy — the
-          countdown was interrupted; freeze, and redraw at the next idle
-          edge.  Medium idle — transmit.
+        * Medium busy (now, or when ``fire`` finds the countdown was
+          interrupted) — freeze: register with the channel and wait, with
+          **no RNG draw** (the counter is frozen).
+        * Medium idle (now, or at the idle edge the channel calls
+          ``on_idle`` at) — draw the backoff ``randint(0, w)`` once and
+          count it down in a single scheduled event, ``fire``, which
+          transmits if the medium is still idle.
 
         Contention resolution is DCF-shaped: every contender frozen on one
         transmission wakes at the same idle edge and draws an independent
         backoff, so the earliest draw wins the channel and equal draws
-        collide.  The draw uses the same inlined ``_randbelow`` rejection
-        loop as the fast poll path (or ``randint`` with fast backoff
-        disabled — identical draw sequence), so within the frozen model a
-        trial is bit-identical across every FastPaths setting.
+        collide.
+
+        The draw goes straight through the primitive ``randint`` bottoms
+        out in: ``randint(0, w)`` is exactly ``_randbelow(w + 1)``, and
+        ``Random._randbelow(n)`` is the rejection loop over
+        ``getrandbits(n.bit_length())``.  Re-running that loop inline with
+        a precomputed bit length consumes the identical underlying
+        getrandbits draws, so the slot sequence is bit-identical while
+        skipping three layers of dispatch per draw.  Only exact for
+        ``random.Random`` itself (a subclass could override the
+        primitives), hence the type check.
         """
         epoch = self._epoch
         window = self._windows[attempt]
-        jitter_n = window + 1
         slot = self._slot_time
         node_id = self.node_id
         simulator = self._simulator
@@ -356,8 +239,10 @@ class Mac:
         busy_horizon = channel.busy_horizon
         freeze = channel.freeze
         push, next_sequence = simulator.hot_scheduler()
-        if self._use_fast_backoff:
-            getrandbits = self._rng.getrandbits
+        rng = self._rng
+        if type(rng) is random.Random:
+            getrandbits = rng.getrandbits
+            jitter_n = window + 1
             jitter_bits = jitter_n.bit_length()
 
             def draw() -> int:
@@ -366,7 +251,7 @@ class Mac:
                     r = getrandbits(jitter_bits)
                 return r
         else:
-            randint = self._randint
+            randint = rng.randint
 
             def draw() -> int:
                 return randint(0, window)
@@ -396,24 +281,6 @@ class Mac:
             freeze(node_id, horizon, on_idle)
         else:
             push((draw() * slot + now, 0, next_sequence(), fire))
-
-    def _defer(self, frame: Frame, attempt: int) -> None:
-        backoff_slots = self._randint(1, self._windows[attempt])
-        epoch_now = self._epoch
-        self._call_in(
-            backoff_slots * self._slot_time,
-            lambda: self._attempt(frame, attempt, epoch_now),
-        )
-
-    def _transmit(
-        self, frame: Frame, attempt: int, epoch: Optional[int] = None
-    ) -> None:
-        if epoch is not None and epoch != self._epoch:
-            return
-        if self._channel.is_busy_near(self.node_id):
-            self._defer(frame, attempt)
-            return
-        self._transmit_frame(frame, attempt)
 
     def _transmit_frame(self, frame: Frame, attempt: int) -> None:
         """Put the frame on the air (the channel was just sensed idle)."""

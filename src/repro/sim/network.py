@@ -127,11 +127,6 @@ def build_network(
         max_node_speed=max_node_speed,
         use_spatial_index=use_spatial_index,
         use_reception_memo=fp.reception_memo,
-        # The busy-until certification cache only serves the poll MAC's
-        # carrier-sense queries; the frozen model never reads it, so skip
-        # the per-reception seeding work outright.  (Exactness is
-        # unaffected either way: nothing in a frozen trial observes it.)
-        use_busy_cache=fp.busy_cache and engine_tuning.mac_model == "poll",
         use_airtime_memo=fp.airtime_memo,
         use_object_pool=fp.frame_pool,
         use_grid_prefilter=fp.grid_prefilter,
@@ -166,9 +161,7 @@ def build_network(
             channel,
             streams.get(f"mac:{node_id}"),
             position_provider=lambda nid=node_id: nodes[nid].position(),
-            use_fast_backoff=fp.fast_backoff,
             use_frame_pool=fp.frame_pool,
-            mac_model=engine_tuning.mac_model,
         )
         node = Node(node_id, simulator, mobility, mac, stats, rng_streams=streams)
         nodes[node_id] = node

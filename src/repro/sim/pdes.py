@@ -53,10 +53,9 @@ barrier workers exchange the boundary frames their owned nodes put on the
 air (serialized packet snapshots over pipes) and replay the foreign ones
 locally, each at its original transmit time shifted by exactly one window
 so the originating strip's inter-frame spacing survives the exchange.
-Like ``EngineTuning.mac_model="frozen"``, the windowed mode is a *model*
-(cross-strip frames arrive one window late; fault RNG streams are split
-per shard) validated by the science gate — paper and faults registries —
-not by bit-identity.
+The windowed mode is a *model* change (cross-strip frames arrive one window
+late; fault RNG streams are split per shard) validated by the science gate
+— paper and faults registries — not by bit-identity.
 
 Lookahead derivation
 --------------------
@@ -195,12 +194,11 @@ class PdesSync:
 
     ``executed_by_shard`` attributes every executed event to the shard whose
     queue held it; the boundary counters record cross-shard effects (a
-    reception delivered into a different owner's shard, a busy-until
-    certification seeded across a seam, a fault flip landing outside the
-    coordinator shard); ``handoffs`` counts ownership changes from mobility
-    refreshes; ``windows``/``barrier_seconds`` measure the window-barrier
-    bookkeeping itself — the quantity the profile's ``engine.sync`` layer
-    makes visible.
+    reception delivered into a different owner's shard, a fault flip
+    landing outside the coordinator shard); ``handoffs`` counts ownership
+    changes from mobility refreshes; ``windows``/``barrier_seconds``
+    measure the window-barrier bookkeeping itself — the quantity the
+    profile's ``engine.sync`` layer makes visible.
     """
 
     shard_count: int = 1
@@ -208,7 +206,6 @@ class PdesSync:
     windows: int = 0
     handoffs: int = 0
     boundary_receptions: int = 0
-    boundary_busy_marks: int = 0
     boundary_faults: int = 0
     barrier_seconds: float = 0.0
 
@@ -219,7 +216,7 @@ class PdesSync:
     def report(self) -> Dict[str, Any]:
         """A JSON-safe roll-up (attached to profiles and benchmark records).
 
-        ``boundary_events`` totals the three seam-crossing counters — the
+        ``boundary_events`` totals the two seam-crossing counters — the
         traffic a process-mode execution would ship at barriers — and
         ``events_per_window`` is the mean window occupancy, the direct
         measure of how much concurrency a window actually exposes (a
@@ -227,16 +224,13 @@ class PdesSync:
         rather than a misleading whole-trial figure).
         """
         executed = sum(self.executed_by_shard)
-        boundary_events = (
-            self.boundary_receptions + self.boundary_busy_marks + self.boundary_faults
-        )
+        boundary_events = self.boundary_receptions + self.boundary_faults
         return {
             "shard_count": self.shard_count,
             "executed_by_shard": list(self.executed_by_shard),
             "windows": self.windows,
             "handoffs": self.handoffs,
             "boundary_receptions": self.boundary_receptions,
-            "boundary_busy_marks": self.boundary_busy_marks,
             "boundary_faults": self.boundary_faults,
             "boundary_events": boundary_events,
             "events_per_window": (
@@ -367,12 +361,6 @@ class ShardedSimulator(Simulator):
         if shard != owner.get(transmitter, 0):
             self.sync.boundary_receptions += 1
         self._current_shard = shard
-
-    def note_busy_mark(self, transmitter: NodeId, receiver: NodeId) -> None:
-        """Record a carrier-sense busy-until certification crossing a seam."""
-        owner = self._owner
-        if owner.get(receiver, 0) != owner.get(transmitter, 0):
-            self.sync.boundary_busy_marks += 1
 
     def fault_context(self, spec, flip: Callable[[], None]) -> Callable[[], None]:
         """Wrap a fault flip so it executes in its target's shard context.
@@ -606,7 +594,6 @@ def _group_worker(args) -> TrialStats:
 
     worker_tuning = EngineTuning(
         event_queue=tuning.event_queue,
-        mac_model=tuning.mac_model,
         engine_backend="serial",
     )
     network = build_network(
@@ -750,7 +737,6 @@ def _windowed_worker(conn, args) -> None:
     reset_packet_ids(1 + shard_index * _UID_BLOCK)
     worker_tuning = EngineTuning(
         event_queue=tuning.event_queue,
-        mac_model=tuning.mac_model,
         engine_backend="serial",
     )
     network = build_network(
@@ -1058,7 +1044,6 @@ def run_trial_sharded_processes(
             fast_paths=fp,
             tuning=EngineTuning(
                 event_queue=engine_tuning.event_queue,
-                mac_model=engine_tuning.mac_model,
                 engine_backend="serial",
             ),
         )

@@ -32,14 +32,13 @@ class PhyConfig:
 
     ``propagation_delay_s_per_m`` selects between two channel models.  At
     the default ``0.0`` propagation is instantaneous — every receiver hears
-    a frame over exactly ``[start, start + airtime]`` — and the engine is
-    bit-identical to every release since the seed.  A positive value (use
+    a frame over exactly ``[start, start + airtime]``.  A positive value (use
     :data:`SPEED_OF_LIGHT_DELAY_S_PER_M` for physics) delays each receiver's
     copy by ``delay * distance``, which gives the sharded PDES a finite
     lookahead: a shard provably cannot be influenced by a neighbour strip
     faster than a signal crosses the seam.  The finite-delay variant is a
     *model* change held to the science gate (paper + faults registries),
-    like ``EngineTuning.mac_model="frozen"``, not to bit-identity.
+    not to bit-identity with the default.
     """
 
     bitrate_bps: float = 2_000_000.0

@@ -21,19 +21,6 @@ The flags, and the exactness argument for each:
     two queries at one timestamp for one origin node must return the same
     set.  The memo is dropped whenever the clock advances or a listener
     attaches.
-``busy_cache``
-    Carrier sense caches a per-node *busy-until* time: when a transmission
-    ending at ``t_end`` is within carrier-sense range by more than the node
-    could travel before ``t_end`` (``distance + max_speed * (t_end -
-    known_t) <= cs_range``), the node is provably inside carrier-sense range
-    of an active transmission for every instant before ``t_end``, so polls
-    until then answer True without any geometry.
-``fast_backoff``
-    The MAC draws backoff and jitter slots via ``Random._randbelow`` — the
-    exact primitive ``Random.randint`` bottoms out in, consuming the
-    identical underlying ``getrandbits`` draws — and reuses one poll closure
-    per (frame, attempt) instead of allocating a lambda per defer.  Draw
-    sequence, event times, priorities and scheduling order are unchanged.
 ``frame_pool``
     :class:`~repro.sim.packet.Frame` and the channel's internal reception
     records are recycled through free lists once the engine is provably done
@@ -77,10 +64,8 @@ __all__ = [
     "FastPaths",
     "EngineTuning",
     "EVENT_QUEUES",
-    "MAC_MODELS",
     "ENGINE_BACKENDS",
     "EVENT_QUEUE_ENV",
-    "MAC_MODEL_ENV",
     "ENGINE_BACKEND_ENV",
     "SHARD_COUNT_ENV",
 ]
@@ -92,8 +77,6 @@ class FastPaths:
 
     mobility_segments: bool = True
     reception_memo: bool = True
-    busy_cache: bool = True
-    fast_backoff: bool = True
     frame_pool: bool = True
     airtime_memo: bool = True
     grid_prefilter: bool = True
@@ -118,28 +101,20 @@ class FastPaths:
 #: Recognised event-queue implementations (see :mod:`repro.sim.engine`).
 EVENT_QUEUES: Tuple[str, ...] = ("heap", "calendar")
 
-#: Recognised MAC backoff models (see :mod:`repro.sim.mac`).
-MAC_MODELS: Tuple[str, ...] = ("poll", "frozen")
-
 #: Recognised engine backends (see :mod:`repro.sim.pdes`).
 ENGINE_BACKENDS: Tuple[str, ...] = ("serial", "sharded", "processes")
 
 #: Environment overrides consulted by :meth:`EngineTuning.from_env` — the
-#: seam the CI ``mac-model-gate`` / ``pdes-smoke`` jobs (and any A/B sweep)
-#: use to run the stock sweep CLI under a different engine configuration
-#: without new flags.
+#: seam the CI ``pdes-smoke`` job (and any A/B sweep) uses to run the stock
+#: sweep CLI under a different engine configuration without new flags.
 EVENT_QUEUE_ENV = "REPRO_EVENT_QUEUE"
-MAC_MODEL_ENV = "REPRO_MAC_MODEL"
 ENGINE_BACKEND_ENV = "REPRO_ENGINE_BACKEND"
 SHARD_COUNT_ENV = "REPRO_SHARD_COUNT"
 
 
 @dataclass(frozen=True, slots=True)
 class EngineTuning:
-    """Engine-level configuration of one trial: event queue and MAC model.
-
-    Unlike :class:`FastPaths`, the two knobs here carry *different*
-    contracts:
+    """Engine-level configuration of one trial: event queue and backend.
 
     ``event_queue``
         ``"calendar"`` (default) or ``"heap"``.  **Exact**: pop order is
@@ -147,19 +122,6 @@ class EngineTuning:
         bit-identical under either queue — same contract as every FastPaths
         flag, enforced by the queue-flag equivalence matrix in
         ``tests/sim/test_eventq.py``.
-
-    ``mac_model``
-        ``"poll"`` (default) or ``"frozen"``.  A **model** change: the
-        frozen-backoff MAC replaces the poll-the-medium backoff loop with an
-        event-driven freeze/resume countdown, eliminating the backoff poll
-        storm (~85% of all events in a saturated trial) at the cost of a
-        *different* — not bit-identical — but physically equivalent
-        contention process.  Its contract is the science gate (the full
-        paper and faults invariant registries) plus the A/B metric
-        trajectory in EXPERIMENTS.md, not bit-identity.  The default stays
-        ``"poll"`` so committed stores, nightly artifacts and the clean
-        bit-identity matrix are undisturbed; CI enforces the frozen model's
-        gate on every PR via the ``mac-model-gate`` job.
 
     ``engine_backend`` / ``shard_count``
         ``"serial"`` (default), ``"sharded"`` or ``"processes"``.
@@ -181,7 +143,6 @@ class EngineTuning:
     """
 
     event_queue: str = "calendar"
-    mac_model: str = "poll"
     engine_backend: str = "serial"
     shard_count: int = 0
 
@@ -190,11 +151,6 @@ class EngineTuning:
             raise ValueError(
                 f"unknown event queue {self.event_queue!r}; "
                 f"expected one of {EVENT_QUEUES}"
-            )
-        if self.mac_model not in MAC_MODELS:
-            raise ValueError(
-                f"unknown MAC model {self.mac_model!r}; "
-                f"expected one of {MAC_MODELS}"
             )
         if self.engine_backend not in ENGINE_BACKENDS:
             raise ValueError(
@@ -214,23 +170,19 @@ class EngineTuning:
 
     @classmethod
     def from_env(cls) -> "EngineTuning":
-        """Defaults, overridden by ``$REPRO_EVENT_QUEUE`` / ``$REPRO_MAC_MODEL``.
+        """Defaults, overridden by the ``$REPRO_*`` variables above.
 
         ``build_network`` resolves its default tuning through this, so a
         whole sweep — CLI, process pools, distributed workers — can be
-        flipped to the frozen MAC or the reference heap from the
-        environment.  A store written under ``REPRO_MAC_MODEL=frozen``
-        holds frozen-model results under the same content keys as a poll
-        store (tuning is not part of a scenario's identity); keep such
-        stores separate, exactly like FastPaths A/B runs.
+        flipped to the reference heap or the sharded backend from the
+        environment.  Tuning is not part of a job's identity (its content
+        key): the queue and the threaded backend are exact, so a store
+        holds the same cells whichever of them produced it.
         """
         kwargs = {}
         queue = os.environ.get(EVENT_QUEUE_ENV)
         if queue:
             kwargs["event_queue"] = queue
-        mac = os.environ.get(MAC_MODEL_ENV)
-        if mac:
-            kwargs["mac_model"] = mac
         backend = os.environ.get(ENGINE_BACKEND_ENV)
         if backend:
             kwargs["engine_backend"] = backend

@@ -219,3 +219,85 @@ class TestReport:
         target = tmp_path / "typo-dir"
         main(["report", "--out", str(target)])
         assert not target.exists()  # read-only commands must not litter
+
+
+class TestRetiredStoreVersion:
+    """A store written before ``STORE_VERSION`` 2 holds cells simulated under
+    the retired polling MAC model under the *same* content keys, so every
+    command that would read or extend it must refuse, in one line."""
+
+    @pytest.fixture()
+    def v1_store(self, store_dir, tmp_path):
+        import shutil
+
+        out = tmp_path / "sweep-v1"
+        shutil.copytree(store_dir, out)
+        for path in [out / "sweep.json", *(out / "jobs").glob("*.json")]:
+            document = json.loads(path.read_text(encoding="utf-8"))
+            document["version"] = 1
+            path.write_text(json.dumps(document), encoding="utf-8")
+        # One cell missing, so a `resume` that got past the check would
+        # simulate it under the new model next to the old cells.
+        next((out / "jobs").glob("*.json")).unlink()
+        return out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resume", "--quiet", "--out"],
+            ["gate", "--out"],
+            ["report", "--out"],
+            ["status", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_refuses_in_one_line(self, v1_store, capsys, argv):
+        cells_before = sorted(p.name for p in (v1_store / "jobs").iterdir())
+        code = main(argv + [str(v1_store)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "incompatible store version (1; this code reads 2)" in lines[0]
+        assert "MAC model retired in PR 12" in lines[0]
+        assert "fresh directory" in lines[0]
+        assert sorted(p.name for p in (v1_store / "jobs").iterdir()) == cells_before
+
+    def test_run_into_a_v1_store_refuses_too(self, v1_store, capsys):
+        code = main(
+            ["run", "--scale", "smoke", "--out", str(v1_store), "--quiet"]
+            + PROTOCOL_ARGS
+        )
+        # 3 = "this directory cannot take the sweep; use a fresh one", the
+        # same class as a store that holds a different sweep.
+        assert code == 3
+        assert "incompatible store version" in capsys.readouterr().err
+
+    def test_nightly_ci_wipes_a_restored_v1_store(self, v1_store, tmp_path):
+        """The nightly job restores the newest artifact, which after the
+        version bump is a v1 store; the step that inspects it must wipe it
+        (so ``run`` starts fresh) rather than die and re-upload it forever."""
+        import re
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[2]
+        workflow = (repo / ".github/workflows/ci.yml").read_text(encoding="utf-8")
+        step = workflow.split("Keep the restored store only if it needs finishing")[1]
+        snippet = re.search(r"python - <<'EOF'\n(.*?)\n\s*EOF\n", step, re.S).group(1)
+
+        restored = tmp_path / "paper-tier-store"
+        v1_store.rename(restored)
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(snippet)],
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(repo / "src")},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "starting fresh" in done.stdout
+        assert not restored.exists()

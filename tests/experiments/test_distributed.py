@@ -322,7 +322,7 @@ class TestWorkStealing:
         victim = jobs[0]
         store.jobs_dir.mkdir(parents=True)
         (store.jobs_dir / f"{victim.content_key}.json").write_text(
-            '{"version": 1, "job": {}, "summ', encoding="utf-8"
+            '{"version": 2, "job": {}, "summ', encoding="utf-8"
         )
         backend = DistributedBackend(
             "w1", lease_ttl=TTL, run=lambda job: fake_summary()

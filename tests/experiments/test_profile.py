@@ -56,7 +56,7 @@ class TestLayerMapping:
         assert layer_of("/repo/src/repro/sim/eventq.py", "push") == "engine.queue"
 
     @pytest.mark.parametrize(
-        "name", ["poll", "fire", "draw", "on_idle", "_frozen_attempt", "_defer"]
+        "name", ["fire", "draw", "on_idle", "_attempt", "_try_dequeue", "proceed"]
     )
     def test_mac_timer_machinery_is_its_own_sublayer(self, name):
         assert layer_of("/repo/src/repro/sim/mac.py", name) == "mac.timers"
@@ -64,7 +64,7 @@ class TestLayerMapping:
     def test_mac_frame_handling_stays_in_mac(self):
         assert layer_of("/repo/src/repro/sim/mac.py", "radio_receive") == "mac"
         # Timer names only split inside the MAC file, nowhere else.
-        assert layer_of("/repo/src/repro/sim/channel.py", "poll") == "channel"
+        assert layer_of("/repo/src/repro/sim/channel.py", "fire") == "channel"
 
 
 class TestProfileTrial:
@@ -163,7 +163,7 @@ class TestProfileCli:
         assert main(argv) == 0
         assert "fast paths off" in capsys.readouterr().out
 
-    def test_profile_faulted_frozen_trial(self, tmp_path, capsys):
+    def test_profile_faulted_trial(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
         out = tmp_path / "profile.json"
@@ -173,8 +173,6 @@ class TestProfileCli:
             "smoke",
             "--protocol",
             "SRP",
-            "--mac",
-            "frozen",
             "--queue",
             "calendar",
             "--faults",
@@ -184,9 +182,8 @@ class TestProfileCli:
         ]
         assert main(argv) == 0
         text = capsys.readouterr().out
-        assert "mac=frozen" in text and "faults=churn-partition" in text
+        assert "queue=calendar" in text and "faults=churn-partition" in text
         recorded = json.loads(out.read_text(encoding="utf-8"))["profiles"][0]
-        assert recorded["mac_model"] == "frozen"
         assert recorded["event_queue"] == "calendar"
         assert recorded["faults"] == "churn-partition"
         layers = {layer["layer"] for layer in recorded["layers"]}
@@ -215,7 +212,6 @@ class TestBenchTrialRecord:
         record = bench.build_record("smoke", ["SRP"], with_off=True)
         assert record["scale"] == "smoke"
         assert record["event_queue"] == "calendar"
-        assert record["mac_model"] == "poll"
         point = record["protocols"]["SRP"]
         assert point["seconds"] > 0 and point["events"] > 0
         assert "off_seconds" in point and "speedup" in point
@@ -227,37 +223,37 @@ class TestBenchTrialRecord:
         assert set(document["records"]) == {"smoke", "paper-tier"}
 
     def test_record_key_appends_non_default_axes(self, bench):
-        base = {"scale": "smoke", "event_queue": "calendar", "mac_model": "poll"}
+        base = {"scale": "smoke", "event_queue": "calendar"}
         assert bench.record_key(base) == "smoke"
-        assert bench.record_key(dict(base, mac_model="frozen")) == "smoke+frozen"
         assert bench.record_key(dict(base, event_queue="heap")) == "smoke+heap"
         assert (
-            bench.record_key(dict(base, event_queue="heap", mac_model="frozen"))
-            == "smoke+heap+frozen"
+            bench.record_key(
+                dict(base, event_queue="heap", engine_backend="sharded", shard_count=2)
+            )
+            == "smoke+heap+sharded2"
         )
         # Legacy records without the axis fields key by scale alone.
         assert bench.record_key({"scale": "paper-tier"}) == "paper-tier"
 
-    def test_frozen_record_merges_alongside_the_default(self, bench):
-        record = bench.build_record("smoke", ["SRP"], mac_model="frozen")
-        assert record["mac_model"] == "frozen"
+    def test_non_default_record_merges_alongside_the_default(self, bench):
+        record = bench.build_record("smoke", ["SRP"], event_queue="heap")
+        assert record["event_queue"] == "heap"
         document = bench.merge_into_document(None, record)
-        assert document["records"]["smoke+frozen"] is record
-        # A frozen record never overwrites the default baseline...
+        assert document["records"]["smoke+heap"] is record
+        # A non-default record never overwrites the default baseline...
         default = {
             "scale": "smoke",
             "event_queue": "calendar",
-            "mac_model": "poll",
             "commit": None,
             "protocols": {},
         }
         document = bench.merge_into_document(document, default)
-        assert set(document["records"]) == {"smoke", "smoke+frozen"}
+        assert set(document["records"]) == {"smoke", "smoke+heap"}
         # ...and the regression check compares like with like.
         problems = bench.check_against_baseline(
             record, {"records": {"smoke": default}}, 1.5
         )
-        assert problems and "smoke+frozen" in problems[0]
+        assert problems and "smoke+heap" in problems[0]
 
     def test_check_against_baseline(self, bench):
         record = {

@@ -169,7 +169,7 @@ class TestReconstruction:
 class TestTornCells:
     """Truncated/invalid cell files count as missing (and are reported)."""
 
-    def _tear(self, store, job, content='{"version": 1, "job": {}, "sum'):
+    def _tear(self, store, job, content='{"version": 2, "job": {}, "sum'):
         path = store.jobs_dir / f"{job.content_key}.json"
         path.write_text(content, encoding="utf-8")
         return path
@@ -192,7 +192,7 @@ class TestTornCells:
         store = make_store(tmp_path, scenario)
         job = jobs[0]
         store.put(job, full_outcomes[job])
-        self._tear(store, job, '{"version": 1, "job": {}}')
+        self._tear(store, job, '{"version": 2, "job": {}}')
         with pytest.warns(Warning, match="torn"):
             assert store.get(job) is None
 
@@ -325,3 +325,20 @@ class TestMetaGuards:
         path.write_text(json.dumps(cell), encoding="utf-8")
         with pytest.raises(ValueError, match="incompatible store version"):
             store.get(job)
+
+    @pytest.mark.parametrize("version", [999, None, "1", [1], True])
+    def test_only_a_retired_version_gets_its_retirement_reason(
+        self, tmp_path, scenario, version
+    ):
+        import json
+
+        store = make_store(tmp_path, scenario)
+        meta = json.loads(store.meta_path.read_text(encoding="utf-8"))
+        meta["version"] = version
+        if version is None:
+            del meta["version"]
+        store.meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match="fresh directory") as excinfo:
+            store.read_meta()
+        assert "this code reads 2" in str(excinfo.value)
+        assert "MAC model" not in str(excinfo.value)

@@ -91,7 +91,7 @@ class TestMergeStores:
     def test_orphan_cells_are_compacted_away(self, tmp_path):
         source = make_store(tmp_path / "src")
         orphan = source.jobs_dir / "deadbeef00deadbeef00.json"
-        orphan.write_text(json.dumps({"version": 1, "summary": {}}))
+        orphan.write_text(json.dumps({"version": 2, "summary": {}}))
         dest = ResultsStore(tmp_path / "merged")
         report = merge_stores(dest, [source])
         assert report.complete

@@ -14,8 +14,7 @@ three levels:
    ``pending_events`` bookkeeping, on both queue flavours.
 3. **Trial level** — the acceptance matrix: all five protocols, clean and
    faulted, FastPaths off and on, must produce bit-identical
-   :class:`TrialSummary` objects and event counts under either queue; plus
-   the frozen-MAC model's own invariance across queues and FastPaths.
+   :class:`TrialSummary` objects and event counts under either queue.
 """
 
 import heapq
@@ -294,12 +293,12 @@ def smoke_scenario(*, faulted=False):
     return scenario
 
 
-def run_matrix_point(scenario, protocol, *, event_queue, fast_paths, mac_model="poll"):
+def run_matrix_point(scenario, protocol, *, event_queue, fast_paths):
     network = build_network(
         scenario,
         protocol_factory(protocol),
         fast_paths=fast_paths,
-        tuning=EngineTuning(event_queue=event_queue, mac_model=mac_model),
+        tuning=EngineTuning(event_queue=event_queue),
     )
     summary = network.run()
     return summary, network.simulator.events_processed
@@ -329,86 +328,39 @@ class TestTrialBitIdentity:
                 f"queue={point[0]}, fast_paths={'on' if point[1] else 'off'}"
             )
 
-    @pytest.mark.parametrize("protocol", ("SRP", "OLSR"))
-    def test_frozen_mac_identical_across_queues_and_fast_paths(self, protocol):
-        """The frozen MAC is a *model* change, so it never has to match the
-        poll MAC — but it must be invariant to the exactness knobs: same
-        trial under either queue and with FastPaths off or on."""
-        scenario = smoke_scenario()
-        results = [
-            run_matrix_point(
-                scenario,
-                protocol,
-                event_queue=event_queue,
-                fast_paths=fast_paths,
-                mac_model="frozen",
-            )
-            for event_queue in ("heap", "calendar")
-            for fast_paths in (FastPaths(), FastPaths.none())
-        ]
-        assert all(result == results[0] for result in results[1:])
-
-    def test_frozen_mac_faulted_invariance(self):
-        scenario = smoke_scenario(faulted=True)
-        results = [
-            run_matrix_point(
-                scenario,
-                "OLSR",
-                event_queue=event_queue,
-                fast_paths=FastPaths(),
-                mac_model="frozen",
-            )
-            for event_queue in ("heap", "calendar")
-        ]
-        assert results[0] == results[1]
-
-    def test_frozen_mac_removes_the_poll_storm(self):
-        """The point of the model: an order-of-magnitude fewer events for a
-        physically comparable trial (delivery within a few percent)."""
-        scenario = smoke_scenario()
-        poll_summary, poll_events = run_matrix_point(
-            scenario, "OLSR", event_queue="calendar", fast_paths=FastPaths()
+    def test_mac_backoff_stays_event_driven(self):
+        """An absolute budget on the MAC's event cost: smoke OLSR runs at 6.2
+        events per transmitted frame under the freeze/resume backoff (8.7 at
+        paper-tier).  A backoff that re-senses a busy medium on a timer blows
+        straight through the ceiling — the retired polling loop cost 28 here
+        and 74 at paper-tier."""
+        network = build_network(smoke_scenario(), protocol_factory("OLSR"))
+        network.run()
+        frames = sum(
+            node.mac.stats.transmitted_frames for node in network.nodes.values()
         )
-        frozen_summary, frozen_events = run_matrix_point(
-            scenario,
-            "OLSR",
-            event_queue="calendar",
-            fast_paths=FastPaths(),
-            mac_model="frozen",
-        )
-        assert frozen_events < poll_events / 2
-        assert (
-            abs(frozen_summary.delivery_ratio - poll_summary.delivery_ratio) < 0.1
-        )
+        assert network.simulator.events_processed < 12 * frames
 
 
 class TestEngineTuning:
     def test_defaults(self):
         tuning = EngineTuning()
         assert tuning.event_queue == "calendar"
-        assert tuning.mac_model == "poll"
 
     def test_rejects_unknown_values(self):
         with pytest.raises(ValueError, match="event queue"):
             EngineTuning(event_queue="splay")
-        with pytest.raises(ValueError, match="MAC model"):
-            EngineTuning(mac_model="aloha")
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        monkeypatch.setenv("REPRO_MAC_MODEL", "frozen")
         tuning = EngineTuning.from_env()
         assert tuning.event_queue == "heap"
-        assert tuning.mac_model == "frozen"
 
     def test_from_env_defaults_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        monkeypatch.delenv("REPRO_MAC_MODEL", raising=False)
         assert EngineTuning.from_env() == EngineTuning()
 
     def test_build_network_honours_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        monkeypatch.setenv("REPRO_MAC_MODEL", "frozen")
         network = build_network(smoke_scenario(), protocol_factory("SRP"))
         assert network.simulator.event_queue == "heap"
-        assert next(iter(network.nodes.values())).mac._use_frozen

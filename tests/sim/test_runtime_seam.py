@@ -1,12 +1,16 @@
-"""The Runtime-seam refactor must be invisible to the simulator.
+"""Refactors must be invisible to the simulator: the golden trial captures.
 
-``golden_seed_summaries.json`` was captured from the tree *before* the
-:mod:`repro.runtime` seam existed (protocols talked to a concrete
-``Simulator``/``Node`` pair).  These tests re-run the same smoke-scale cells
-through the refactored stack and require bit-identical ``TrialSummary``
-dicts *and* engine event counts — the API redesign's "all five protocols
-stay bit-identical" acceptance criterion, pinned to concrete numbers rather
-than an off/on self-comparison.
+``golden_seed_summaries.json`` pins smoke-scale cells — all five protocols x
+pause {0, 25} x {clean, ``churn-partition``} — to concrete ``TrialSummary``
+dicts *and* engine event counts, so a refactor is held to numbers captured
+from the tree *before* it rather than to an off/on self-comparison.
+
+The file was last regenerated for PR 12, which retired the polling MAC
+backoff (a gate-validated *model* change, so the PR 8 pre-seam captures
+could not carry over): it was captured at the parent commit ``71166b6``
+under ``REPRO_MAC_MODEL=frozen`` — i.e. from the parent's freeze/resume
+path, before ``mac.py`` was touched — and the folded single-MAC code must
+reproduce it bit for bit.
 
 They double as the conformance suite for the seam itself: the simulator
 must satisfy :class:`~repro.runtime.base.Clock` structurally and ``Node``
@@ -23,6 +27,7 @@ from repro.experiments.paper import EvaluationScale
 from repro.protocols import protocol_factory
 from repro.runtime.base import Clock, Runtime, TimerHandle
 from repro.sim.engine import Simulator
+from repro.sim.faults import fault_preset
 from repro.sim.network import build_network
 
 GOLDEN_PATH = Path(__file__).parent / "golden_seed_summaries.json"
@@ -39,10 +44,12 @@ GOLDEN_CELLS = _golden_cells()
 
 
 @pytest.mark.parametrize("cell_key", sorted(GOLDEN_CELLS))
-def test_summary_bit_identical_to_pre_seam_capture(cell_key):
-    protocol, _, pause_part = cell_key.partition(":pause=")
-    pause = float(pause_part)
-    scenario = EvaluationScale.smoke().scenario.with_pause_time(pause)
+def test_summary_bit_identical_to_golden_capture(cell_key):
+    protocol, _, rest = cell_key.partition(":pause=")
+    pause_part, _, preset = rest.partition(":faults=")
+    scenario = EvaluationScale.smoke().scenario.with_pause_time(float(pause_part))
+    if preset:
+        scenario = scenario.with_faults(fault_preset(preset, scenario))
     net = build_network(scenario, protocol_factory(protocol))
     summary = net.run()
     expected = GOLDEN_CELLS[cell_key]
@@ -53,7 +60,8 @@ def test_summary_bit_identical_to_pre_seam_capture(cell_key):
 def test_golden_file_covers_all_five_protocols_and_both_pauses():
     protocols = {key.split(":")[0] for key in GOLDEN_CELLS}
     assert protocols == {"SRP", "LDR", "AODV", "DSR", "OLSR"}
-    assert len(GOLDEN_CELLS) == 10
+    assert len(GOLDEN_CELLS) == 20
+    assert sum("faults=churn-partition" in key for key in GOLDEN_CELLS) == 10
 
 
 class TestRuntimeConformance:
