@@ -15,12 +15,20 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core import SlrNetwork, UnboundedFractionLabelSet
 from repro.protocols import protocol_factory
 from repro.sim import run_trial
 from repro.workloads import scaled_scenario
+
+
+def path_graph(nodes):
+    """A chain's connectivity as the ``{node: neighbours}`` mapping SLR floods
+    over (a ``networkx.Graph`` would do as well; the library needs neither)."""
+    links = {node: [] for node in nodes}
+    for left, right in zip(nodes, nodes[1:]):
+        links[left].append(right)
+        links[right].append(left)
+    return links
 
 
 def example_1_and_2() -> None:
@@ -31,7 +39,7 @@ def example_1_and_2() -> None:
     label_set = UnboundedFractionLabelSet()
     network = SlrNetwork(label_set, "T")
 
-    chain = nx.path_graph(["E", "D", "C", "B", "A", "T"])
+    chain = path_graph(["E", "D", "C", "B", "A", "T"])
     result = network.compute_route(
         "E", chain, request_path=["E", "D", "C", "B", "A", "T"]
     )
@@ -51,7 +59,7 @@ def example_1_and_2() -> None:
     network.state("F").label = Fraction(2, 3)
     network.state("G").label = Fraction(2, 3)
     network.state("H").label = Fraction(3, 4)
-    joined = nx.path_graph(["H", "G", "F", "B", "A", "T"])
+    joined = path_graph(["H", "G", "F", "B", "A", "T"])
     result = network.compute_route("H", joined, request_path=["H", "G", "F", "B", "A"])
     print(
         f"request by H answered by {result.replier}; "

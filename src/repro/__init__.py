@@ -15,7 +15,7 @@ The package is organised as:
 * :mod:`repro.experiments` — the harness regenerating Table I and Figures 3–7.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.4.0"  # == pyproject.toml; tests/test_packaging.py compares
 
 from . import core, experiments, metrics, protocols, sim, workloads
 

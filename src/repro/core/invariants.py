@@ -19,25 +19,41 @@ This module provides these checks generically over any
 orderings, and graph-level verification used by the test-suite and by the
 simulator's optional invariant auditor: a labelled digraph is loop-free iff
 its labels are a topological order (Theorem 3).
+
+Graphs here are :class:`SuccessorGraph` objects; the checks read only
+``nodes``, ``edges`` and ``successors(node)``, which ``networkx.DiGraph``
+offers under the same names, so callers that already hold one may pass it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterable, Mapping, Optional, Tuple, TypeVar
-
-import networkx as nx
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from .labels import DenseLabelSet
 from .ordering import Ordering
 
 __all__ = [
     "OrderViolation",
+    "SuccessorGraph",
     "check_maintains_order",
     "maintains_order",
     "ordering_maintains_order",
     "is_topologically_ordered",
     "find_label_violations",
+    "find_cycle",
     "successor_graph_is_loop_free",
 ]
 
@@ -157,8 +173,33 @@ def ordering_maintains_order(
     return eq3 and eq4 and eq5 and eq6
 
 
+@dataclass(frozen=True, slots=True)
+class SuccessorGraph:
+    """A directed graph as ``{node: its successors}``, every node a key."""
+
+    adjacency: Mapping[NodeId, Tuple[NodeId, ...]]
+
+    @property
+    def nodes(self) -> List[NodeId]:
+        """Every vertex, successor-less ones included."""
+        return list(self.adjacency)
+
+    @property
+    def edges(self) -> List[Tuple[NodeId, NodeId]]:
+        """Every directed edge ``(node, successor)``."""
+        return [
+            (node, successor)
+            for node, successors in self.adjacency.items()
+            for successor in successors
+        ]
+
+    def successors(self, node: NodeId) -> Iterator[NodeId]:
+        """The heads of ``node``'s outgoing edges."""
+        return iter(self.adjacency[node])
+
+
 def is_topologically_ordered(
-    graph: nx.DiGraph,
+    graph: SuccessorGraph,
     labels: Mapping[NodeId, L],
     label_set: DenseLabelSet[L],
 ) -> bool:
@@ -172,7 +213,7 @@ def is_topologically_ordered(
 
 
 def find_label_violations(
-    graph: nx.DiGraph,
+    graph: SuccessorGraph,
     labels: Mapping[NodeId, L],
     label_set: DenseLabelSet[L],
 ) -> list[Tuple[NodeId, NodeId]]:
@@ -184,30 +225,62 @@ def find_label_violations(
     return violations
 
 
-def successor_graph_is_loop_free(graph: nx.DiGraph) -> bool:
+def find_cycle(graph: SuccessorGraph) -> List[Tuple[NodeId, NodeId]]:
+    """The edges of one directed cycle of ``graph``; ``[]`` when it has none.
+
+    Iterative depth-first search: an edge into a node that is still on the
+    current search path closes a cycle.
+    """
+    finished: Set[NodeId] = set()
+    for root in graph.nodes:
+        if root in finished:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [graph.successors(root)]
+        while pending:
+            for successor in pending[-1]:
+                if successor in on_path:
+                    cycle = path[path.index(successor) :] + [successor]
+                    return list(zip(cycle, cycle[1:]))
+                if successor not in finished:
+                    path.append(successor)
+                    on_path.add(successor)
+                    pending.append(graph.successors(successor))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.remove(node)
+                finished.add(node)
+    return []
+
+
+def successor_graph_is_loop_free(graph: SuccessorGraph) -> bool:
     """True when the successor digraph contains no directed cycle.
 
     Used by tests and the simulation invariant auditor: Theorem 3 states that
     if every node maintains order the successor graph is a DAG, so a cycle
     here indicates a protocol bug.
     """
-    return nx.is_directed_acyclic_graph(graph)
+    return not find_cycle(graph)
 
 
 def build_successor_graph(
     successors: Mapping[NodeId, Iterable[NodeId]]
-) -> nx.DiGraph:
+) -> SuccessorGraph:
     """Assemble a digraph from a node -> successor-set mapping.
 
     Every key becomes a vertex even if it currently has no successors, so the
     auditor also sees nodes with invalid routes.
     """
-    graph = nx.DiGraph()
-    for node, nexthops in successors.items():
-        graph.add_node(node)
+    adjacency: Dict[NodeId, Tuple[NodeId, ...]] = {
+        node: tuple(dict.fromkeys(nexthops)) for node, nexthops in successors.items()
+    }
+    for nexthops in list(adjacency.values()):
         for nexthop in nexthops:
-            graph.add_edge(node, nexthop)
-    return graph
+            adjacency.setdefault(nexthop, ())
+    return SuccessorGraph(adjacency)
 
 
 class SuccessorGraphAuditor(Generic[L]):
@@ -238,18 +311,18 @@ class SuccessorGraphAuditor(Generic[L]):
         self._audit()
 
     def _audit(self) -> None:
-        graph = build_successor_graph(self._successors)
-        if not successor_graph_is_loop_free(graph):
-            cycle = nx.find_cycle(graph)
+        cycle = find_cycle(build_successor_graph(self._successors))
+        if cycle:
             self.violations.append(f"successor cycle detected: {cycle}")
         if self._label_set is not None and self._labels:
-            labelled_edges = [
-                (i, j)
-                for i, j in graph.edges
-                if i in self._labels and j in self._labels
-            ]
-            subgraph = nx.DiGraph(labelled_edges)
-            bad = find_label_violations(subgraph, self._labels, self._label_set)
+            labelled = build_successor_graph(
+                {
+                    node: [s for s in successors if s in self._labels]
+                    for node, successors in self._successors.items()
+                    if node in self._labels
+                }
+            )
+            bad = find_label_violations(labelled, self._labels, self._label_set)
             if bad:
                 self.violations.append(f"label order violated on edges: {bad}")
 

@@ -20,11 +20,21 @@ advertised label when necessary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
-
-import networkx as nx
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .invariants import (
+    SuccessorGraph,
     build_successor_graph,
     find_label_violations,
     maintains_order,
@@ -41,6 +51,10 @@ __all__ = [
 
 L = TypeVar("L")
 NodeId = Hashable
+
+#: Undirected connectivity as ``{node: its neighbours}``.  Only membership and
+#: ``graph[node]`` are read, so a ``networkx.Graph`` serves as well as a dict.
+Connectivity = Mapping[NodeId, Iterable[NodeId]]
 
 
 @dataclass
@@ -138,7 +152,7 @@ class SlrNetwork(Generic[L]):
         """The node's current successor set for the destination."""
         return tuple(self.state(node).successor_labels)
 
-    def successor_graph(self) -> nx.DiGraph:
+    def successor_graph(self) -> SuccessorGraph:
         """The successor digraph over all known nodes."""
         return build_successor_graph(
             {node: state.successor_labels for node, state in self._states.items()}
@@ -171,7 +185,7 @@ class SlrNetwork(Generic[L]):
     def compute_route(
         self,
         origin: NodeId,
-        graph: nx.Graph,
+        graph: Connectivity,
         *,
         request_path: Optional[Sequence[NodeId]] = None,
     ) -> RouteComputationResult:
@@ -193,7 +207,7 @@ class SlrNetwork(Generic[L]):
 class SlrRouteComputation(Generic[L]):
     """One request/reply pass over an :class:`SlrNetwork` (Section II rules)."""
 
-    def __init__(self, network: SlrNetwork[L], graph: nx.Graph) -> None:
+    def __init__(self, network: SlrNetwork[L], graph: Connectivity) -> None:
         self._network = network
         self._graph = graph
         self._label_set = network.label_set
@@ -219,7 +233,7 @@ class SlrRouteComputation(Generic[L]):
             next_frontier: List[NodeId] = []
             for node in frontier:
                 request_label = minimum_at[node]
-                for neighbor in self._graph.neighbors(node):
+                for neighbor in self._graph[node]:
                     if neighbor in parent:
                         continue
                     parent[neighbor] = node

@@ -147,9 +147,15 @@ def _tmp_name(path: Path) -> Path:
 
 def _atomic_write_json(path: Path, data: Any) -> None:
     """Write JSON to ``path`` via a temp file + rename, so readers never see a
-    partial file and a killed writer leaves no corrupt cell behind."""
+    partial file and a killed writer leaves no corrupt cell behind.
+
+    Compact on purpose: any ``indent`` takes ``json`` off its C encoder, which
+    was a third of a 4 000-cell merge.  Readers parse, so stores written
+    indented by earlier revisions read the same."""
     tmp = _tmp_name(path)
-    tmp.write_text(json.dumps(data, sort_keys=True, indent=1), encoding="utf-8")
+    tmp.write_text(
+        json.dumps(data, sort_keys=True, separators=(",", ":")), encoding="utf-8"
+    )
     os.replace(tmp, path)
 
 
@@ -172,6 +178,9 @@ class ResultsStore:
         # current; concurrent *other* writers need invalidate_key_cache().
         self._key_cache: Optional[Set[str]] = None
         self._torn: Set[str] = set()
+        # The re-planned sweep, built once per instance: merge, diff, resume
+        # and report each walk it, and planning hashes every job's scenario.
+        self._planned: Optional[List[TrialJob]] = None
 
     # -- per-cell results ------------------------------------------------------------
 
@@ -329,6 +338,7 @@ class ResultsStore:
     ) -> None:
         """Record the sweep's parameters so ``resume``/``report`` need no CLI args."""
         self.root.mkdir(parents=True, exist_ok=True)
+        self._planned = None
         _atomic_write_json(
             self.meta_path,
             {
@@ -393,6 +403,7 @@ class ResultsStore:
         """Write a metadata document verbatim (used when a merge destination
         inherits the sweep identity of its first source)."""
         self.root.mkdir(parents=True, exist_ok=True)
+        self._planned = None
         _atomic_write_json(self.meta_path, meta)
 
     def read_meta(self) -> Optional[Dict[str, Any]]:
@@ -726,16 +737,22 @@ class ResultsStore:
     # -- reconstruction ----------------------------------------------------------------
 
     def planned_jobs(self) -> List[TrialJob]:
-        """Re-plan the sweep recorded in the metadata (same params -> same keys)."""
-        from ..workloads.scenario import Scenario
+        """Re-plan the sweep recorded in the metadata (same params -> same keys).
 
-        meta = self.require_meta()
-        return plan_sweep(
-            Scenario.from_dict(meta["scenario"]),
-            meta["protocols"],
-            pause_times=meta["pause_times"],
-            trials=meta["trials"],
-        )
+        Planned once per instance (the jobs memoise their content keys too);
+        :meth:`write_meta` and :meth:`adopt_meta` drop the plan.
+        """
+        if self._planned is None:
+            from ..workloads.scenario import Scenario
+
+            meta = self.require_meta()
+            self._planned = plan_sweep(
+                Scenario.from_dict(meta["scenario"]),
+                meta["protocols"],
+                pause_times=meta["pause_times"],
+                trials=meta["trials"],
+            )
+        return list(self._planned)
 
     def load_results(self, *, require_complete: bool = False) -> SweepResults:
         """Assemble a :class:`SweepResults` from the cells on disk.

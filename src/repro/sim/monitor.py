@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Set
 
-import networkx as nx
+from ..core.invariants import SuccessorGraph, build_successor_graph, find_cycle
 
 __all__ = ["LoopFreedomMonitor", "LoopViolation"]
 
@@ -58,25 +58,15 @@ class LoopFreedomMonitor:
 
     def _check(self, time: float, destination: NodeId) -> None:
         self.checks += 1
-        graph = nx.DiGraph()
-        for node, successors in self._successors[destination].items():
-            graph.add_node(node)
-            for successor in successors:
-                graph.add_edge(node, successor)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = tuple(edge for edge in nx.find_cycle(graph))
-            self.violations.append(LoopViolation(time, destination, cycle))
+        cycle = find_cycle(self.successor_graph(destination))
+        if cycle:
+            self.violations.append(LoopViolation(time, destination, tuple(cycle)))
 
     @property
     def is_clean(self) -> bool:
         """True when no routing loop has ever been observed."""
         return not self.violations
 
-    def successor_graph(self, destination: NodeId) -> nx.DiGraph:
+    def successor_graph(self, destination: NodeId) -> SuccessorGraph:
         """The most recent successor graph recorded for ``destination``."""
-        graph = nx.DiGraph()
-        for node, successors in self._successors.get(destination, {}).items():
-            graph.add_node(node)
-            for successor in successors:
-                graph.add_edge(node, successor)
-        return graph
+        return build_successor_graph(self._successors.get(destination, {}))

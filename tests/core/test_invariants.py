@@ -3,12 +3,14 @@
 import networkx as nx
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 from repro.core.fractions import ProperFraction
 from repro.core.invariants import (
     SuccessorGraphAuditor,
     build_successor_graph,
     check_maintains_order,
+    find_cycle,
     find_label_violations,
     is_topologically_ordered,
     maintains_order,
@@ -170,6 +172,44 @@ class TestGraphChecks:
         graph = build_successor_graph({"A": ["B"], "C": []})
         assert set(graph.nodes) == {"A", "B", "C"}
         assert set(graph.edges) == {("A", "B")}
+
+
+class TestFindCycle:
+    """The package's own DFS against networkx, which it replaced in ``src/``."""
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=7),
+            st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+            max_size=8,
+        )
+    )
+    def test_agrees_with_networkx_on_random_digraphs(self, successors):
+        graph = build_successor_graph(successors)
+        oracle = nx.DiGraph(graph.edges)
+        oracle.add_nodes_from(graph.nodes)
+        cycle = find_cycle(graph)
+        assert bool(cycle) == (not nx.is_directed_acyclic_graph(oracle))
+        assert bool(find_cycle(oracle)) == bool(cycle)  # takes either graph type
+        if cycle:
+            assert all(oracle.has_edge(*edge) for edge in cycle)
+            assert [tail for tail, _ in cycle[1:]] == [head for _, head in cycle[:-1]]
+            assert cycle[-1][1] == cycle[0][0]
+
+    def test_self_loop_is_a_cycle(self):
+        assert find_cycle(build_successor_graph({"A": ["A"]})) == [("A", "A")]
+
+    def test_cycle_behind_a_shared_acyclic_prefix(self):
+        graph = build_successor_graph(
+            {"S": ["A", "B"], "A": ["T"], "B": ["C"], "C": ["D"], "D": ["B"]}
+        )
+        assert sorted(find_cycle(graph)) == [("B", "C"), ("C", "D"), ("D", "B")]
+
+    def test_long_chains_need_no_recursion(self):
+        chain = {node: [node + 1] for node in range(20_000)}
+        assert find_cycle(build_successor_graph(chain)) == []
+        chain[20_000] = [0]
+        assert len(find_cycle(build_successor_graph(chain))) == 20_001
 
 
 class TestSuccessorGraphAuditor:

@@ -223,6 +223,26 @@ class TestRandomizedLoopFreedom:
             assert network.is_loop_free()
             assert network.is_topologically_ordered()
 
+    @given(
+        st.integers(min_value=4, max_value=12),
+        st.floats(min_value=0.2, max_value=0.7),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_plain_adjacency_dict_floods_like_a_networkx_graph(
+        self, node_count, edge_probability, rng
+    ):
+        graph = nx.gnp_random_graph(
+            node_count, edge_probability, seed=rng.randint(0, 2**31)
+        )
+        adjacency = {node: list(graph[node]) for node in graph}
+        over_graph = SlrNetwork(UnboundedFractionLabelSet(), 0)
+        over_dict = SlrNetwork(UnboundedFractionLabelSet(), 0)
+        for origin in range(1, node_count):
+            expected = over_graph.compute_route(origin, graph)
+            assert over_dict.compute_route(origin, adjacency) == expected
+        assert over_dict.labels() == over_graph.labels()
+        assert over_dict.successor_graph() == over_graph.successor_graph()
+
     @settings(max_examples=15, deadline=None)
     @given(
         st.integers(min_value=5, max_value=10),

@@ -342,3 +342,118 @@ class TestMetaGuards:
             store.read_meta()
         assert "this code reads 2" in str(excinfo.value)
         assert "MAC model" not in str(excinfo.value)
+
+
+class TestWriteFormat:
+    """Documents are written compact (the C JSON encoder); what the parent
+    commit wrote with ``indent=1`` must keep reading as the same cells."""
+
+    @staticmethod
+    def _as_the_parent_wrote_it(path):
+        import json
+
+        document = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(
+            json.dumps(document, sort_keys=True, indent=1), encoding="utf-8"
+        )
+
+    def test_documents_are_compact_and_key_sorted(
+        self, tmp_path, scenario, jobs, full_outcomes
+    ):
+        import json
+
+        store = make_store(tmp_path, scenario)
+        store.put(jobs[0], full_outcomes[jobs[0]])
+        cell = store.jobs_dir / f"{jobs[0].content_key}.json"
+        for path in (store.meta_path, cell):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(
+                json.loads(text), sort_keys=True, separators=(",", ":")
+            )
+
+    def test_indented_and_compact_cells_mix_in_one_store(
+        self, tmp_path, scenario, jobs, full_outcomes
+    ):
+        from repro.experiments.trajectory import merge_stores
+
+        mixed = make_store(tmp_path / "mixed", scenario)
+        for job in jobs:
+            mixed.put(job, full_outcomes[job])
+        self._as_the_parent_wrote_it(mixed.meta_path)
+        old = jobs[: len(jobs) // 2]
+        for job in old:
+            self._as_the_parent_wrote_it(mixed.jobs_dir / f"{job.content_key}.json")
+        sizes = {
+            job: (mixed.jobs_dir / f"{job.content_key}.json").stat().st_size
+            for job in jobs
+        }
+        assert min(sizes[job] for job in old) > max(
+            sizes[job] for job in jobs if job not in old
+        )
+
+        # resume: nothing to run
+        resumed = ResultsStore(mixed.root)
+        assert resumed.missing(resumed.planned_jobs()) == []
+        events = []
+        outcomes = execute_jobs(jobs, workers=1, store=resumed, progress=events.append)
+        assert all(event.cached for event in events) and outcomes == full_outcomes
+
+        # cell for cell equal to a store written entirely by this code
+        fresh = make_store(tmp_path / "fresh", scenario)
+        for job in jobs:
+            fresh.put(job, full_outcomes[job])
+        assert ResultsStore(mixed.root).diff_cells(fresh) == []
+        assert fresh.diff_cells(ResultsStore(mixed.root)) == []
+
+        # and it merges, into a fresh directory and into an existing store
+        merged = ResultsStore(tmp_path / "merged")
+        report = merge_stores(merged, [ResultsStore(mixed.root)])
+        assert report.completed_cells == report.planned_cells == len(jobs)
+        assert merged.diff_cells(fresh) == []
+        half = make_store(tmp_path / "half", scenario)
+        half.put(jobs[-1], full_outcomes[jobs[-1]])
+        assert half.merge_from(ResultsStore(mixed.root)) == len(jobs) - 1
+        assert half.diff_cells(fresh) == []
+
+
+class TestPlanMemo:
+    def test_the_sweep_is_planned_once_per_instance(
+        self, tmp_path, scenario, jobs, full_outcomes, monkeypatch
+    ):
+        from repro.experiments import store as store_module
+
+        plans = []
+
+        def counting_plan(*args, **kwargs):
+            plans.append(1)
+            return plan_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "plan_sweep", counting_plan)
+        store = make_store(tmp_path, scenario)
+        for job in jobs:
+            store.put(job, full_outcomes[job])
+        other = ResultsStore(store.root)
+        assert store.planned_jobs() == list(jobs)
+        store.load_results()
+        store.diff_cells(other)
+        store.merge_from(other)
+        assert len(plans) == 1  # the parent re-planned on each of the four
+
+    def test_callers_get_their_own_list(self, tmp_path, scenario, jobs):
+        store = make_store(tmp_path, scenario)
+        store.planned_jobs().clear()
+        assert store.planned_jobs() == list(jobs)
+
+    def test_new_metadata_drops_the_plan(self, tmp_path, scenario, jobs):
+        store = make_store(tmp_path, scenario)
+        assert len(store.planned_jobs()) == len(jobs)
+        store.write_meta(
+            scale="tiny",
+            scenario=scenario,
+            protocols=PROTOCOLS[:1],
+            pause_times=PAUSE_TIMES,
+            trials=TRIALS,
+        )
+        assert len(store.planned_jobs()) == len(jobs) // 2
+        store.adopt_meta(make_store(tmp_path / "donor", scenario).require_meta())
+        assert store.planned_jobs() == list(jobs)

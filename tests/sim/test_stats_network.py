@@ -123,6 +123,7 @@ class TestLoopFreedomMonitor:
         violation = monitor.violations[0]
         assert violation.destination == "T"
         assert violation.time == 1.0
+        assert sorted(violation.cycle) == [("A", "B"), ("B", "A")]
 
     def test_per_destination_graphs_are_independent(self):
         monitor = LoopFreedomMonitor()
