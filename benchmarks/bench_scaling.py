@@ -27,7 +27,6 @@ import pytest
 
 from repro.protocols import protocol_factory
 from repro.sim.network import build_network
-from repro.sim.tuning import EngineTuning
 from repro.workloads.scenario import scaled_scenario
 
 #: The sweep: laptop scale, the paper's two evaluation sizes, and 2x paper.
@@ -56,48 +55,11 @@ def scaling_scenario(node_count: int, *, duration: float = 25.0, seed: int = 31)
     )
 
 
-def run_point(
-    node_count: int,
-    *,
-    duration: float = 25.0,
-    protocol: str = "SRP",
-    shards: int = 0,
-    processes: bool = False,
-):
-    """Run one sweep point; returns (wall_seconds, events, summary).
-
-    ``shards > 0`` runs the point on the sharded PDES backend with that
-    shard count (the trial is bit-identical; only the wall clock differs),
-    adding a shard-count axis to the scaling table.  ``processes`` runs it
-    in the windowed cross-process mode instead — one worker per shard
-    under the speed-of-light propagation-delay channel (the model the
-    science gate validates), which is where multi-core hosts see actual
-    wall-clock speedup.
-    """
-    if processes:
-        from repro.sim.pdes import run_trial_sharded_processes
-        from repro.sim.phy import SPEED_OF_LIGHT_DELAY_S_PER_M
-
-        scenario = scaling_scenario(node_count, duration=duration)
-        scenario = scenario.with_propagation_delay(SPEED_OF_LIGHT_DELAY_S_PER_M)
-        start = time.perf_counter()
-        report = run_trial_sharded_processes(
-            scenario,
-            protocol,
-            static_positions=False,
-            max_workers=max(shards, 2),
-        )
-        elapsed = time.perf_counter() - start
-        return elapsed, report.events_processed, report.summary
-    tuning = (
-        EngineTuning(engine_backend="sharded", shard_count=shards)
-        if shards > 0
-        else None
-    )
+def run_point(node_count: int, *, duration: float = 25.0, protocol: str = "SRP"):
+    """Run one sweep point; returns (wall_seconds, events, summary)."""
     network = build_network(
         scaling_scenario(node_count, duration=duration),
         protocol_factory(protocol),
-        tuning=tuning,
     )
     start = time.perf_counter()
     summary = network.run()
@@ -118,43 +80,21 @@ def bench_scaling_srp(benchmark, node_count):
     assert summary.data_sent > 0
 
 
-def _scaling_record(
-    node_count,
-    duration,
-    protocol,
-    shards,
-    elapsed,
-    events,
-    summary,
-    processes=False,
-):
+def _scaling_record(node_count, duration, protocol, elapsed, events, summary):
     """One trajectory record for a scaling point, bench_trial_profile-shaped.
 
-    The record keys read ``scaling200`` (serial) / ``scaling200+sharded4`` /
-    ``scaling200+proc2`` (windowed process mode), so the node-count x
-    shard-count grid lives in BENCH_5.json beside the per-scale records and
-    the same ``--check`` machinery gates both.  Process-mode records carry
-    the host's core count so a single-vCPU runner's honest overhead number
-    is never mistaken for a multi-core speedup measurement.
+    The record key reads ``scaling200``, so the node-count axis lives in
+    BENCH_5.json beside the per-scale records and the same ``--check``
+    machinery gates both.
     """
-    import os
-
     from bench_trial_profile import _git_commit
 
-    if processes:
-        backend = "proc"
-    elif shards > 0:
-        backend = "sharded"
-    else:
-        backend = "serial"
-    record = {
+    return {
         "scale": f"scaling{node_count}",
         "pause_time": 0.0,
         "node_count": node_count,
         "duration": duration,
         "event_queue": "calendar",
-        "engine_backend": backend,
-        "shard_count": shards,
         "commit": _git_commit(),
         "protocols": {
             protocol: {
@@ -165,9 +105,6 @@ def _scaling_record(
             }
         },
     }
-    if processes:
-        record["host_cpus"] = os.cpu_count() or 1
-    return record
 
 
 def main(argv=None) -> int:
@@ -178,24 +115,8 @@ def main(argv=None) -> int:
         action="append",
         help="node count to run (repeatable; default: the full sweep)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        action="append",
-        metavar="K",
-        help="also run each point on the sharded PDES backend with K shards "
-        "(repeatable; 0 = the serial engine, the default single axis)",
-    )
     parser.add_argument("--duration", type=float, default=25.0)
     parser.add_argument("--protocol", default="SRP")
-    parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="run the nonzero --shards points in the windowed cross-process "
-        "mode (speed-of-light propagation-delay channel, one worker per "
-        "shard); records key as e.g. scaling200+proc2 and carry host_cpus "
-        "so single-core overhead is never read as speedup",
-    )
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -204,7 +125,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     counts = tuple(args.nodes) if args.nodes else NODE_COUNTS
-    shard_axis = tuple(args.shards) if args.shards else (0,)
 
     # bench_trial_profile owns the trajectory-record machinery; the
     # benchmarks directory is only on sys.path when run under pytest.
@@ -212,43 +132,29 @@ def main(argv=None) -> int:
 
     records = []
     print(
-        f"{'nodes':>6} {'shards':>6} {'wall s':>8} {'events':>10} "
+        f"{'nodes':>6} {'wall s':>8} {'events':>10} "
         f"{'events/s':>10} {'delivery':>9}"
     )
     for node_count in counts:
-        for shards in shard_axis:
-            processes = bool(args.processes and shards > 0)
-            try:
-                elapsed, events, summary = run_point(
-                    node_count,
-                    duration=args.duration,
-                    protocol=args.protocol,
-                    shards=shards,
-                    processes=processes,
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            backend_tag = "proc" if processes else (shards or "-")
-            print(
-                f"{node_count:>6} {backend_tag:>6} {elapsed:>8.2f} {events:>10} "
-                f"{events / elapsed:>10.0f} {summary.delivery_ratio:>9.3f}"
+        try:
+            elapsed, events, summary = run_point(
+                node_count, duration=args.duration, protocol=args.protocol
             )
-            if summary.data_sent <= 0:
-                print("error: trial originated no data packets", file=sys.stderr)
-                return 1
-            records.append(
-                _scaling_record(
-                    node_count,
-                    args.duration,
-                    args.protocol,
-                    shards,
-                    elapsed,
-                    events,
-                    summary,
-                    processes=processes,
-                )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(
+            f"{node_count:>6} {elapsed:>8.2f} {events:>10} "
+            f"{events / elapsed:>10.0f} {summary.delivery_ratio:>9.3f}"
+        )
+        if summary.data_sent <= 0:
+            print("error: trial originated no data packets", file=sys.stderr)
+            return 1
+        records.append(
+            _scaling_record(
+                node_count, args.duration, args.protocol, elapsed, events, summary
             )
+        )
 
     if args.json is not None:
         from bench_trial_profile import merge_into_document

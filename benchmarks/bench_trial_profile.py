@@ -76,7 +76,7 @@ def run_point(
     ``repeat`` takes the best of N identical runs — the right estimator for
     wall-clock on a shared/noisy box, since every run computes the same
     deterministic trial and only the interference differs.  ``tuning``
-    selects the engine configuration (event queue, backend) to measure.
+    selects the event queue to measure.
     """
     factory = (
         reference_protocol_factory(protocol)
@@ -108,26 +108,18 @@ def build_record(
     with_off: bool = False,
     repeat: int = 1,
     event_queue: str = "calendar",
-    engine_backend: str = "serial",
-    shard_count: int = 0,
 ) -> Dict:
     """Measure every protocol point and assemble one configuration's record."""
     scale = resolve_scale(scale_name)
     pause_time = pause if pause is not None else scale.pause_times[0]
     scenario = scale.scenario.with_pause_time(pause_time)
-    tuning = EngineTuning(
-        event_queue=event_queue,
-        engine_backend=engine_backend,
-        shard_count=shard_count,
-    )
+    tuning = EngineTuning(event_queue=event_queue)
     record: Dict = {
         "scale": scale.name,
         "pause_time": pause_time,
         "node_count": scenario.node_count,
         "duration": scenario.duration,
         "event_queue": event_queue,
-        "engine_backend": engine_backend,
-        "shard_count": tuning.resolved_shard_count() if engine_backend != "serial" else 0,
         "commit": _git_commit(),
         "protocols": {},
     }
@@ -151,15 +143,12 @@ def build_record(
 def record_key(record: Dict) -> str:
     """The trajectory-document key for one record.
 
-    The engine's default configuration (calendar queue, serial backend)
-    keeps the bare scale name and non-default axes are appended:
-    ``smoke+heap``, ``smoke+sharded2``, ``smoke+heap+sharded2``.
+    The default event queue (calendar) keeps the bare scale name; the heap
+    is appended: ``smoke+heap``.
     """
     key = record["scale"]
     if record.get("event_queue", "calendar") != "calendar":
         key += f"+{record['event_queue']}"
-    if record.get("engine_backend", "serial") != "serial":
-        key += f"+{record['engine_backend']}{record.get('shard_count', 0)}"
     return key
 
 
@@ -167,7 +156,7 @@ def merge_into_document(document: Optional[Dict], record: Dict) -> Dict:
     """Fold one record into the trajectory document.
 
     ``BENCH_5.json`` keeps one record per :func:`record_key` — scale plus
-    any non-default engine configuration (the paper-tier numbers are the
+    any non-default event queue (the paper-tier numbers are the
     headline trajectory; the smoke records are the CI gate's baselines) —
     so regenerating one configuration leaves the others untouched.
     """
@@ -210,12 +199,7 @@ def _print_record(record: Dict) -> None:
     print(
         f"scale={record['scale']} pause={record['pause_time']:g} "
         f"queue={record.get('event_queue', 'calendar')} "
-        + (
-            f"backend={record['engine_backend']}x{record.get('shard_count', 0)} "
-            if record.get("engine_backend", "serial") != "serial"
-            else ""
-        )
-        + f"({record['node_count']} nodes, {record['duration']:g}s simulated, "
+        f"({record['node_count']} nodes, {record['duration']:g}s simulated, "
         f"commit {record['commit'] or '?'})"
     )
     header = (
@@ -313,20 +297,6 @@ def main(argv=None) -> int:
         default="calendar",
         help="event-queue implementation to measure (default: calendar)",
     )
-    parser.add_argument(
-        "--engine-backend",
-        choices=("serial", "sharded"),
-        default="serial",
-        help="engine backend to measure (default: serial); the sharded "
-        "backend gets its own record (e.g. 'smoke+sharded2')",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="K",
-        help="shard count for the sharded backend (0 = auto from cores)",
-    )
     args = parser.parse_args(argv)
 
     record = build_record(
@@ -336,8 +306,6 @@ def main(argv=None) -> int:
         with_off=args.with_off,
         repeat=args.repeat,
         event_queue=args.queue,
-        engine_backend=args.engine_backend,
-        shard_count=args.shards,
     )
     _print_record(record)
 

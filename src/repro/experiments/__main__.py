@@ -111,7 +111,7 @@ from ..runtime.live import (
     LiveRunConfig,
     run_soak,
 )
-from ..workloads.scenario import Scenario
+from ..workloads.scenario import Scenario, ScenarioFieldError
 from .executor import ExecutionProgress, FaultPolicy, execute_jobs
 from .gate import (
     GATE_REGISTRIES,
@@ -190,20 +190,6 @@ def _apply_faults(scale, preset: Optional[str]):
     if preset is None:
         return scale
     scenario = scale.scenario.with_faults(fault_preset(preset, scale.scenario))
-    return dataclasses.replace(scale, scenario=scenario)
-
-
-def _apply_propagation_delay(scale, delay: Optional[float]):
-    """The scale with ``--propagation-delay`` folded into its scenario.
-
-    Like ``--faults``, a finite propagation delay changes the phy dict and
-    with it every job's content key, so a delay-variant sweep is a
-    *different* sweep that never collides with an instantaneous-channel
-    store.
-    """
-    if delay is None:
-        return scale
-    scenario = scale.scenario.with_propagation_delay(delay)
     return dataclasses.replace(scale, scenario=scenario)
 
 
@@ -312,30 +298,8 @@ def _execute_and_collect(
     return _report_quarantined(store, jobs)
 
 
-def _apply_backend_env(args: argparse.Namespace) -> None:
-    """Propagate ``--engine-backend`` / ``--shards`` via the environment.
-
-    ``build_network`` resolves its default tuning through
-    :meth:`EngineTuning.from_env`, so setting the variables here reaches
-    in-process trials and spawned pool workers alike — the same seam the CI
-    ``pdes-smoke`` job flips without any flag at all.
-    """
-    import os
-
-    from ..sim.tuning import ENGINE_BACKEND_ENV, SHARD_COUNT_ENV
-
-    if getattr(args, "engine_backend", None):
-        os.environ[ENGINE_BACKEND_ENV] = args.engine_backend
-    if getattr(args, "shards", None) is not None:
-        os.environ[SHARD_COUNT_ENV] = str(args.shards)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_backend_env(args)
     scale = _apply_faults(resolve_scale(args.scale, trials=args.trials), args.faults)
-    scale = _apply_propagation_delay(
-        scale, getattr(args, "propagation_delay", None)
-    )
     protocols: Sequence[str] = tuple(args.protocols or PAPER_PROTOCOLS)
     store = ResultsStore(args.out)
     code = _ensure_meta_or_exit(store, scale, protocols)
@@ -728,14 +692,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scenario = scale.scenario.with_pause_time(pause)
     if args.faults is not None:
         scenario = scenario.with_faults(fault_preset(args.faults, scenario))
-    if args.propagation_delay is not None:
-        scenario = scenario.with_propagation_delay(args.propagation_delay)
     fast_paths = FastPaths.none() if args.fast_paths == "off" else FastPaths()
-    tuning = EngineTuning(
-        event_queue=args.queue,
-        engine_backend=args.engine_backend or "serial",
-        shard_count=args.shards if args.shards is not None else 0,
-    )
+    tuning = EngineTuning(event_queue=args.queue)
     protocols = args.protocol or ["OLSR"]
     profiles = []
     for protocol in protocols:
@@ -866,44 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with a clean store)",
         )
 
-    def add_backend_args(
-        p: argparse.ArgumentParser, *, include_processes: bool = False
-    ) -> None:
-        backends = ("serial", "sharded") + (
-            ("processes",) if include_processes else ()
-        )
-        p.add_argument(
-            "--engine-backend",
-            choices=backends,
-            default=None,
-            help="engine backend for every trial: the serial engine, the "
-            "spatially sharded conservative PDES (bit-identical), or — "
-            "where offered — shared-nothing worker processes per trial "
-            "(exact radio-group fan-out; windowed barrier exchange under "
-            "--propagation-delay). Default: serial, or "
-            "$REPRO_ENGINE_BACKEND",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            metavar="K",
-            help="shard count for the sharded/processes backends (0 = auto "
-            "from cores; default: $REPRO_SHARD_COUNT or auto)",
-        )
-
-    def add_propagation_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--propagation-delay",
-            type=float,
-            default=None,
-            metavar="S_PER_M",
-            help="finite propagation delay in seconds per metre "
-            "(speed of light: 3.336e-9). Selects the delayed channel "
-            "model — validated by the science gate, not bit-identity — "
-            "and becomes part of every cell's content key",
-        )
-
     run = sub.add_parser("run", help="plan and run a sweep (reusing stored cells)")
     run.add_argument(
         "--scale",
@@ -925,8 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_exec_args(run)
     add_policy_args(run)
     add_faults_arg(run)
-    add_backend_args(run, include_processes=True)
-    add_propagation_arg(run)
     run.set_defaults(func=_cmd_run)
 
     resume = sub.add_parser(
@@ -1250,8 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="calendar",
         help="event-queue implementation to profile (default: calendar)",
     )
-    add_backend_args(profile)
-    add_propagation_arg(profile)
     profile.add_argument(
         "--alloc",
         action="store_true",
@@ -1307,7 +1223,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.out = f"sweep-{args.scale}"
     try:
         return args.func(args)
-    except StoreVersionError as exc:
+    except (StoreVersionError, ScenarioFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,29 +138,7 @@ class ExecutionProgress:
 
 
 def run_job(job: TrialJob) -> TrialSummary:
-    """Run one trial job to completion (the process-pool worker function).
-
-    The ``processes`` engine backend is dispatched here — the one seam
-    where the protocol *name* (not a factory closure) and the whole trial
-    are both in hand — so sweeps launched under
-    ``REPRO_ENGINE_BACKEND=processes`` fan each trial out across shard
-    worker processes (:func:`repro.sim.pdes.run_trial_sharded_processes`:
-    exact radio-group mode under the default PHY, windowed barrier
-    exchange under a finite propagation delay).
-    """
-    from ..sim.tuning import EngineTuning
-
-    tuning = EngineTuning.from_env()
-    if tuning.engine_backend == "processes":
-        from ..sim.pdes import run_trial_sharded_processes
-
-        report = run_trial_sharded_processes(
-            job.scenario,
-            job.protocol,
-            static_positions=False,
-            tuning=tuning,
-        )
-        return report.summary
+    """Run one trial job to completion (the process-pool worker function)."""
     return run_trial(job.scenario, protocol_factory(job.protocol))
 
 

@@ -72,7 +72,6 @@ def reference_protocol_factory(protocol: str):
 #: before general ones.
 _LAYER_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro/sim/eventq", "engine.queue"),
-    ("repro/sim/pdes", "engine"),
     ("repro/sim/engine", "engine"),
     ("repro/sim/spatial", "channel"),
     ("repro/sim/channel", "channel"),
@@ -106,13 +105,6 @@ _MAC_TIMER_NAMES = frozenset(
     }
 )
 
-#: Sharded-backend functions that are pure synchronization — window-barrier
-#: bookkeeping and the mobility-driven ownership refresh.  Split out as the
-#: ``engine.sync`` sub-layer so a sharded profile shows the conservative-
-#: synchronization overhead next to ``engine.queue``; serial profiles
-#: report it as an all-zero row (KNOWN_LAYERS keeps columns aligned).
-_PDES_SYNC_NAMES = frozenset({"_window_barrier", "_refresh_ownership"})
-
 #: Layers always present in a profile (zero-filled when unexercised), so
 #: trajectory comparisons across commits line up column-for-column.
 #: ``engine.queue`` and ``mac.timers`` are sub-layers: siblings in the
@@ -120,7 +112,6 @@ _PDES_SYNC_NAMES = frozenset({"_window_barrier", "_refresh_ownership"})
 KNOWN_LAYERS: Tuple[str, ...] = (
     "engine",
     "engine.queue",
-    "engine.sync",
     "channel",
     "mac",
     "mac.timers",
@@ -151,8 +142,6 @@ def layer_of(filename: str, name: str = "") -> str:
         if fragment in normalized:
             if layer == "mac" and name in _MAC_TIMER_NAMES:
                 return "mac.timers"
-            if layer == "engine" and name in _PDES_SYNC_NAMES:
-                return "engine.sync"
             return layer
     return "other"
 
@@ -193,10 +182,7 @@ class TrialProfile:
     summary: TrialSummary
     layers: List[LayerCost] = field(default_factory=list)
     event_queue: str = "calendar"
-    engine_backend: str = "serial"
-    shard_count: int = 0  #: effective shard count; 0 under the serial backend
     faults: Optional[str] = None  #: fault preset name, when the trial is faulted
-    pdes: Optional[Dict[str, Any]] = None  #: PdesSync.report(), sharded runs only
 
     @property
     def profiled_seconds(self) -> float:
@@ -215,10 +201,7 @@ class TrialProfile:
             "events_per_second": round(self.events_per_second, 1),
             "fast_paths": self.fast_paths,
             "event_queue": self.event_queue,
-            "engine_backend": self.engine_backend,
-            "shard_count": self.shard_count,
             "faults": self.faults,
-            "pdes": self.pdes,
             "layers": [cost.to_dict() for cost in self.layers],
             "summary": self.summary.to_dict(),
         }
@@ -232,30 +215,12 @@ class TrialProfile:
             f"({self.node_count} nodes, {self.duration:g}s simulated, "
             f"fast paths {'on' if self.fast_paths else 'off'}, "
             f"queue={self.event_queue}"
-            + (
-                f", backend={self.engine_backend}x{self.shard_count}"
-                if self.engine_backend != "serial"
-                else ""
-            )
             + (f", faults={self.faults}" if self.faults else "")
             + ")",
             f"  wall {self.wall_seconds:.2f}s (instrumented), "
             f"{self.events_processed} events, "
             f"{self.events_per_second:,.0f} events/s",
         ]
-        if self.pdes is not None:
-            lines.append(
-                f"  sync: {self.pdes['windows']} windows, "
-                f"{self.pdes['handoffs']} handoffs, "
-                f"{self.pdes['boundary_receptions']} boundary receptions, "
-                f"{self.pdes['boundary_faults']} boundary faults"
-            )
-            lines.append(
-                f"  occupancy: {self.pdes.get('events_per_window', 0.0):,} "
-                f"events/window, "
-                f"{self.pdes.get('boundary_events', 0)} boundary events, "
-                f"{self.pdes.get('barrier_seconds', 0.0)}s barrier stall"
-            )
         lines.append(
             f"  {'layer':<12} {'seconds':>9} {'share':>7} {'calls':>12}"
             + ("  alloc KiB" if with_alloc else "")
@@ -286,7 +251,7 @@ def profile_trial(
     ``fast_paths=FastPaths.none()`` profiles the reference slow path (the
     before side of a before/after table), including OLSR's full per-tick
     route recomputation via :func:`reference_protocol_factory`.
-    ``tuning`` selects the engine configuration (event queue, backend),
+    ``tuning`` selects the event queue,
     defaulting like :func:`build_network`.  ``faults`` is a label
     (the preset name) recorded in the profile when ``scenario`` carries a
     fault plan; it does not install faults itself.  ``track_allocations``
@@ -344,7 +309,6 @@ def profile_trial(
     layers.sort(key=lambda cost: cost.seconds, reverse=True)
 
     events = network.simulator.events_processed
-    sync = getattr(network.simulator, "sync", None)
     return TrialProfile(
         scale=scale_name,
         protocol=protocol,
@@ -358,8 +322,5 @@ def profile_trial(
         summary=summary,
         layers=layers,
         event_queue=engine_tuning.event_queue,
-        engine_backend=engine_tuning.engine_backend,
-        shard_count=sync.shard_count if sync is not None else 0,
         faults=faults if scenario.faults else None,
-        pdes=sync.report() if sync is not None else None,
     )

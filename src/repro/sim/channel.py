@@ -85,10 +85,6 @@ class RadioListener(Protocol):
         """Deliver a successfully received frame."""
 
 
-def _discard_frame(frame: Frame, transmitter: NodeId) -> None:
-    """Delivery callback for muted radios (see :meth:`Channel.mute`)."""
-
-
 @dataclass(slots=True, eq=False)
 class _Transmission:
     """One frame in flight.  ``eq=False``: compared only by identity."""
@@ -112,7 +108,6 @@ class _Reception:
     frame: Frame
     transmitter: NodeId
     receiver: NodeId
-    start: float
     end: float
     collided: bool = False
 
@@ -214,22 +209,6 @@ class Channel:
         # only when the scenario declares faults; None keeps the reception
         # loop on its original instruction sequence (bit-identity contract).
         self._faults = None
-        # Finite propagation delay (s/m).  Zero routes transmit/carrier-sense
-        # through the original instantaneous-propagation code paths
-        # unchanged; positive switches to the delayed variants below (a
-        # model change, held to the science gate — see PhyConfig).
-        self._pd = phy.propagation_delay_s_per_m
-        # Transmission observer for the windowed process mode: called as
-        # tap(transmitter, frame, now) for every frame put on the air.
-        # Only consulted on the delayed paths (the windowed mode requires a
-        # finite delay), so the instantaneous hot path gains no branch.
-        self._transmit_tap = None
-        # Sharded-PDES probe (repro.sim.pdes.ShardedSimulator), installed
-        # only under engine_backend="sharded": deliveries switch the
-        # delivery context to the receiver's shard and cross-seam
-        # receptions are counted as boundary events.  None under the
-        # serial backend.
-        self._pdes = None
         # Frozen-backoff sleepers: node -> mutable [horizon_hint, on_idle]
         # pairs, woken by the idle-edge check at the end of each
         # transmission's completion event (see freeze()).
@@ -276,40 +255,6 @@ class Channel:
         window covers the link.
         """
         self._faults = faults
-
-    def install_pdes(self, simulator) -> None:
-        """Attach the sharded backend's boundary-event probe.
-
-        ``simulator`` must expose ``deliver_context`` / ``set_node_context``
-        (:class:`~repro.sim.pdes.ShardedSimulator`).
-        The probe only switches delivery contexts and counts seam
-        crossings; it changes no schedule entry and no RNG draw, so a
-        sharded trial stays bit-identical to a serial one.
-        """
-        self._pdes = simulator
-
-    def set_transmit_tap(self, tap) -> None:
-        """Observe every frame put on the air: ``tap(transmitter, frame, now)``.
-
-        The windowed process mode (:mod:`repro.sim.pdes`) installs one per
-        worker to record its owned shard's transmissions for barrier
-        exchange.  Requires the finite-propagation-delay channel; the
-        instantaneous paths never consult it.
-        """
-        self._transmit_tap = tap
-
-    def mute(self, node_id: NodeId) -> None:
-        """Permanently drop deliveries to ``node_id``'s radio.
-
-        The windowed process mode replicates the full node population in
-        every worker but executes only the home strip's protocol stacks;
-        muting the foreign replicas keeps their radios as pure geometry
-        (they still occupy the medium for carrier sense and collisions)
-        without processing frames whose authoritative copies run in another
-        worker.  Replacing the prebound callback costs the serial delivery
-        path nothing.
-        """
-        self._radio_receive[node_id] = _discard_frame
 
     @property
     def faults(self):
@@ -562,16 +507,8 @@ class Channel:
         bound, with fresh interpolation only inside the ambiguity band), and
         deliberately independent of every FastPaths flag, so a trial is
         bit-identical across FastPaths settings.
-
-        Under the finite-delay channel the horizon is the latest trailing-
-        edge *arrival* (``end + delay * distance``), and deadlock-freedom
-        still holds: every transmission's completion event runs at
-        ``end + delay * cs_range``, at or after any node's horizon for it,
-        and wake-checks the sleepers.
         """
         now = self._simulator.now
-        if self._pd:
-            return self._busy_horizon_delayed(node_id, now)
         active = self._active_transmissions
         while active and active[0][0] <= now:
             heapq.heappop(active)
@@ -615,39 +552,6 @@ class Channel:
             dy = ty - py
             if (dx * dx + dy * dy) ** 0.5 <= carrier_sense_range:
                 horizon = end
-        return horizon
-
-    def _busy_horizon_delayed(self, node_id: NodeId, now: float) -> float:
-        """:meth:`busy_horizon` under finite propagation delay.
-
-        A transmission occupies the medium at a node from its start until
-        its trailing edge *arrives*: ``end + delay * distance``.  The
-        leading edge is modelled conservatively as the transmit instant
-        (physically it arrives ``delay * distance`` later; at realistic
-        delays that is sub-microsecond, and sensing early only defers — it
-        never misses a busy medium).  Heap entries are keyed by the latest
-        possible trailing-edge arrival (``end + delay * cs_range``), so the
-        lazy prune below is exact for every node.
-        """
-        active = self._active_transmissions
-        while active and active[0][0] <= now:
-            heapq.heappop(active)
-        if not active:
-            return 0.0
-        pd = self._pd
-        carrier_sense_range = self._phy.carrier_sense_range
-        px, py = self._position_of(node_id)
-        horizon = 0.0
-        for _, _, transmission in active:
-            tx, ty = transmission.position
-            dx = tx - px
-            dy = ty - py
-            distance = (dx * dx + dy * dy) ** 0.5
-            if distance > carrier_sense_range:
-                continue
-            sense_end = transmission.end + pd * distance
-            if sense_end > horizon and sense_end > now:
-                horizon = sense_end
         return horizon
 
     def freeze(
@@ -700,8 +604,6 @@ class Channel:
         called at the end of the transmission with ``True`` when the intended
         receiver decoded the frame successfully — the idealised 802.11 ACK.
         """
-        if self._pd:
-            return self._transmit_delayed(transmitter, frame, on_complete)
         now = self._simulator.now
         duration = self.airtime(frame)
         origin = self._position_of(transmitter)
@@ -722,7 +624,6 @@ class Channel:
         pool = self._reception_pool if self._use_object_pool else None
         end = now + duration
         faults = self._faults
-        pdes = self._pdes
         position_of = self._position_of
         receiver_ids = self._reception_set(transmitter)
         if self._use_batch_receptions:
@@ -751,11 +652,10 @@ class Channel:
                     reception.frame = frame
                     reception.transmitter = transmitter
                     reception.receiver = receiver_id
-                    reception.start = now
                     reception.end = end
                     reception.collided = False
                 else:
-                    reception = _Reception(frame, transmitter, receiver_id, now, end)
+                    reception = _Reception(frame, transmitter, receiver_id, end)
                 collided = collided_flags[index]
                 actives = active_receptions[receiver_id]
                 for other in actives:
@@ -779,11 +679,10 @@ class Channel:
                     reception.frame = frame
                     reception.transmitter = transmitter
                     reception.receiver = receiver_id
-                    reception.start = now
                     reception.end = end
                     reception.collided = False
                 else:
-                    reception = _Reception(frame, transmitter, receiver_id, now, end)
+                    reception = _Reception(frame, transmitter, receiver_id, end)
                 # Half-duplex: a node that is itself transmitting cannot receive.
                 collided = is_transmitting[receiver_id]()
                 # Overlap with any reception already in progress collides both.
@@ -833,11 +732,6 @@ class Channel:
                     stats.fault_suppressed += 1
                     continue
                 delivered += 1
-                if pdes is not None:
-                    # Cross-shard delivery: the receiver's follow-on events
-                    # belong to its owner shard (and a seam crossing is a
-                    # boundary event).
-                    pdes.deliver_context(transmitter, receiver)
                 radio_receive[receiver](frame, transmitter)
                 if is_unicast and receiver == target:
                     delivered_to_target = True
@@ -847,158 +741,16 @@ class Channel:
                 # The records are out of every active list and the local
                 # references die with this closure: recycle them.
                 pool.extend(receptions)
-            if pdes is not None:
-                # The completion callback is the sender's: run it (and the
-                # stats that follow) back in the transmitter's shard.
-                pdes.set_node_context(transmitter)
             if on_complete is not None:
                 on_complete(delivered_to_target)
             # Runs last so a retry scheduled by on_complete contends from
             # this same idle edge like every woken sleeper.
-            self._wake_sleepers(pdes)
+            self._wake_sleepers()
 
         self._simulator.call_in(duration, finish, 1)
         return duration
 
-    def _transmit_delayed(
-        self,
-        transmitter: NodeId,
-        frame: Frame,
-        on_complete: Optional[Callable[[bool], None]] = None,
-    ) -> float:
-        """:meth:`transmit` under the finite-propagation-delay channel.
-
-        Each receiver's copy of the frame occupies ``[start + delay * d,
-        end + delay * d]`` at distance ``d``, so a nearer receiver always
-        finishes decoding no later than a farther one and collision overlap
-        is judged per-receiver against the *delayed* intervals.  Deliveries
-        are per-receiver events at each trailing-edge arrival (so delivery
-        order follows distance), and a single completion event at
-        ``end + delay * cs_range`` — after every possible delivery and
-        sense edge — runs the sender's ACK callback and the sleeper
-        wake-check.  Half-duplex and fault checks are evaluated at the
-        transmit instant like the instantaneous model (the leading-edge
-        approximation; sub-microsecond at physical delays).
-        """
-        simulator = self._simulator
-        now = simulator.now
-        duration = self.airtime(frame)
-        origin = self._position_of(transmitter)
-        pd = self._pd
-        phy = self._phy
-        end = now + duration
-
-        transmission = _Transmission(frame, transmitter, now, end, origin)
-        active = self._active_transmissions
-        # Heap key: the latest instant any node can still sense this frame
-        # (trailing edge at the carrier-sense rim), so the lazy prunes in
-        # the delayed query paths never drop a still-audible transmission.
-        latest_sense = end + pd * phy.carrier_sense_range
-        while active and active[0][0] <= now:
-            heapq.heappop(active)
-        self._transmission_seq += 1
-        heapq.heappush(active, (latest_sense, self._transmission_seq, transmission))
-        self.stats.transmissions += 1
-        if self._transmit_tap is not None:
-            self._transmit_tap(transmitter, frame, now)
-
-        stats = self.stats
-        is_transmitting = self._is_transmitting
-        active_receptions = self._active_receptions
-        pool = self._reception_pool if self._use_object_pool else None
-        faults = self._faults
-        pdes = self._pdes
-        position_of = self._position_of
-        radio_receive = self._radio_receive
-        call_in = simulator.call_in
-        ox, oy = origin
-        receptions: List[_Reception] = []
-        receptions_append = receptions.append
-        # Mutable cell shared by the per-receiver deliveries and the
-        # completion event: [delivered_to_target].
-        outcome = [False]
-        is_unicast = not frame.is_broadcast
-        target = frame.receiver
-
-        def deliver(reception: _Reception) -> None:
-            receiver = reception.receiver
-            records = active_receptions[receiver]
-            last = records.pop()
-            if last is not reception:
-                records[records.index(reception)] = last
-            if reception.collided:
-                stats.collisions += 1
-                return
-            current_faults = self._faults
-            if (
-                current_faults is not None
-                and current_faults.down
-                and receiver in current_faults.down
-            ):
-                # Crashed while the frame was in flight: the radio is gone.
-                stats.fault_suppressed += 1
-                return
-            stats.receptions_delivered += 1
-            if pdes is not None:
-                pdes.deliver_context(transmitter, receiver)
-            radio_receive[receiver](frame, transmitter)
-            if is_unicast and receiver == target:
-                outcome[0] = True
-
-        for receiver_id in self._reception_set(transmitter):
-            if faults is not None and faults.blocked(
-                transmitter, receiver_id, position_of
-            ):
-                stats.fault_suppressed += 1
-                continue
-            rx, ry = position_of(receiver_id)
-            dx = rx - ox
-            dy = ry - oy
-            flight = pd * (dx * dx + dy * dy) ** 0.5
-            arrival = now + flight
-            rec_end = end + flight
-            if pool:
-                reception = pool.pop()
-                reception.frame = frame
-                reception.transmitter = transmitter
-                reception.receiver = receiver_id
-                reception.start = arrival
-                reception.end = rec_end
-                reception.collided = False
-            else:
-                reception = _Reception(
-                    frame, transmitter, receiver_id, arrival, rec_end
-                )
-            collided = is_transmitting[receiver_id]()
-            actives = active_receptions[receiver_id]
-            for other in actives:
-                if other.end > arrival and other.start < rec_end:
-                    other.collided = True
-                    collided = True
-            reception.collided = collided
-            actives.append(reception)
-            receptions_append(reception)
-            call_in(rec_end - now, lambda r=reception: deliver(r), 1)
-        stats.receptions_started += len(receptions)
-
-        def complete() -> None:
-            if pool is not None:
-                # Every delivery event has run (they were scheduled earlier
-                # at times <= this one): the records are free.
-                pool.extend(receptions)
-            if pdes is not None:
-                pdes.set_node_context(transmitter)
-            if on_complete is not None:
-                on_complete(outcome[0])
-            self._wake_sleepers(pdes)
-
-        # At or after every delivery (reception range <= cs range) and every
-        # node's sense horizon for this frame; scheduled after the delivery
-        # events above, so equal-time ties still run deliveries first.
-        call_in(duration + pd * phy.carrier_sense_range, complete, 1)
-        return duration
-
-    def _wake_sleepers(self, pdes) -> None:
+    def _wake_sleepers(self) -> None:
         """Idle-edge wake-check for frozen-backoff sleepers (see freeze()).
 
         Called last by every transmission's completion event.  Value
@@ -1028,7 +780,4 @@ class Channel:
                     woke.append(node_id)
         if woke is not None:
             for node_id in woke:
-                on_idle = sleepers.pop(node_id)[1]
-                if pdes is not None:
-                    pdes.set_node_context(node_id)
-                on_idle()
+                sleepers.pop(node_id)[1]()

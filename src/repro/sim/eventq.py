@@ -144,25 +144,6 @@ class CalendarQueue:
             return heappop(active)
         return self._advance()
 
-    def peek(self) -> Optional[_Entry]:
-        """The least entry without removing it, or ``None`` when empty.
-
-        The sharded backend's K-way merge peeks every shard and pops only
-        the winner.  When the active heap is empty the next entry is
-        materialised via :meth:`_advance` and pushed straight back: the
-        cursor has already reached its bucket, so the re-push lands in the
-        (freshly rebound) active heap and the subsequent :meth:`pop`
-        returns exactly this entry.
-        """
-        active = self._active
-        if active:
-            return active[0]
-        entry = self._advance()
-        if entry is None:
-            return None
-        heappush(self._active, entry)
-        return entry
-
     def _advance(self) -> Optional[_Entry]:
         """Walk the cursor to the next populated bucket and pop its head.
 

@@ -176,15 +176,6 @@ class ChannelFaults:
         self.loss_rates: List[float] = []
         self._random = rng.random
 
-    def reseed(self, rng: random.Random) -> None:
-        """Swap the loss-draw RNG (windowed process mode: per-shard streams).
-
-        Only loss-burst draws consume this RNG at runtime; crash, blackout
-        and partition flips are pre-scheduled deterministic events, so
-        reseeding changes nothing for plans without loss bursts.
-        """
-        self._random = rng.random
-
     @property
     def any_active(self) -> bool:
         """True while at least one fault window is in effect."""
@@ -309,35 +300,7 @@ class FaultSchedule:
         return state
 
     @staticmethod
-    def split_for_shards(seed: int, shard_count: int) -> "List[random.Random]":
-        """Independent per-shard loss-draw streams for the windowed mode.
-
-        Each shard's stream derives from the trial seed and the shard index
-        (via the same sha256 derivation every named stream uses), so the
-        split is a pure function of ``(seed, shard_count)``: re-running the
-        same windowed trial replays identical draws, and no shard's draws
-        depend on another shard's reception interleaving.  The serial
-        engine's single shared stream interleaves draws across the whole
-        terrain, so the split is part of the windowed *model* — validated
-        by the faults gate, not bit-identity.
-        """
-        from .rng import RngStreams
-
-        streams = RngStreams(seed)
-        return [streams.get(f"faults:shard{index}") for index in range(shard_count)]
-
-    @staticmethod
     def _flip(simulator, spec: FaultSpec, *, down, up) -> None:
-        # The sharded PDES backend exposes fault_context: flips execute in
-        # their target's shard (a crash in shard 2 is a cross-shard fault
-        # event when scheduled from the coordinator) and are counted at the
-        # seam.  The wrap changes no RNG draw and no schedule entry, so
-        # faulted trials stay bit-identical across backends; the serial
-        # engine has no such attribute and schedules the bare flips.
-        fault_context = getattr(simulator, "fault_context", None)
-        if fault_context is not None:
-            down = fault_context(spec, down)
-            up = fault_context(spec, up)
         simulator.schedule_at(spec.start, down, priority=FAULT_PRIORITY)
         # The up flip may land beyond the trial duration; the engine simply
         # never reaches it, which models a fault that outlives the trial.

@@ -18,7 +18,6 @@ from .faults import FaultSchedule
 from .mac import Mac
 from .mobility import RandomWaypointMobility, StaticMobility
 from .node import Node
-from .pdes import ShardPlan, ShardedSimulator
 from .rng import RngStreams
 from .stats import TrialStats, TrialSummary
 from .tuning import EngineTuning, FastPaths
@@ -48,18 +47,9 @@ class Network:
 
     def run(self) -> TrialSummary:
         """Execute the trial and roll up the statistics."""
-        # Under the sharded backend each protocol starts in its node's
-        # owner-shard context so its timer chain is queued (and attributed)
-        # there; traffic is global work and starts from the coordinator
-        # shard.  The serial engine has no such seam and starts directly.
-        set_context = getattr(self.simulator, "set_node_context", None)
         for node in self.nodes.values():
-            if set_context is not None:
-                set_context(node.node_id)
             node.protocol.start()
         if self.traffic is not None:
-            if set_context is not None:
-                set_context(None)
             self.traffic.start()
         self.simulator.run(until=self.scenario.duration)
         for node in self.nodes.values():
@@ -91,32 +81,16 @@ def build_network(
     benchmarking and as a fallback.  ``fast_paths`` selects the exact
     hot-path optimizations (:class:`~repro.sim.tuning.FastPaths`; default:
     all on) under the same bit-identical contract.  ``tuning`` selects the
-    engine configuration (:class:`~repro.sim.tuning.EngineTuning`: event
-    queue and MAC model); when omitted it is resolved from the environment
-    via :meth:`EngineTuning.from_env`, which is how CI's ``mac-model-gate``
-    job and A/B sweeps flip a whole run without new CLI flags.
+    event queue (:class:`~repro.sim.tuning.EngineTuning`); when omitted it
+    is resolved from the environment via :meth:`EngineTuning.from_env`, so
+    an A/B sweep can flip a whole run to the reference heap without a CLI
+    flag.
     """
     from ..workloads.cbr import CbrTrafficManager  # local import to avoid a cycle
 
     fp = FastPaths() if fast_paths is None else fast_paths
     engine_tuning = EngineTuning.from_env() if tuning is None else tuning
-    if engine_tuning.engine_backend == "processes":
-        from .pdes import PdesError
-
-        raise PdesError(
-            "engine_backend='processes' launches whole trials via "
-            "repro.sim.pdes.run_trial_sharded_processes and cannot back a "
-            "single in-process network; dispatch at the trial runner (the "
-            "sweep executor does this) or use 'serial'/'sharded' here"
-        )
-    sharded = engine_tuning.engine_backend == "sharded"
-    if sharded:
-        plan = ShardPlan.for_scenario(scenario, engine_tuning.resolved_shard_count())
-        simulator: Simulator = ShardedSimulator(
-            plan, event_queue=engine_tuning.event_queue
-        )
-    else:
-        simulator = Simulator(event_queue=engine_tuning.event_queue)
+    simulator = Simulator(event_queue=engine_tuning.event_queue)
     streams = RngStreams(scenario.seed)
     # Random-waypoint legs floor the drawn speed at 0.1 m/s, so the channel's
     # drift bound must too; static trials never move nodes at all.
@@ -137,10 +111,8 @@ def build_network(
     mobility_rng = streams.get("mobility")
 
     nodes: Dict[NodeId, Node] = {}
-    initial_positions: Dict[NodeId, tuple] = {}
     for node_id in range(scenario.node_count):
         initial = terrain.random_position(mobility_rng)
-        initial_positions[node_id] = initial
         if static_positions:
             mobility = StaticMobility(initial)
         else:
@@ -171,19 +143,6 @@ def build_network(
             # segments instead of calling through mac -> node -> mobility
             # on every position-cache miss.
             channel.register_segment_provider(node_id, mobility.segment_for)
-
-    if sharded:
-        # Ownership follows the nodes: bind initial shard owners and the
-        # live position providers the barrier-time refresh re-derives them
-        # from, and let the channel switch delivery context at the seams.
-        simulator.bind_nodes(
-            initial_positions,
-            {
-                node_id: (lambda nid=node_id: nodes[nid].position())
-                for node_id in nodes
-            },
-        )
-        channel.install_pdes(simulator)
 
     if scenario.faults:
         # Compile the declarative fault plan into simulator events now, before

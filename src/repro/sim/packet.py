@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 
-__all__ = ["PacketKind", "Packet", "Frame", "BROADCAST", "reset_packet_ids"]
+__all__ = ["PacketKind", "Packet", "Frame", "BROADCAST"]
 
 NodeId = Hashable
 
@@ -26,19 +26,6 @@ BROADCAST: object = None
 
 _packet_ids = itertools.count(1)
 _frame_ids = itertools.count(1)
-
-
-def reset_packet_ids(start: int = 1) -> None:
-    """Restart the packet uid counter at ``start``.
-
-    The windowed process mode gives each worker a disjoint uid block
-    (worker k starts at ``1 + k * 10**9``) so end-to-end duplicate
-    suppression and latency keys stay globally unique across workers that
-    each originate packets from their own local counter.  Never call this
-    mid-trial: uids identify packets across hops.
-    """
-    global _packet_ids
-    _packet_ids = itertools.count(start)
 
 
 class PacketKind(enum.Enum):

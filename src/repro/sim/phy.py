@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .packet import Frame
 
-__all__ = ["PhyConfig", "SPEED_OF_LIGHT_DELAY_S_PER_M"]
-
-#: Free-space propagation delay: one metre at the speed of light.  The
-#: physically honest value for ``PhyConfig.propagation_delay_s_per_m``
-#: (~3.336 ns/m); at the paper's 250 m reception range it puts ~0.8 us
-#: between a transmission and its farthest receiver.
-SPEED_OF_LIGHT_DELAY_S_PER_M = 1.0 / 299_792_458.0
+__all__ = ["PhyConfig"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,16 +23,8 @@ class PhyConfig:
     ``reception_range`` is the unit-disk radius in metres.
     ``carrier_sense_range`` is the radius within which a transmission keeps
     other senders silent (>= reception range, as for real 802.11).
-
-    ``propagation_delay_s_per_m`` selects between two channel models.  At
-    the default ``0.0`` propagation is instantaneous — every receiver hears
-    a frame over exactly ``[start, start + airtime]``.  A positive value (use
-    :data:`SPEED_OF_LIGHT_DELAY_S_PER_M` for physics) delays each receiver's
-    copy by ``delay * distance``, which gives the sharded PDES a finite
-    lookahead: a shard provably cannot be influenced by a neighbour strip
-    faster than a signal crosses the seam.  The finite-delay variant is a
-    *model* change held to the science gate (paper + faults registries),
-    not to bit-identity with the default.
+    Propagation is instantaneous: every receiver in range hears a frame over
+    exactly ``[start, start + airtime]``.
     """
 
     bitrate_bps: float = 2_000_000.0
@@ -51,7 +37,6 @@ class PhyConfig:
     retry_limit: int = 4
     min_contention_window: int = 16
     max_contention_window: int = 1024
-    propagation_delay_s_per_m: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bitrate_bps <= 0:
@@ -60,8 +45,6 @@ class PhyConfig:
             raise ValueError("reception range must be positive")
         if self.carrier_sense_range < self.reception_range:
             raise ValueError("carrier-sense range must be >= reception range")
-        if self.propagation_delay_s_per_m < 0:
-            raise ValueError("propagation delay must be >= 0")
 
     def transmission_time(self, frame: Frame) -> float:
         """Air time of one frame, in seconds."""

@@ -1,9 +1,11 @@
-"""Per-trial performance tuning: the fast-path flag set.
+"""Per-trial performance tuning: the fast-path flags and the event queue.
 
-Every optimization PR 5 added to the per-trial hot path is *exact*: for a
-fixed seed a trial produces a bit-identical
+A trial always runs on the one serial :class:`~repro.sim.engine.Simulator`;
+what a caller can tune is which exact hot-path optimizations it uses
+(:class:`FastPaths`) and which event queue backs it (:class:`EngineTuning`).
+Every fast path is *exact*: for a fixed seed a trial produces a bit-identical
 :class:`~repro.sim.stats.TrialSummary` with the fast path on or off.  The
-flags exist (all defaulting on, like ``use_spatial_index`` from PR 1) for A/B
+flags exist (all defaulting on, like ``use_spatial_index``) for A/B
 benchmarking, for the equivalence tests that enforce that contract, and as an
 escape hatch if an exotic configuration ever violates a fast path's
 assumptions.
@@ -60,15 +62,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Tuple
 
-__all__ = [
-    "FastPaths",
-    "EngineTuning",
-    "EVENT_QUEUES",
-    "ENGINE_BACKENDS",
-    "EVENT_QUEUE_ENV",
-    "ENGINE_BACKEND_ENV",
-    "SHARD_COUNT_ENV",
-]
+__all__ = ["FastPaths", "EngineTuning", "EVENT_QUEUES", "EVENT_QUEUE_ENV"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,20 +95,15 @@ class FastPaths:
 #: Recognised event-queue implementations (see :mod:`repro.sim.engine`).
 EVENT_QUEUES: Tuple[str, ...] = ("heap", "calendar")
 
-#: Recognised engine backends (see :mod:`repro.sim.pdes`).
-ENGINE_BACKENDS: Tuple[str, ...] = ("serial", "sharded", "processes")
-
-#: Environment overrides consulted by :meth:`EngineTuning.from_env` — the
-#: seam the CI ``pdes-smoke`` job (and any A/B sweep) uses to run the stock
-#: sweep CLI under a different engine configuration without new flags.
+#: Environment override consulted by :meth:`EngineTuning.from_env`, so a
+#: whole sweep (CLI, process pools, distributed workers) can run on the
+#: reference heap without a new flag.
 EVENT_QUEUE_ENV = "REPRO_EVENT_QUEUE"
-ENGINE_BACKEND_ENV = "REPRO_ENGINE_BACKEND"
-SHARD_COUNT_ENV = "REPRO_SHARD_COUNT"
 
 
 @dataclass(frozen=True, slots=True)
 class EngineTuning:
-    """Engine-level configuration of one trial: event queue and backend.
+    """Engine-level configuration of one trial: the event queue.
 
     ``event_queue``
         ``"calendar"`` (default) or ``"heap"``.  **Exact**: pop order is
@@ -122,29 +111,9 @@ class EngineTuning:
         bit-identical under either queue — same contract as every FastPaths
         flag, enforced by the queue-flag equivalence matrix in
         ``tests/sim/test_eventq.py``.
-
-    ``engine_backend`` / ``shard_count``
-        ``"serial"`` (default), ``"sharded"`` or ``"processes"``.
-        ``"sharded"`` is the spatially sharded conservative PDES backend
-        (:mod:`repro.sim.pdes`).  **Exact**: the sharded backend's K-way
-        merge pops the identical globally ordered event sequence for any
-        shard count, so a sharded trial is bit-identical to a serial one
-        (enforced by the shard-invariance matrix in
-        ``tests/sim/test_pdes.py`` and the ``pdes-smoke`` CI job).
-        ``"processes"`` runs the trial through
-        :func:`repro.sim.pdes.run_trial_sharded_processes` — exact group
-        fan-out under the default PHY, the windowed barrier-exchange model
-        under a finite propagation delay; it is a *run*-level backend
-        (dispatched where a whole trial is launched, e.g. the sweep
-        executor), not a drop-in simulator, so ``build_network`` rejects
-        it.  ``shard_count=0`` (auto) resolves from the host's cores — at
-        least 2 so "sharded" always means sharded, capped at 4 where the
-        strip decomposition stops paying.
     """
 
     event_queue: str = "calendar"
-    engine_backend: str = "serial"
-    shard_count: int = 0
 
     def __post_init__(self) -> None:
         if self.event_queue not in EVENT_QUEUES:
@@ -152,46 +121,14 @@ class EngineTuning:
                 f"unknown event queue {self.event_queue!r}; "
                 f"expected one of {EVENT_QUEUES}"
             )
-        if self.engine_backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"expected one of {ENGINE_BACKENDS}"
-            )
-        if self.shard_count < 0:
-            raise ValueError(
-                f"shard count must be >= 0 (0 = auto), got {self.shard_count}"
-            )
-
-    def resolved_shard_count(self) -> int:
-        """The effective shard count: the explicit value, or the auto rule."""
-        if self.shard_count > 0:
-            return self.shard_count
-        return min(4, max(2, os.cpu_count() or 1))
 
     @classmethod
     def from_env(cls) -> "EngineTuning":
-        """Defaults, overridden by the ``$REPRO_*`` variables above.
+        """Defaults, overridden by ``$REPRO_EVENT_QUEUE``.
 
-        ``build_network`` resolves its default tuning through this, so a
-        whole sweep — CLI, process pools, distributed workers — can be
-        flipped to the reference heap or the sharded backend from the
-        environment.  Tuning is not part of a job's identity (its content
-        key): the queue and the threaded backend are exact, so a store
-        holds the same cells whichever of them produced it.
+        ``build_network`` resolves its default tuning through this.  Tuning
+        is not part of a job's identity (its content key): both queues are
+        exact, so a store holds the same cells whichever produced it.
         """
-        kwargs = {}
         queue = os.environ.get(EVENT_QUEUE_ENV)
-        if queue:
-            kwargs["event_queue"] = queue
-        backend = os.environ.get(ENGINE_BACKEND_ENV)
-        if backend:
-            kwargs["engine_backend"] = backend
-        shards = os.environ.get(SHARD_COUNT_ENV)
-        if shards:
-            try:
-                kwargs["shard_count"] = int(shards)
-            except ValueError:
-                raise ValueError(
-                    f"${SHARD_COUNT_ENV} must be an integer, got {shards!r}"
-                ) from None
-        return cls(**kwargs)
+        return cls(event_queue=queue) if queue else cls()

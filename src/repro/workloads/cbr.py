@@ -66,26 +66,9 @@ class CbrTrafficManager:
         self._mean_flow_duration = mean_flow_duration
         self._end_time = end_time
         self._next_flow_id = 0
-        #: When set, only flows whose source is in this set actually inject
-        #: packets; every other flow runs as a "shadow" flow (see
-        #: :meth:`restrict_to`).
-        self._owned: "frozenset[NodeId] | None" = None
         self.flows: List[CbrFlow] = []
 
     # -- lifecycle ------------------------------------------------------------------
-
-    def restrict_to(self, owned: "frozenset[NodeId]") -> None:
-        """Originate packets only for flows sourced at ``owned`` nodes.
-
-        The PDES process mode runs one full deterministic replica per
-        worker; every worker must consume the shared ``traffic`` stream in
-        the identical order so its owned flows draw identical endpoints and
-        lifetimes.  Foreign flows therefore keep their entire schedule —
-        creation, endpoint/lifetime draws, per-packet recursion and
-        replacement flows — and only the ``originate_data`` call is
-        suppressed.
-        """
-        self._owned = owned
 
     def start(self) -> None:
         """Create the initial set of simultaneous flows.
@@ -138,10 +121,9 @@ class CbrTrafficManager:
             return
 
         def send() -> None:
-            if self._owned is None or flow.source in self._owned:
-                self._nodes[flow.source].originate_data(
-                    flow.destination, flow.packet_size_bytes, flow_id=flow.flow_id
-                )
+            self._nodes[flow.source].originate_data(
+                flow.destination, flow.packet_size_bytes, flow_id=flow.flow_id
+            )
             self._schedule_packet(flow, self._simulator.now + flow.interval)
 
         self._simulator.schedule_at(when, send)

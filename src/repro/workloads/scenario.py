@@ -24,10 +24,40 @@ from ..sim.faults import FaultSpec
 from ..sim.phy import PhyConfig
 from ..sim.space import Terrain
 
-__all__ = ["Scenario", "PAPER_SCENARIO", "PAPER_PAUSE_TIMES", "scaled_scenario"]
+__all__ = [
+    "Scenario",
+    "ScenarioFieldError",
+    "PAPER_SCENARIO",
+    "PAPER_PAUSE_TIMES",
+    "scaled_scenario",
+]
 
 #: The eight pause times of the paper's evaluation (seconds).
 PAPER_PAUSE_TIMES: Tuple[float, ...] = (0, 50, 100, 200, 300, 500, 700, 900)
+
+#: Phy fields older revisions could write, with why they are refused now.
+_RETIRED_PHY_FIELDS = {
+    "propagation_delay_s_per_m": "the finite-propagation-delay channel was "
+    "retired and every trial now runs on the instantaneous channel",
+}
+
+
+class ScenarioFieldError(ValueError):
+    """A scenario dict names a field this code does not know (or no longer
+    supports); the message names the field."""
+
+
+def _phy_from_dict(phy: Mapping[str, Any]) -> PhyConfig:
+    for name, reason in _RETIRED_PHY_FIELDS.items():
+        if name in phy:
+            raise ScenarioFieldError(
+                f"phy field {name!r} is no longer supported: {reason}; "
+                "re-run the sweep into a fresh directory"
+            )
+    unknown = set(phy) - {f.name for f in fields(PhyConfig)}
+    if unknown:
+        raise ScenarioFieldError(f"unknown phy fields: {sorted(unknown)}")
+    return PhyConfig(**phy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +116,6 @@ class Scenario:
         """The same scenario under a different fault plan."""
         return replace(self, faults=tuple(faults))
 
-    def with_propagation_delay(self, seconds_per_metre: float) -> "Scenario":
-        """The same scenario under the finite-propagation-delay channel."""
-        return replace(
-            self,
-            phy=replace(self.phy, propagation_delay_s_per_m=seconds_per_metre),
-        )
-
     @property
     def offered_load_pps(self) -> float:
         """Aggregate CBR sending rate (packets per second network-wide)."""
@@ -112,13 +135,6 @@ class Scenario:
             value = getattr(self, f.name)
             if f.name == "phy":
                 value = {pf.name: getattr(value, pf.name) for pf in fields(PhyConfig)}
-                # Written only when nonzero: instantaneous-propagation
-                # scenarios keep the exact phy dict (and hence job content
-                # keys) they had before the delay variant existed, while a
-                # finite-delay scenario is a *different* scenario that never
-                # collides with a committed store cell.
-                if not value.get("propagation_delay_s_per_m"):
-                    value.pop("propagation_delay_s_per_m", None)
             elif f.name == "faults":
                 # Written only when a fault plan exists: fault-free scenarios
                 # keep the exact dict (and hence job content keys) they had
@@ -131,11 +147,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario written by :meth:`to_dict`."""
+        """Rebuild a scenario written by :meth:`to_dict`.
+
+        Raises :class:`ScenarioFieldError` naming any scenario or phy field
+        it does not know, including one a retired model used to write.
+        """
         kwargs = dict(data)
         phy = kwargs.get("phy")
         if isinstance(phy, Mapping):
-            kwargs["phy"] = PhyConfig(**phy)
+            kwargs["phy"] = _phy_from_dict(phy)
         faults = kwargs.get("faults")
         if faults:
             kwargs["faults"] = tuple(
@@ -145,7 +165,7 @@ class Scenario:
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known
         if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+            raise ScenarioFieldError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**kwargs)
 
 

@@ -301,3 +301,68 @@ class TestRetiredStoreVersion:
         assert done.returncode == 0, done.stderr
         assert "starting fresh" in done.stdout
         assert not restored.exists()
+
+
+class TestRetiredPhyField:
+    """A ``sweep.json`` whose phy block names a field this code does not
+    know — one the retired finite-propagation-delay channel wrote, or a
+    hand-edited typo — fails every reading command in one line, exit 2."""
+
+    @pytest.fixture(params=["retired", "unknown"])
+    def phy_store(self, request, store_dir, tmp_path):
+        import shutil
+
+        field, value, expected = {
+            "retired": (
+                "propagation_delay_s_per_m",
+                3.336e-9,
+                "finite-propagation-delay channel was retired",
+            ),
+            "unknown": ("bogus", 1, "unknown phy fields: ['bogus']"),
+        }[request.param]
+        out = tmp_path / "sweep-phy"
+        shutil.copytree(store_dir, out)
+        meta_path = out / "sweep.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["scenario"]["phy"][field] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        return out, field, expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resume", "--quiet", "--out"],
+            ["status", "--out"],
+            ["gate", "--out"],
+            ["report", "--out"],
+            ["worker", "--quiet", "--store"],
+            ["merge", "--out", "{merged}"],
+            ["trajectory"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_refuses_in_one_line(self, phy_store, tmp_path, capsys, argv):
+        out, field, expected = phy_store
+        argv = [arg.replace("{merged}", str(tmp_path / "merged")) for arg in argv]
+        cells_before = sorted(p.name for p in (out / "jobs").iterdir())
+        code = main(argv + [str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in lines[0] and expected in lines[0]
+        assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before
+
+    def test_run_into_the_store_refuses_too(self, phy_store, capsys):
+        out, _, _ = phy_store
+        cells_before = sorted(p.name for p in (out / "jobs").iterdir())
+        code = main(
+            ["run", "--scale", "smoke", "--out", str(out), "--quiet"]
+            + PROTOCOL_ARGS
+        )
+        # 3, like any store holding another sweep: its scenario is not the
+        # one this code would plan, so nothing may be simulated into it.
+        assert code == 3
+        assert "different sweep" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before

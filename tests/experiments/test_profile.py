@@ -226,12 +226,6 @@ class TestBenchTrialRecord:
         base = {"scale": "smoke", "event_queue": "calendar"}
         assert bench.record_key(base) == "smoke"
         assert bench.record_key(dict(base, event_queue="heap")) == "smoke+heap"
-        assert (
-            bench.record_key(
-                dict(base, event_queue="heap", engine_backend="sharded", shard_count=2)
-            )
-            == "smoke+heap+sharded2"
-        )
         # Legacy records without the axis fields key by scale alone.
         assert bench.record_key({"scale": "paper-tier"}) == "paper-tier"
 
@@ -335,41 +329,22 @@ class TestBenchScalingRecord:
 
         return Summary()
 
-    def test_process_record_key_and_host_cpus(self, modules):
+    def test_serial_record_key(self, modules):
         scaling, profile = modules
-        record = scaling._scaling_record(
-            200, 25.0, "SRP", 2, 1.5, 3000, self._summary(), processes=True
-        )
-        assert record["engine_backend"] == "proc"
-        assert profile.record_key(record) == "scaling200+proc2"
-        assert record["host_cpus"] >= 1
-
-    def test_serial_and_sharded_record_keys(self, modules):
-        scaling, profile = modules
-        serial = scaling._scaling_record(
-            200, 25.0, "SRP", 0, 1.5, 3000, self._summary()
-        )
-        sharded = scaling._scaling_record(
-            200, 25.0, "SRP", 4, 1.5, 3000, self._summary()
-        )
-        assert profile.record_key(serial) == "scaling200"
-        assert profile.record_key(sharded) == "scaling200+sharded4"
-        assert "host_cpus" not in serial
+        record = scaling._scaling_record(200, 25.0, "SRP", 1.5, 3000, self._summary())
+        assert profile.record_key(record) == "scaling200"
+        assert record["protocols"]["SRP"]["events"] == 3000
 
     def test_remerging_updates_in_place(self, modules):
         scaling, profile = modules
-        first = scaling._scaling_record(
-            200, 25.0, "SRP", 2, 2.0, 3000, self._summary(), processes=True
-        )
+        first = scaling._scaling_record(200, 25.0, "SRP", 2.0, 3000, self._summary())
         document = profile.merge_into_document(None, first)
-        again = scaling._scaling_record(
-            200, 25.0, "SRP", 2, 1.0, 3500, self._summary(), processes=True
-        )
+        again = scaling._scaling_record(200, 25.0, "SRP", 1.0, 3500, self._summary())
         document = profile.merge_into_document(document, again)
         # One record per key — regenerating a point replaces it, never
         # appends a duplicate row to the trajectory.
-        assert list(document["records"]) == ["scaling200+proc2"]
-        merged = document["records"]["scaling200+proc2"]
+        assert list(document["records"]) == ["scaling200"]
+        merged = document["records"]["scaling200"]
         assert merged["protocols"]["SRP"]["events"] == 3500
 
     def test_corrupt_json_fails_loudly(self, modules, tmp_path, capsys):

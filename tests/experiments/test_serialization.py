@@ -8,13 +8,21 @@ be stable across processes and sensitive to every result-determining field.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.experiments import SweepResults, TrialJob, plan_sweep
+from repro.experiments.paper import PAPER_PROTOCOLS, resolve_scale
+from repro.sim.faults import fault_preset
 from repro.sim.phy import PhyConfig
 from repro.sim.stats import TrialSummary
-from repro.workloads.scenario import PAPER_SCENARIO, Scenario, scaled_scenario
+from repro.workloads.scenario import (
+    PAPER_SCENARIO,
+    Scenario,
+    ScenarioFieldError,
+    scaled_scenario,
+)
 
 SUMMARY = TrialSummary(
     data_sent=120,
@@ -70,8 +78,55 @@ class TestScenarioRoundTrip:
     def test_unknown_field_raises(self):
         data = PAPER_SCENARIO.to_dict()
         data["gravity"] = 9.81
-        with pytest.raises(ValueError, match="gravity"):
+        with pytest.raises(ScenarioFieldError, match="gravity"):
             Scenario.from_dict(data)
+
+    def test_unknown_phy_field_raises_naming_it(self):
+        data = PAPER_SCENARIO.to_dict()
+        data["phy"]["bogus"] = 1
+        with pytest.raises(
+            ScenarioFieldError, match=r"unknown phy fields: \['bogus'\]"
+        ):
+            Scenario.from_dict(data)
+
+    def test_retired_phy_field_raises_with_its_reason(self):
+        data = PAPER_SCENARIO.to_dict()
+        data["phy"]["propagation_delay_s_per_m"] = 3.336e-9
+        with pytest.raises(ScenarioFieldError) as info:
+            Scenario.from_dict(data)
+        message = str(info.value)
+        assert "'propagation_delay_s_per_m'" in message
+        assert "finite-propagation-delay channel was retired" in message
+        assert "fresh directory" in message
+        # Still a ValueError, so every caller that already fails closed on
+        # malformed scenarios keeps doing so.
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("protocol", PAPER_PROTOCOLS)
+    def test_stored_scenario_replays_the_same_trial(self, protocol, faulted):
+        """A scenario rebuilt from its stored JSON — what ``resume``,
+        ``worker`` and ``merge`` simulate — runs the bit-identical trial:
+        JSON turns tuples into lists and may turn floats into ints, and none
+        of that may reach the simulation."""
+        import json
+
+        from repro.protocols import protocol_factory
+        from repro.sim.network import build_network
+
+        scenario = resolve_scale("smoke").scenario
+        if faulted:
+            scenario = scenario.with_faults(
+                fault_preset("churn-partition", scenario)
+            )
+        restored = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+        assert restored == scenario
+
+        def trial(scenario):
+            network = build_network(scenario, protocol_factory(protocol))
+            return network.run(), network.simulator.events_processed
+
+        assert trial(restored) == trial(scenario)
 
 
 class TestTrialJobKeys:
@@ -108,6 +163,44 @@ class TestTrialJobKeys:
         ]
         keys = {base.content_key} | {v.content_key for v in variants}
         assert len(keys) == len(variants) + 1
+
+    #: sha256 over the sorted content keys of each sweep, pinned from a tree
+    #: whose PhyConfig still had the (zero, never serialised) propagation
+    #: delay field: removing it must leave every stored cell's key unchanged.
+    PINNED_SWEEP_KEYS = {
+        ("smoke", None): (
+            "b837d1c0832cd8296c974b18d56b69abddcded1942d466fcd50d8ff4baf3d7b3"
+        ),
+        ("smoke", "churn-partition"): (
+            "2a6582e99d6d2699997efe64b9dd43ab9c369b93ffca1daa5a412040ac9730cf"
+        ),
+        ("benchmark", None): (
+            "618efe6c6f14993c275f139d356c41c294b7945c290cac110728d0047b03be7a"
+        ),
+        ("benchmark", "churn-partition"): (
+            "2bd8ccf4aa655d5dac089f90c8fb5dfaa4e0af001a9fe832c20ec7e23a135b68"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "scale_name, preset",
+        sorted(PINNED_SWEEP_KEYS, key=str),
+        ids=lambda value: str(value or "clean"),
+    )
+    def test_sweep_content_keys_are_pinned(self, scale_name, preset):
+        scale = resolve_scale(scale_name)
+        scenario = scale.scenario
+        if preset is not None:
+            scenario = scenario.with_faults(fault_preset(preset, scenario))
+        jobs = plan_sweep(
+            scenario,
+            PAPER_PROTOCOLS,
+            pause_times=scale.pause_times,
+            trials=scale.trials,
+        )
+        keys = "\n".join(sorted(job.content_key for job in jobs))
+        digest = hashlib.sha256(keys.encode("utf-8")).hexdigest()
+        assert digest == self.PINNED_SWEEP_KEYS[(scale_name, preset)]
 
     def test_planned_jobs_have_unique_keys(self):
         jobs = plan_sweep(

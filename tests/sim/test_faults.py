@@ -275,6 +275,123 @@ class TestResilienceMetrics:
         assert summary.average_sequence_number == 0.0
 
 
+class _EdgeRadio:
+    """A fixed radio that is also a crashable node for ``FaultSchedule``."""
+
+    def __init__(self, node_id, position, received):
+        self.node_id = node_id
+        self._position = position
+        self._received = received
+        self.is_down = False
+
+    def position(self):
+        return self._position
+
+    def is_transmitting(self):
+        return False
+
+    def radio_receive(self, frame, transmitter):
+        self._received.append(self.node_id)
+
+    def go_down(self):
+        self.is_down = True
+
+    def go_up(self):
+        self.is_down = False
+
+
+def edge_deliveries(specs, send_times):
+    """Whether node 0's frame sent at each of ``send_times`` reaches node 1.
+
+    Node 0 sits at x = 0 and node 1 at x = 100 (one hop apart, either side of
+    x = 50); node 1 is the node a ``node_crash`` spec names.
+    """
+    import random as random_module
+
+    from repro.sim.channel import Channel
+    from repro.sim.engine import Simulator
+    from repro.sim.packet import Frame, Packet, PacketKind
+    from repro.sim.phy import PhyConfig
+
+    simulator = Simulator()
+    channel = Channel(simulator, PhyConfig(), max_node_speed=0.0)
+    received = []
+    nodes = {
+        node_id: _EdgeRadio(node_id, (100.0 * node_id, 0.0), received)
+        for node_id in (0, 1)
+    }
+    for node in nodes.values():
+        channel.attach(node)
+    FaultSchedule(specs).install(
+        simulator, channel, nodes, rng=random_module.Random(3)
+    )
+    outcomes = []
+
+    def send():
+        before = len(received)
+        packet = Packet(
+            kind=PacketKind.DATA,
+            source=0,
+            destination=1,
+            size_bytes=256,
+            created_at=simulator.now,
+        )
+        channel.transmit(
+            0, Frame(packet, 0, 1), lambda ok: outcomes.append(len(received) > before)
+        )
+
+    for when in send_times:
+        simulator.schedule_at(when, send)
+    simulator.run()
+    return outcomes
+
+
+class TestFaultWindowEdges:
+    """Fault flips run at ``FAULT_PRIORITY``, before any same-instant event:
+    a frame sent exactly at a window's start is already faulted and one sent
+    exactly at its end already is not.  Sends are 10 ms from the other edges,
+    well clear of the ~2 ms air time."""
+
+    START, DURATION = 1.0, 2.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec.node_crash(node=1, start=START, duration=DURATION),
+            FaultSpec.blackout(start=START, duration=DURATION),
+            FaultSpec.partition(boundary_x=50.0, start=START, duration=DURATION),
+            FaultSpec.loss_burst(drop_rate=1.0, start=START, duration=DURATION),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_window_is_closed_at_start_and_open_at_end(self, spec):
+        sends = [spec.start - 0.01, spec.start, spec.end - 0.01, spec.end]
+        assert edge_deliveries([spec], sends) == [True, False, False, True]
+
+    def test_crash_during_air_time_loses_the_frame(self):
+        # The frame is accepted before the crash but the receiver is down
+        # when its end-of-air event runs.
+        spec = FaultSpec.node_crash(node=1, start=1.0, duration=2.0)
+        assert edge_deliveries([spec], [spec.start - 0.001]) == [False]
+
+    def test_blackout_does_not_cut_a_frame_already_on_air(self):
+        # Channel faults gate receptions as they start; one in progress when
+        # the band goes dark completes.
+        spec = FaultSpec.blackout(start=1.0, duration=2.0)
+        assert edge_deliveries([spec], [spec.start - 0.001]) == [True]
+
+    def test_overlapping_blackouts_nest(self):
+        first = FaultSpec.blackout(start=1.0, duration=2.0)
+        second = FaultSpec.blackout(start=2.0, duration=2.0)
+        # Between the first window's end and the second's, the channel must
+        # still be dark: a depth counter, not a flag, tracks them.
+        assert edge_deliveries([first, second], [2.5, 3.5, 4.0]) == [
+            False,
+            False,
+            True,
+        ]
+
+
 class TestScheduleGeometry:
     def test_activity_windows_merge_overlaps(self):
         schedule = FaultSchedule(

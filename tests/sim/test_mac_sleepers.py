@@ -15,12 +15,8 @@ asserts:
   sleeper again;
 * at **trial end** every MAC with a queued frame is either such a sleeper
   or is reachable from a pending event (its countdown, its own frame's
-  completion, or its proceed step);
-* the trial is bit-identical on the serial engine and the sharded backend
-  at K = 2 and 4, watcher installed on all three.
+  completion, or its proceed step).
 """
-
-import itertools
 
 import pytest
 
@@ -38,8 +34,6 @@ TOPOLOGIES = ((11, "OLSR"), (12, "SRP"), (13, "AODV"))
 
 FAULTS = ("clean", "churn-partition", "blackout-burst", "crash-while-frozen")
 
-BACKENDS = (("serial", 0), ("sharded", 2), ("sharded", 4))
-
 
 def small_scenario(seed):
     # Dense on purpose: most nodes carrier-sense each other, so nearly
@@ -54,16 +48,14 @@ def small_scenario(seed):
     )
 
 
-def build(scenario, protocol, *, static, backend=("serial", 0)):
+def build(scenario, protocol, *, static):
     # The heap queue keeps pending entries in plain lists the trial-end
     # check can walk; trials are bit-identical under either queue.
     return build_network(
         scenario,
         protocol_factory(protocol),
         static_positions=static,
-        tuning=EngineTuning(
-            event_queue="heap", engine_backend=backend[0], shard_count=backend[1]
-        ),
+        tuning=EngineTuning(event_queue="heap"),
     )
 
 
@@ -80,8 +72,8 @@ class SleeperWatch:
         wake = channel._wake_sleepers
         freeze = channel.freeze
 
-        def checked_wake(pdes):
-            wake(pdes)
+        def checked_wake():
+            wake()
             self.wake_checks += 1
             self.violations.extend(self.stranded())
 
@@ -110,13 +102,7 @@ class SleeperWatch:
 
 
 def pending_callbacks(simulator):
-    queues = getattr(simulator, "_queues", None)
-    entries = (
-        itertools.chain.from_iterable(queue._heap for queue in queues)
-        if queues is not None
-        else simulator._queue
-    )
-    for entry in entries:
+    for entry in simulator._queue:
         payload = entry[3]
         callback = payload.callback if isinstance(payload, Event) else payload
         if callback is not None:
@@ -195,41 +181,34 @@ def test_no_sleeper_is_ever_stranded(seed, protocol, static, faults):
     elif faults != "clean":
         scenario = scenario.with_faults(fault_preset(faults, scenario))
 
-    results = {}
-    for backend in BACKENDS:
-        network = build(scenario, protocol, static=static, backend=backend)
-        watch = SleeperWatch(network)
-        asleep_at_crash = []
-        at_reboot = []
-        if crash is not None:
-            mac = network.nodes[crash.node].mac
-            power_down, power_up = mac.power_down, mac.power_up
+    network = build(scenario, protocol, static=static)
+    watch = SleeperWatch(network)
+    asleep_at_crash = []
+    at_reboot = []
+    if crash is not None:
+        mac = network.nodes[crash.node].mac
+        power_down, power_up = mac.power_down, mac.power_up
 
-            def recorded_power_down():
-                asleep_at_crash.append(crash.node in network.channel._sleepers)
-                power_down()
+        def recorded_power_down():
+            asleep_at_crash.append(crash.node in network.channel._sleepers)
+            power_down()
 
-            def recorded_power_up():
-                at_reboot.append((mac.stats.enqueued, mac.stats.transmitted_frames))
-                power_up()
+        def recorded_power_up():
+            at_reboot.append((mac.stats.enqueued, mac.stats.transmitted_frames))
+            power_up()
 
-            mac.power_down = recorded_power_down
-            mac.power_up = recorded_power_up
-        summary = network.run()
+        mac.power_down = recorded_power_down
+        mac.power_up = recorded_power_up
+    network.run()
 
-        assert watch.wake_checks > 0 and watch.freezes
-        assert watch.violations == []
-        assert_live_at_trial_end(network, watch)
-        if crash is not None:
-            assert asleep_at_crash == [True]
-            # Rebooted and back on the air, not wedged behind the stale
-            # sleeper entry its crash left registered.
-            [(enqueued, transmitted)] = at_reboot
-            stats = network.nodes[crash.node].mac.stats
-            assert stats.enqueued > enqueued
-            assert stats.transmitted_frames > transmitted
-        results[backend] = (summary, network.simulator.events_processed)
-
-    serial = results[("serial", 0)]
-    assert results[("sharded", 2)] == serial
-    assert results[("sharded", 4)] == serial
+    assert watch.wake_checks > 0 and watch.freezes
+    assert watch.violations == []
+    assert_live_at_trial_end(network, watch)
+    if crash is not None:
+        assert asleep_at_crash == [True]
+        # Rebooted and back on the air, not wedged behind the stale
+        # sleeper entry its crash left registered.
+        [(enqueued, transmitted)] = at_reboot
+        stats = network.nodes[crash.node].mac.stats
+        assert stats.enqueued > enqueued
+        assert stats.transmitted_frames > transmitted
