@@ -26,6 +26,7 @@ what to read; end-to-end wall-clock numbers come from
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 import time
 import tracemalloc
@@ -39,6 +40,7 @@ from ..sim.tuning import EngineTuning, FastPaths
 from ..workloads.scenario import Scenario
 
 __all__ = [
+    "CollectorCost",
     "LayerCost",
     "TrialProfile",
     "profile_trial",
@@ -98,9 +100,9 @@ _MAC_TIMER_NAMES = frozenset(
     {
         "_try_dequeue",
         "_attempt",
-        "fire",      # end-of-backoff firing closure
-        "draw",      # backoff draw closure
-        "on_idle",   # idle-edge resume callback
+        "fire",      # end of a backoff countdown (mac._Backoff)
+        "draw",      # backoff slot draw (mac._Backoff)
+        "on_idle",   # idle-edge resume callback (mac._Backoff)
         "proceed",   # post-transmission proceed step
     }
 )
@@ -166,6 +168,41 @@ class LayerCost:
         return data
 
 
+@dataclass(slots=True)
+class CollectorCost:
+    """The cyclic garbage collector's share of a profiled trial.
+
+    The instance is itself the ``gc.callbacks`` entry that fills it,
+    installed for the profiled trial only.  cProfile books a collection to
+    whichever frame allocated the object that triggered it; this record is
+    the collector's own line in the budget.  A trial makes no cyclic garbage
+    (``tests/sim/test_gc_free.py``), so ``collected`` above zero points at a
+    new reference cycle.
+    """
+
+    #: collections run, per generation
+    collections: List[int] = field(default_factory=lambda: [0, 0, 0])
+    seconds: float = 0.0  #: wall seconds inside the collector
+    collected: int = 0  #: unreachable objects the collector freed
+    _started: float = field(default=0.0, repr=False, compare=False)
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        """The ``gc.callbacks`` hook: time one collection and count it."""
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._started
+        self.collections[info["generation"]] += 1
+        self.collected += info["collected"]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "collections": list(self.collections),
+            "seconds": round(self.seconds, 6),
+            "collected": self.collected,
+        }
+
+
 @dataclass
 class TrialProfile:
     """The full per-layer breakdown of one instrumented trial."""
@@ -180,6 +217,7 @@ class TrialProfile:
     events_per_second: float
     fast_paths: bool
     summary: TrialSummary
+    gc: CollectorCost
     layers: List[LayerCost] = field(default_factory=list)
     event_queue: str = "calendar"
     faults: Optional[str] = None  #: fault preset name, when the trial is faulted
@@ -203,6 +241,7 @@ class TrialProfile:
             "event_queue": self.event_queue,
             "faults": self.faults,
             "layers": [cost.to_dict() for cost in self.layers],
+            "gc": self.gc.to_dict(),
             "summary": self.summary.to_dict(),
         }
 
@@ -233,6 +272,13 @@ class TrialProfile:
             if cost.allocated_kb is not None:
                 line += f"  {cost.allocated_kb:>9.1f}"
             lines.append(line)
+        collector = self.gc
+        share = collector.seconds / self.wall_seconds if self.wall_seconds else 0.0
+        lines.append(
+            f"  gc: {'/'.join(map(str, collector.collections))} collections "
+            f"(gen 0/1/2), {collector.seconds:.3f}s ({share:.1%} of wall), "
+            f"{collector.collected:,} objects collected"
+        )
         return "\n".join(lines)
 
 
@@ -256,7 +302,8 @@ def profile_trial(
     (the preset name) recorded in the profile when ``scenario`` carries a
     fault plan; it does not install faults itself.  ``track_allocations``
     adds a tracemalloc pass — allocation sites grouped by the same layers —
-    at a substantial extra slowdown.
+    at a substantial extra slowdown.  The collector's collections and time
+    are recorded either way (:class:`CollectorCost`).
     """
     fp = FastPaths() if fast_paths is None else fast_paths
     engine_tuning = EngineTuning.from_env() if tuning is None else tuning
@@ -270,11 +317,19 @@ def profile_trial(
     allocations: Dict[str, float] = {}
     if track_allocations:
         tracemalloc.start()
+    # Collect the set-up's garbage first, so the collections recorded are
+    # the trial's own.
+    gc.collect()
+    collector = CollectorCost()
+    gc.callbacks.append(collector)
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
-    summary = network.run()
-    profiler.disable()
+    try:
+        summary = network.run()
+    finally:
+        profiler.disable()
+        gc.callbacks.remove(collector)
     wall = time.perf_counter() - started
     if track_allocations:
         snapshot = tracemalloc.take_snapshot()
@@ -320,6 +375,7 @@ def profile_trial(
         events_per_second=events / wall if wall > 0 else 0.0,
         fast_paths=fp != FastPaths.none(),
         summary=summary,
+        gc=collector,
         layers=layers,
         event_queue=engine_tuning.event_queue,
         faults=faults if scenario.faults else None,

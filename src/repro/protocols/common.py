@@ -1,4 +1,4 @@
-"""Machinery shared by the on-demand protocols (SRP, AODV, LDR, DSR).
+"""Machinery shared by the routing protocols.
 
 All four on-demand protocols in the paper share the same outer skeleton:
 
@@ -13,6 +13,10 @@ All four on-demand protocols in the paper share the same outer skeleton:
 Keeping these here means the per-protocol modules contain only what actually
 differs: the loop-prevention state (sequence numbers, feasible distances,
 fraction orderings) and the reply/accept conditions.
+
+Every protocol drives its periodic maintenance with :class:`PeriodicTimer`,
+and the link-state floods (OLSR's TCs, LSR's LSAs) dedup on
+:class:`SeenSequences`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "DiscoveryController",
     "DiscoveryState",
     "PeriodicTimer",
+    "SeenSequences",
     "CONTROL_SIZES",
 ]
 
@@ -77,6 +82,40 @@ class PeriodicTimer:
     def _tick(self) -> None:
         self._callback(self._clock.now)
         self._clock.schedule_in(self._interval, self._tick)
+
+
+class SeenSequences:
+    """The ``(origin, seq)`` pairs a flooding node has already handled.
+
+    Exactly the membership of a ``set`` of tuples — out-of-order and
+    duplicate arrivals included — stored as one int bitmask per origin
+    (bit ``seq`` set once seen).  Link-state floods number each origin's
+    advertisements 1, 2, 3, …, so a node's whole dedup memory is one small
+    int per origin instead of one tuple per flood it ever relayed, and
+    nothing is forgotten to keep it bounded.  A mask costs one bit per
+    sequence number up to the highest seen.
+    """
+
+    __slots__ = ("_masks",)
+
+    def __init__(self) -> None:
+        self._masks: Dict[NodeId, int] = {}
+
+    def add(self, origin: NodeId, seq: int) -> bool:
+        """Record ``(origin, seq)``; True when it was not seen before."""
+        if seq < 0:
+            raise ValueError(f"sequence number must be >= 0, got {seq!r}")
+        masks = self._masks
+        mask = masks.get(origin, 0)
+        bit = 1 << seq
+        if mask & bit:
+            return False
+        masks[origin] = mask | bit
+        return True
+
+    def clear(self) -> None:
+        """Forget everything (a crashed node's volatile state)."""
+        self._masks.clear()
 
 
 class ComputationState(enum.Enum):

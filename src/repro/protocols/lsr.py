@@ -40,7 +40,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..sim.packet import Packet
 from .base import ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, PeriodicTimer
+from .common import CONTROL_SIZES, PeriodicTimer, SeenSequences
 
 __all__ = ["LsrConfig", "LsrProtocol", "LsrHello", "LsrLsa", "LsdbEntry"]
 
@@ -119,7 +119,7 @@ class LsrProtocol(RoutingProtocol):
         self.routing_table: Dict[NodeId, NodeId] = {}
         #: own LSA sequence number; survives reboots (non-volatile in OSPF).
         self.lsa_sequence_number = 0
-        self.seen_lsas: Set[Tuple[NodeId, int]] = set()
+        self.seen_lsas = SeenSequences()
         self.data_drops = 0
         #: flood-control counters the live runtime's soak gate reads.
         self.ttl_expired_drops = 0
@@ -190,7 +190,7 @@ class LsrProtocol(RoutingProtocol):
             links=tuple(_sorted_ids(self._live_neighbors())),
             ttl=self.config.lsa_ttl,
         )
-        self.seen_lsas.add((self.node_id, self.lsa_sequence_number))
+        self.seen_lsas.add(self.node_id, self.lsa_sequence_number)
         self.node.send_broadcast(
             self.make_control_packet(self.node_id, lsa, CONTROL_SIZES["tc"])
         )
@@ -353,11 +353,9 @@ class LsrProtocol(RoutingProtocol):
     def _handle_lsa(self, lsa: LsrLsa) -> None:
         if lsa.origin == self.node_id:
             return
-        key = (lsa.origin, lsa.sequence_number)
-        if key in self.seen_lsas:
+        if not self.seen_lsas.add(lsa.origin, lsa.sequence_number):
             self.duplicate_lsa_drops += 1
             return
-        self.seen_lsas.add(key)
         if lsa.ttl <= 0:
             self.ttl_expired_drops += 1
             return

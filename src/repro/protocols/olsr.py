@@ -23,7 +23,7 @@ from typing import Dict, Hashable, Optional, Set, Tuple
 
 from ..sim.packet import Packet
 from .base import ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, PeriodicTimer
+from .common import CONTROL_SIZES, PeriodicTimer, SeenSequences
 
 __all__ = ["OlsrConfig", "OlsrProtocol", "OlsrHello", "OlsrTc"]
 
@@ -88,7 +88,7 @@ class OlsrProtocol(RoutingProtocol):
         self.topology: Dict[NodeId, Tuple[Set[NodeId], float, int]] = {}
         self.routing_table: Dict[NodeId, NodeId] = {}
         self.tc_sequence_number = 0
-        self.seen_tcs: Set[Tuple[NodeId, int]] = set()
+        self.seen_tcs = SeenSequences()
         self.data_drops = 0
         # Incremental-recompute bookkeeping: the table must be rebuilt when
         # something was added/revived/replaced (dirty) or once an entry that
@@ -132,7 +132,7 @@ class OlsrProtocol(RoutingProtocol):
             sequence_number=self.tc_sequence_number,
             advertised_neighbors=tuple(self._live_neighbors()),
         )
-        self.seen_tcs.add((self.node_id, self.tc_sequence_number))
+        self.seen_tcs.add(self.node_id, self.tc_sequence_number)
         self.node.send_broadcast(
             self.make_control_packet(self.node_id, tc, CONTROL_SIZES["tc"])
         )
@@ -308,10 +308,12 @@ class OlsrProtocol(RoutingProtocol):
         self.neighbors[hello.origin] = now + self.config.neighbor_hold_time
 
     def _handle_tc(self, tc: OlsrTc, packet: Packet) -> None:
-        key = (tc.origin, tc.sequence_number)
-        if key in self.seen_tcs or tc.origin == self.node_id or tc.ttl <= 0:
+        if (
+            tc.origin == self.node_id
+            or tc.ttl <= 0
+            or not self.seen_tcs.add(tc.origin, tc.sequence_number)
+        ):
             return
-        self.seen_tcs.add(key)
         existing = self.topology.get(tc.origin)
         if existing is None or tc.sequence_number >= existing[2]:
             now = self.clock.now

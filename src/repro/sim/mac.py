@@ -15,12 +15,22 @@ The MAC models the parts of 802.11 DCF the paper's evaluation depends on:
 Collisions themselves are decided by the :class:`~repro.sim.channel.Channel`.
 
 Backoff is event-driven freeze/resume — what DCF's frozen backoff counter
-does (:meth:`Mac._attempt`): while the medium is busy the MAC schedules **no
+does (:class:`_Backoff`): while the medium is busy the MAC schedules **no
 events at all** and the channel wakes it at the first verified idle edge, so
 a saturated trial costs a handful of events per transmitted frame (8.7 in a
 paper-tier OLSR trial).  This is a modelling choice, validated by the
 science gate rather than against a slot-by-slot DCF; EXPERIMENTS.md "The
 engine floor" states its error bound.
+
+Each (frame, attempt) backoff is one ``__slots__`` object whose bound
+methods ``on_idle`` and ``fire`` are what the event queue and
+:meth:`~repro.sim.channel.Channel.freeze` hold.  It points at its MAC and
+frame and nothing points back, so it dies by reference counting the moment
+the last of those callbacks has run: a trial leaves the cyclic garbage
+collector nothing to free (``tests/sim/test_gc_free.py``).  Keep it that
+way: an ``on_idle``/``fire`` pair of closures that name each other is a
+reference cycle per attempt — millions per dense trial — that only the
+collector can reclaim, at ~9 % of a trial's wall time.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ from .engine import Simulator
 from .packet import BROADCAST, Frame, Packet
 
 __all__ = ["Mac", "MacStats"]
+
+_Random = random.Random
 
 NodeId = Hashable
 
@@ -65,6 +77,91 @@ class MacStats:
         return self.queue_drops + self.retry_drops
 
 
+class _Backoff:
+    """One event-driven freeze/resume backoff for ``(frame, attempt)``.
+
+    A busy medium costs *no events at all*: the MAC registers ``on_idle``
+    as a channel sleeper (:meth:`~repro.sim.channel.Channel.freeze`) and
+    the channel's own end-of-transmission events wake it at the first idle
+    edge:
+
+    * Medium busy (when :meth:`Mac._attempt` starts it, or when ``fire``
+      finds the countdown was interrupted) — freeze: register with the
+      channel and wait, with **no RNG draw** (the counter is frozen).
+    * Medium idle (at the start, or at the idle edge the channel calls
+      ``on_idle`` at) — draw the backoff ``randint(0, w)`` once and count it
+      down in a single scheduled event, ``fire``, which transmits if the
+      medium is still idle.
+
+    Contention resolution is DCF-shaped: every contender frozen on one
+    transmission wakes at the same idle edge and draws an independent
+    backoff, so the earliest draw wins the channel and equal draws collide.
+
+    ``epoch`` is the MAC's fault epoch when the attempt began: a power-down
+    bumps the MAC's, and every later callback of this backoff no-ops.
+    """
+
+    __slots__ = ("mac", "frame", "attempt", "epoch")
+
+    def __init__(self, mac: "Mac", frame: Frame, attempt: int) -> None:
+        self.mac = mac
+        self.frame = frame
+        self.attempt = attempt
+        self.epoch = mac._epoch
+
+    def draw(self) -> int:
+        """The backoff slot count, ``randint(0, w)`` for this attempt's window.
+
+        The draw goes straight through the primitive ``randint`` bottoms out
+        in: ``randint(0, w)`` is exactly ``_randbelow(w + 1)``, and
+        ``Random._randbelow(n)`` is the rejection loop over
+        ``getrandbits(n.bit_length())``.  Re-running that loop inline with a
+        precomputed bit length consumes the identical underlying getrandbits
+        draws, so the slot sequence is bit-identical while skipping three
+        layers of dispatch per draw.  Only exact for ``random.Random`` itself
+        (a subclass could override the primitives), hence the type check.
+        """
+        mac = self.mac
+        rng = mac._rng
+        if rng.__class__ is not _Random:
+            return rng.randint(0, mac._windows[self.attempt])
+        n, bits = mac._draw_ranges[self.attempt]
+        getrandbits = rng.getrandbits
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    def on_idle(self) -> None:
+        """The channel's wake-up at a *verified* idle edge (and only there),
+        so the countdown starts without re-checking the medium."""
+        mac = self.mac
+        if mac._epoch != self.epoch:
+            return
+        mac._push(
+            (
+                self.draw() * mac._slot_time + mac._simulator.now,
+                0,
+                mac._next_sequence(),
+                self.fire,
+            )
+        )
+
+    def fire(self) -> None:
+        """End of the countdown: transmit, or freeze if the medium got busy."""
+        mac = self.mac
+        if mac._epoch != self.epoch:
+            return
+        channel = mac._channel
+        horizon = channel.busy_horizon(mac.node_id)
+        if horizon > mac._simulator.now:
+            # Interrupted countdown: freeze; redraw at the next idle edge
+            # the channel wakes us at.
+            channel.freeze(mac.node_id, horizon, self.on_idle)
+        else:
+            mac._transmit_frame(self.frame, self.attempt)
+
+
 class Mac:
     """One node's MAC instance; also the channel's :class:`RadioListener`."""
 
@@ -83,6 +180,7 @@ class Mac:
         self._channel = channel
         self._rng = rng
         self._call_in = simulator.call_in
+        self._push, self._next_sequence = simulator.hot_scheduler()
         # Free list of Frame objects (recycled once off the air).
         self._frame_pool: "list[Frame]" = []
         self._use_frame_pool = use_frame_pool
@@ -96,14 +194,18 @@ class Mac:
                 self._phy.max_contention_window)
             for attempt in range(self._phy.retry_limit + 2)
         )
+        # (n, n.bit_length()) per window for the inlined randint(0, w) draw.
+        self._draw_ranges = tuple(
+            (window + 1, (window + 1).bit_length()) for window in self._windows
+        )
         self._slot_time = self._phy.slot_time_s
         self._queue: Deque[Frame] = deque()
         self._busy = False
         self._transmitting_until = 0.0
         # Fault-injection lifecycle.  `_epoch` increments at every power-down;
-        # deferred backoff/retry closures capture the epoch they were created
-        # in and abort on mismatch, so a rebooted MAC never executes a stale
-        # continuation against a dropped frame.  Without faults the epoch is
+        # deferred backoffs and retry closures record the epoch they were
+        # created in and abort on mismatch, so a rebooted MAC never executes
+        # a stale continuation against a dropped frame.  Without faults the epoch is
         # constant and every guard is a no-op (no RNG draw, no event change).
         self._down = False
         self._epoch = 0
@@ -199,88 +301,24 @@ class Mac:
         self._attempt(frame, attempt=0)
 
     def _attempt(self, frame: Frame, attempt: int) -> None:
-        """One event-driven freeze/resume backoff for ``(frame, attempt)``.
-
-        One ``on_idle``/``fire`` closure pair serves the whole attempt, and
-        a busy medium costs *no events at all*: the MAC registers
-        ``on_idle`` as a channel sleeper
-        (:meth:`~repro.sim.channel.Channel.freeze`) and the channel's own
-        end-of-transmission events wake it at the first idle edge:
-
-        * Medium busy (now, or when ``fire`` finds the countdown was
-          interrupted) — freeze: register with the channel and wait, with
-          **no RNG draw** (the counter is frozen).
-        * Medium idle (now, or at the idle edge the channel calls
-          ``on_idle`` at) — draw the backoff ``randint(0, w)`` once and
-          count it down in a single scheduled event, ``fire``, which
-          transmits if the medium is still idle.
-
-        Contention resolution is DCF-shaped: every contender frozen on one
-        transmission wakes at the same idle edge and draws an independent
-        backoff, so the earliest draw wins the channel and equal draws
-        collide.
-
-        The draw goes straight through the primitive ``randint`` bottoms
-        out in: ``randint(0, w)`` is exactly ``_randbelow(w + 1)``, and
-        ``Random._randbelow(n)`` is the rejection loop over
-        ``getrandbits(n.bit_length())``.  Re-running that loop inline with
-        a precomputed bit length consumes the identical underlying
-        getrandbits draws, so the slot sequence is bit-identical while
-        skipping three layers of dispatch per draw.  Only exact for
-        ``random.Random`` itself (a subclass could override the
-        primitives), hence the type check.
-        """
-        epoch = self._epoch
-        window = self._windows[attempt]
-        slot = self._slot_time
-        node_id = self.node_id
-        simulator = self._simulator
+        """Start the freeze/resume backoff (:class:`_Backoff`) for
+        ``(frame, attempt)``: freeze on a busy medium, else draw and
+        schedule ``fire``."""
+        backoff = _Backoff(self, frame, attempt)
         channel = self._channel
-        busy_horizon = channel.busy_horizon
-        freeze = channel.freeze
-        push, next_sequence = simulator.hot_scheduler()
-        rng = self._rng
-        if type(rng) is random.Random:
-            getrandbits = rng.getrandbits
-            jitter_n = window + 1
-            jitter_bits = jitter_n.bit_length()
-
-            def draw() -> int:
-                r = getrandbits(jitter_bits)
-                while r >= jitter_n:
-                    r = getrandbits(jitter_bits)
-                return r
-        else:
-            randint = rng.randint
-
-            def draw() -> int:
-                return randint(0, window)
-
-        def on_idle() -> None:
-            # Called by the channel's wake-check at a *verified* idle edge
-            # (and only there), so the countdown starts without re-checking.
-            if self._epoch != epoch:
-                return
-            push((draw() * slot + simulator.now, 0, next_sequence(), fire))
-
-        def fire() -> None:
-            if self._epoch != epoch:
-                return
-            now = simulator.now
-            horizon = busy_horizon(node_id)
-            if horizon > now:
-                # Interrupted countdown: freeze; redraw at the next idle
-                # edge the channel wakes us at.
-                freeze(node_id, horizon, on_idle)
-            else:
-                self._transmit_frame(frame, attempt)
-
-        now = simulator.now
-        horizon = busy_horizon(node_id)
+        now = self._simulator.now
+        horizon = channel.busy_horizon(self.node_id)
         if horizon > now:
-            freeze(node_id, horizon, on_idle)
+            channel.freeze(self.node_id, horizon, backoff.on_idle)
         else:
-            push((draw() * slot + now, 0, next_sequence(), fire))
+            self._push(
+                (
+                    backoff.draw() * self._slot_time + now,
+                    0,
+                    self._next_sequence(),
+                    backoff.fire,
+                )
+            )
 
     def _transmit_frame(self, frame: Frame, attempt: int) -> None:
         """Put the frame on the air (the channel was just sensed idle)."""

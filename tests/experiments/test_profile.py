@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.paper import EvaluationScale
 from repro.experiments.profile import (
     KNOWN_LAYERS,
+    CollectorCost,
     TrialProfile,
     layer_of,
     profile_trial,
@@ -98,6 +99,29 @@ class TestProfileTrial:
         text = profile.to_text()
         assert "Trial profile: SRP" in text
         assert "events/s" in text
+        assert "collections (gen 0/1/2)" in text
+
+    def test_collector_is_recorded(self, profile):
+        collector = profile.gc
+        assert isinstance(collector, CollectorCost)
+        assert len(collector.collections) == 3
+        # Network.run() starts with a full collection: at least one gen 2.
+        assert collector.collections[2] >= 1
+        assert 0.0 < collector.seconds < profile.wall_seconds
+        # A trial makes no cyclic garbage for the collector to find.
+        assert collector.collected == 0
+        assert profile.to_dict()["gc"] == {
+            "collections": list(collector.collections),
+            "seconds": round(collector.seconds, 6),
+            "collected": 0,
+        }
+
+    def test_collector_callback_is_removed_afterwards(self):
+        import gc
+
+        before = list(gc.callbacks)
+        profile_trial(tiny_scenario(), "OLSR", scale_name="tiny")
+        assert gc.callbacks == before
 
     def test_profiled_trial_matches_unprofiled_summary(self):
         """Instrumentation must not change the science."""
@@ -145,8 +169,14 @@ class TestProfileCli:
         assert document["version"] == 1
         assert document["profiles"][0]["protocol"] == "SRP"
         assert document["profiles"][0]["scale"] == "smoke"
+        assert set(document["profiles"][0]["gc"]) == {
+            "collections",
+            "seconds",
+            "collected",
+        }
         captured = capsys.readouterr()
         assert "Trial profile: SRP" in captured.out
+        assert "  gc: " in captured.out
 
     def test_profile_fast_paths_off(self, capsys):
         from repro.experiments.__main__ import main

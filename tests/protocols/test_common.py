@@ -1,8 +1,20 @@
-"""Tests for the shared on-demand machinery (RREQ cache, discovery controller)."""
+"""Tests for the shared protocol machinery (RREQ cache, discovery
+controller, flood dedup)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.experiments.paper import EvaluationScale
+from repro.protocols import protocol_factory
 from repro.protocols.base import PacketBuffer
-from repro.protocols.common import ComputationState, DiscoveryController, RreqCache
+from repro.protocols.common import (
+    ComputationState,
+    DiscoveryController,
+    RreqCache,
+    SeenSequences,
+)
 from repro.sim.engine import Simulator
+from repro.sim.network import build_network
 from repro.sim.packet import Packet, PacketKind
 
 
@@ -135,3 +147,68 @@ class TestDiscoveryController:
         controller.begin("d2")
         assert controller.is_active("d1") and controller.is_active("d2")
         assert len(sent) == 2
+
+
+#: One dedup operation: ``None`` clears, ``(origin, seq)`` adds.  Few
+#: origins and a small seq range so duplicates and out-of-order arrivals
+#: are the common case.
+_DEDUP_OPS = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["a", "b", 3]), st.integers(0, 70)),
+    ),
+    max_size=200,
+)
+
+
+class TestSeenSequences:
+    @given(_DEDUP_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_membership_as_a_set_of_tuples(self, ops):
+        seen, reference = SeenSequences(), set()
+        for op in ops:
+            if op is None:
+                seen.clear()
+                reference.clear()
+                continue
+            assert seen.add(*op) == (op not in reference)
+            reference.add(op)
+
+    def test_an_older_sequence_number_is_still_new_once(self):
+        seen = SeenSequences()
+        assert seen.add("o", 9)
+        assert seen.add("o", 4)
+        assert not seen.add("o", 4)
+        assert not seen.add("o", 9)
+        assert seen.add("o", 5)
+
+    def test_negative_sequence_number_is_refused_by_name(self):
+        seen = SeenSequences()
+        with pytest.raises(ValueError, match="-3"):
+            seen.add("o", -3)
+        assert seen._masks == {}
+
+    @pytest.mark.parametrize(
+        ("protocol", "dedup", "sequence"),
+        [
+            ("OLSR", "seen_tcs", "tc_sequence_number"),
+            ("LSR", "seen_lsas", "lsa_sequence_number"),
+        ],
+    )
+    def test_one_small_int_per_origin_after_a_trial(self, protocol, dedup, sequence):
+        network = build_network(
+            EvaluationScale.smoke().scenario, protocol_factory(protocol)
+        )
+        network.run()
+        protocols = {node_id: node.protocol for node_id, node in network.nodes.items()}
+        relayed = 0
+        for state in protocols.values():
+            masks = getattr(state, dedup)._masks
+            assert set(masks) <= set(protocols)
+            for origin, mask in masks.items():
+                assert isinstance(mask, int)
+                # No bit above the origin's own counter: the mask is as
+                # wide as the floods that origin has sent, no wider.
+                assert mask.bit_length() <= getattr(protocols[origin], sequence) + 1
+            relayed += len(masks)
+        assert relayed > len(protocols)

@@ -23,7 +23,7 @@ import pytest
 from repro.protocols import protocol_factory
 from repro.sim.engine import Event
 from repro.sim.faults import FaultSpec, fault_preset
-from repro.sim.mac import Mac
+from repro.sim.mac import Mac, _Backoff
 from repro.sim.network import build_network
 from repro.sim.tuning import EngineTuning
 from repro.workloads.scenario import scaled_scenario
@@ -110,9 +110,11 @@ def pending_callbacks(simulator):
 
 
 def macs_behind(callbacks):
-    """Every Mac reachable from ``callbacks`` through closures and bound
-    methods (``fire``/``proceed`` capture their MAC directly; a channel
-    completion captures the sender's ``on_complete``, which does)."""
+    """Every Mac reachable from ``callbacks`` through closures, bound
+    methods and backoff objects (a countdown is a backoff's bound ``fire``
+    and the backoff names its MAC in ``.mac``; ``proceed`` captures its MAC
+    directly; a channel completion captures the sender's ``on_complete``,
+    which does)."""
     macs, seen, stack = set(), set(), list(callbacks)
     while stack:
         obj = stack.pop()
@@ -121,6 +123,9 @@ def macs_behind(callbacks):
         seen.add(id(obj))
         if isinstance(obj, Mac):
             macs.add(obj)
+            continue
+        if isinstance(obj, _Backoff):
+            stack.append(obj.mac)
             continue
         owner = getattr(obj, "__self__", None)
         if owner is not None:
