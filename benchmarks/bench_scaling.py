@@ -94,7 +94,6 @@ def _scaling_record(node_count, duration, protocol, elapsed, events, summary):
         "pause_time": 0.0,
         "node_count": node_count,
         "duration": duration,
-        "event_queue": "calendar",
         "commit": _git_commit(),
         "protocols": {
             protocol: {

@@ -4,21 +4,19 @@ This is the *un-instrumented* companion of ``python -m repro.experiments
 profile``: one trial per protocol, measured with ``time.perf_counter`` and
 nothing else, so the seconds are honest.  It writes/updates the repo's
 committed performance trajectory record (``BENCH_5.json``: commit, scale,
-per-protocol seconds + events/s, and — with ``--with-off`` — the reference
-slow-path seconds and the resulting fast-path speedup), and it *checks* a
-committed record so CI fails loudly when a change regresses the trial hot
-path.
+per-protocol seconds + events/s), and it *checks* a committed record so CI
+fails loudly when a change regresses the trial hot path.
 
 Runable three ways:
 
 * under pytest-benchmark with the rest of the suite,
-* ``python benchmarks/bench_trial_profile.py --scale paper-tier --with-off
-  --json BENCH_5.json`` to (re)generate the trajectory record, or
+* ``python benchmarks/bench_trial_profile.py --scale paper-tier --json
+  BENCH_5.json`` to (re)generate the trajectory record, or
 * ``python benchmarks/bench_trial_profile.py --scale smoke --check
   BENCH_5.json --tolerance 1.5`` — the CI perf-smoke gate.  The tolerance is
   generous because CI hardware differs from the hardware that produced the
-  committed record; it catches step-change regressions (an accidentally
-  disabled fast path, a new quadratic loop), not single-digit drift.
+  committed record; it catches step-change regressions (a new quadratic
+  loop), not single-digit drift.
 """
 
 from __future__ import annotations
@@ -35,10 +33,8 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.experiments.paper import SCALE_NAMES, resolve_scale
-from repro.experiments.profile import reference_protocol_factory
 from repro.protocols import protocol_factory
 from repro.sim.network import build_network
-from repro.sim.tuning import EngineTuning, FastPaths
 
 #: The two acceptance protocols: the costliest trial (OLSR, proactive
 #: flooding) and the paper's own protocol (SRP).
@@ -63,31 +59,16 @@ def _git_commit() -> Optional[str]:
         return None
 
 
-def run_point(
-    scenario,
-    protocol: str,
-    *,
-    fast_paths: Optional[FastPaths] = None,
-    tuning: Optional[EngineTuning] = None,
-    repeat: int = 1,
-) -> Dict[str, float]:
+def run_point(scenario, protocol: str, *, repeat: int = 1) -> Dict[str, float]:
     """One un-instrumented trial; seconds, events and events/s.
 
     ``repeat`` takes the best of N identical runs — the right estimator for
     wall-clock on a shared/noisy box, since every run computes the same
-    deterministic trial and only the interference differs.  ``tuning``
-    selects the event queue to measure.
+    deterministic trial and only the interference differs.
     """
-    factory = (
-        reference_protocol_factory(protocol)
-        if fast_paths == FastPaths.none()
-        else protocol_factory(protocol)
-    )
     seconds = float("inf")
     for _ in range(max(repeat, 1)):
-        network = build_network(
-            scenario, factory, fast_paths=fast_paths, tuning=tuning
-        )
+        network = build_network(scenario, protocol_factory(protocol))
         started = time.perf_counter()
         summary = network.run()
         seconds = min(seconds, time.perf_counter() - started)
@@ -105,60 +86,37 @@ def build_record(
     protocols: List[str],
     *,
     pause: Optional[float] = None,
-    with_off: bool = False,
     repeat: int = 1,
-    event_queue: str = "calendar",
 ) -> Dict:
-    """Measure every protocol point and assemble one configuration's record."""
+    """Measure every protocol point and assemble one scale's record."""
     scale = resolve_scale(scale_name)
     pause_time = pause if pause is not None else scale.pause_times[0]
     scenario = scale.scenario.with_pause_time(pause_time)
-    tuning = EngineTuning(event_queue=event_queue)
     record: Dict = {
         "scale": scale.name,
         "pause_time": pause_time,
         "node_count": scenario.node_count,
         "duration": scenario.duration,
-        "event_queue": event_queue,
         "commit": _git_commit(),
         "protocols": {},
     }
     for protocol in protocols:
-        point = run_point(scenario, protocol, tuning=tuning, repeat=repeat)
-        if with_off:
-            off = run_point(
-                scenario,
-                protocol,
-                fast_paths=FastPaths.none(),
-                tuning=tuning,
-                repeat=repeat,
-            )
-            point["off_seconds"] = off["seconds"]
-            if point["seconds"] > 0:
-                point["speedup"] = round(off["seconds"] / point["seconds"], 2)
-        record["protocols"][protocol] = point
+        record["protocols"][protocol] = run_point(scenario, protocol, repeat=repeat)
     return record
 
 
 def record_key(record: Dict) -> str:
-    """The trajectory-document key for one record.
-
-    The default event queue (calendar) keeps the bare scale name; the heap
-    is appended: ``smoke+heap``.
-    """
-    key = record["scale"]
-    if record.get("event_queue", "calendar") != "calendar":
-        key += f"+{record['event_queue']}"
-    return key
+    """The trajectory-document key for one record: its scale."""
+    return record["scale"]
 
 
 def merge_into_document(document: Optional[Dict], record: Dict) -> Dict:
     """Fold one record into the trajectory document.
 
-    ``BENCH_5.json`` keeps one record per :func:`record_key` — scale plus
-    any non-default event queue (the paper-tier numbers are the
-    headline trajectory; the smoke records are the CI gate's baselines) —
-    so regenerating one configuration leaves the others untouched.
+    ``BENCH_5.json`` keeps one record per :func:`record_key` (the
+    paper-tier numbers are the headline trajectory; the smoke records are
+    the CI gate's baselines), so regenerating one scale leaves the others
+    untouched.
     """
     if not document or "records" not in document:
         document = {"version": RECORD_VERSION, "records": {}}
@@ -177,7 +135,7 @@ def check_against_baseline(
     baseline = baseline_document.get("records", {}).get(key)
     if baseline is None:
         return [
-            f"baseline document holds no record for configuration "
+            f"baseline document holds no record for scale "
             f"{key!r}; regenerate it with --json"
         ]
     problems: List[str] = []
@@ -198,25 +156,18 @@ def check_against_baseline(
 def _print_record(record: Dict) -> None:
     print(
         f"scale={record['scale']} pause={record['pause_time']:g} "
-        f"queue={record.get('event_queue', 'calendar')} "
         f"({record['node_count']} nodes, {record['duration']:g}s simulated, "
         f"commit {record['commit'] or '?'})"
     )
-    header = (
+    print(
         f"{'protocol':<8} {'wall s':>8} {'events':>10} "
         f"{'events/s':>10} {'delivery':>9}"
     )
-    if any("off_seconds" in p for p in record["protocols"].values()):
-        header += f" {'off s':>8} {'speedup':>8}"
-    print(header)
     for protocol, point in record["protocols"].items():
-        line = (
+        print(
             f"{protocol:<8} {point['seconds']:>8.2f} {point['events']:>10} "
             f"{point['events_per_second']:>10,.0f} {point['delivery_ratio']:>9.3f}"
         )
-        if "off_seconds" in point:
-            line += f" {point['off_seconds']:>8.2f} {point.get('speedup', 0):>7.2f}x"
-        print(line)
 
 
 # -- pytest-benchmark integration -------------------------------------------------
@@ -260,12 +211,6 @@ def main(argv=None) -> int:
         help="mobility pause time (default: the scale's first pause time)",
     )
     parser.add_argument(
-        "--with-off",
-        action="store_true",
-        help="also measure the reference slow path (fast paths disabled) "
-        "and record the speedup",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -291,21 +236,13 @@ def main(argv=None) -> int:
         metavar="N",
         help="take the best of N runs per point (for noisy/shared hosts)",
     )
-    parser.add_argument(
-        "--queue",
-        choices=("heap", "calendar"),
-        default="calendar",
-        help="event-queue implementation to measure (default: calendar)",
-    )
     args = parser.parse_args(argv)
 
     record = build_record(
         args.scale,
         args.protocol,
         pause=args.pause,
-        with_off=args.with_off,
         repeat=args.repeat,
-        event_queue=args.queue,
     )
     _print_record(record)
 

@@ -32,8 +32,7 @@ persistent on-disk store:
 ``profile``
     Run one instrumented trial and print (optionally dump as JSON) its
     per-layer CPU/allocation breakdown — the data every perf change should
-    start from.  ``--fast-paths off`` profiles the reference slow path for
-    before/after tables.
+    start from.
 ``gate``
     Evaluate the registered paper-derived invariants (the *science gate*)
     against the store and exit nonzero, naming the violated invariants, when
@@ -98,6 +97,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..protocols import PROTOCOLS
 from ..sim.faults import FAULT_PRESETS, fault_preset
 from .distributed import (
     DEFAULT_LEASE_TTL,
@@ -167,6 +167,17 @@ def _print_progress(event: ExecutionProgress) -> None:
         f"({state}, {_format_eta(event.eta)})",
         flush=True,
     )
+
+
+def _pause_time(text: str) -> float:
+    """argparse type of a pause time: a non-negative number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 seconds, got {text}")
+    return value
 
 
 def _policy_from_args(args: argparse.Namespace) -> FaultPolicy:
@@ -684,7 +695,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from ..sim.tuning import EngineTuning, FastPaths
     from .profile import profile_trial
 
     scale = resolve_scale(args.scale)
@@ -692,8 +702,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scenario = scale.scenario.with_pause_time(pause)
     if args.faults is not None:
         scenario = scenario.with_faults(fault_preset(args.faults, scenario))
-    fast_paths = FastPaths.none() if args.fast_paths == "off" else FastPaths()
-    tuning = EngineTuning(event_queue=args.queue)
     protocols = args.protocol or ["OLSR"]
     profiles = []
     for protocol in protocols:
@@ -701,8 +709,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             scenario,
             protocol,
             scale_name=scale.name,
-            fast_paths=fast_paths,
-            tuning=tuning,
             faults=args.faults,
             track_allocations=args.alloc,
         )
@@ -837,6 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--protocols",
         nargs="+",
+        choices=tuple(PROTOCOLS),
         metavar="PROTO",
         default=None,
         help=f"protocol subset (default: {' '.join(PAPER_PROTOCOLS)})",
@@ -911,6 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--protocols",
         nargs="+",
+        choices=tuple(PROTOCOLS),
         metavar="PROTO",
         default=None,
         help=f"protocol subset (default: {' '.join(PAPER_PROTOCOLS)})",
@@ -1025,6 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument(
         "--protocols",
         nargs="+",
+        choices=tuple(PROTOCOLS),
         metavar="PROTO",
         default=None,
         help="protocols to soak, one daemon fleet each (default: LSR AODV)",
@@ -1137,22 +1146,17 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--protocol",
         nargs="+",
+        choices=tuple(PROTOCOLS),
         metavar="PROTO",
         default=None,
         help="protocol(s) to profile (default: OLSR, the costliest trial)",
     )
     profile.add_argument(
         "--pause",
-        type=float,
+        type=_pause_time,
         default=None,
         metavar="S",
         help="mobility pause time (default: the scale's first pause time)",
-    )
-    profile.add_argument(
-        "--fast-paths",
-        choices=("on", "off"),
-        default="on",
-        help="profile the optimized (on) or reference (off) hot paths",
     )
     profile.add_argument(
         "--faults",
@@ -1161,12 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PRESET",
         help="profile a faulted trial: install this fault preset "
         f"(choices: {', '.join(FAULT_PRESETS)})",
-    )
-    profile.add_argument(
-        "--queue",
-        choices=("heap", "calendar"),
-        default="calendar",
-        help="event-queue implementation to profile (default: calendar)",
     )
     profile.add_argument(
         "--alloc",

@@ -13,9 +13,8 @@ workload, metrics, RNG — so the output answers "where does a trial spend its
 time?" at the level the code is organised.
 
 ``python -m repro.experiments profile --scale smoke --json out.json`` is the
-CLI; ``--fast-paths off`` profiles the reference slow path so before/after
-breakdowns come from one command.  The JSON shape is stable and documented
-in EXPERIMENTS.md ("Profiling and performance").
+CLI.  The JSON shape is stable and documented in EXPERIMENTS.md ("Profiling
+and performance").
 
 The instrumented trial is *not* a benchmark: cProfile inflates Python call
 costs roughly 2–3x and skews toward call-heavy code.  The layer shares are
@@ -33,10 +32,9 @@ import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..protocols import PROTOCOLS, protocol_factory
+from ..protocols import protocol_factory
 from ..sim.network import build_network
 from ..sim.stats import TrialSummary
-from ..sim.tuning import EngineTuning, FastPaths
 from ..workloads.scenario import Scenario
 
 __all__ = [
@@ -45,29 +43,8 @@ __all__ = [
     "TrialProfile",
     "profile_trial",
     "layer_of",
-    "reference_protocol_factory",
 ]
 
-
-def reference_protocol_factory(protocol: str):
-    """The protocol factory for the all-fast-paths-off reference side.
-
-    Incremental route maintenance (OLSR's and LSR's dirty-flag SPF) is one
-    of PR 5's fast paths but lives in the protocol *config* (instances are
-    built by the factory, not by ``build_network``), so the reference side
-    must disable it explicitly alongside ``FastPaths.none()``.  Registry-
-    driven: any protocol whose config declares ``incremental_routes`` gets
-    it switched off.  Used by both ``profile --fast-paths off`` and
-    ``bench_trial_profile.py --with-off``.
-    """
-    spec = PROTOCOLS.get(protocol)
-    if (
-        spec is not None
-        and spec.config_class is not None
-        and "incremental_routes" in spec.default_config().to_dict()
-    ):
-        return protocol_factory(protocol, {"incremental_routes": False})
-    return protocol_factory(protocol)
 
 #: Path fragments -> layer name, first match wins.  Order matters: more
 #: specific fragments (spatial under channel, eventq under engine) come
@@ -215,11 +192,9 @@ class TrialProfile:
     wall_seconds: float  #: instrumented wall clock (inflated by cProfile)
     events_processed: int
     events_per_second: float
-    fast_paths: bool
     summary: TrialSummary
     gc: CollectorCost
     layers: List[LayerCost] = field(default_factory=list)
-    event_queue: str = "calendar"
     faults: Optional[str] = None  #: fault preset name, when the trial is faulted
 
     @property
@@ -237,8 +212,6 @@ class TrialProfile:
             "wall_seconds": round(self.wall_seconds, 3),
             "events_processed": self.events_processed,
             "events_per_second": round(self.events_per_second, 1),
-            "fast_paths": self.fast_paths,
-            "event_queue": self.event_queue,
             "faults": self.faults,
             "layers": [cost.to_dict() for cost in self.layers],
             "gc": self.gc.to_dict(),
@@ -251,9 +224,7 @@ class TrialProfile:
         lines = [
             f"Trial profile: {self.protocol} @ scale={self.scale} "
             f"pause={self.pause_time:g}s "
-            f"({self.node_count} nodes, {self.duration:g}s simulated, "
-            f"fast paths {'on' if self.fast_paths else 'off'}, "
-            f"queue={self.event_queue}"
+            f"({self.node_count} nodes, {self.duration:g}s simulated"
             + (f", faults={self.faults}" if self.faults else "")
             + ")",
             f"  wall {self.wall_seconds:.2f}s (instrumented), "
@@ -287,32 +258,18 @@ def profile_trial(
     protocol: str,
     *,
     scale_name: str = "custom",
-    fast_paths: Optional[FastPaths] = None,
-    tuning: Optional[EngineTuning] = None,
     faults: Optional[str] = None,
     track_allocations: bool = False,
 ) -> TrialProfile:
     """Run one instrumented trial and return its per-layer breakdown.
 
-    ``fast_paths=FastPaths.none()`` profiles the reference slow path (the
-    before side of a before/after table), including OLSR's full per-tick
-    route recomputation via :func:`reference_protocol_factory`.
-    ``tuning`` selects the event queue,
-    defaulting like :func:`build_network`.  ``faults`` is a label
-    (the preset name) recorded in the profile when ``scenario`` carries a
-    fault plan; it does not install faults itself.  ``track_allocations``
-    adds a tracemalloc pass — allocation sites grouped by the same layers —
-    at a substantial extra slowdown.  The collector's collections and time
-    are recorded either way (:class:`CollectorCost`).
+    ``faults`` is a label (the preset name) recorded in the profile when
+    ``scenario`` carries a fault plan; it does not install faults itself.
+    ``track_allocations`` adds a tracemalloc pass — allocation sites grouped
+    by the same layers — at a substantial extra slowdown.  The collector's
+    collections and time are recorded either way (:class:`CollectorCost`).
     """
-    fp = FastPaths() if fast_paths is None else fast_paths
-    engine_tuning = EngineTuning.from_env() if tuning is None else tuning
-    factory = (
-        reference_protocol_factory(protocol)
-        if fp == FastPaths.none()
-        else protocol_factory(protocol)
-    )
-    network = build_network(scenario, factory, fast_paths=fp, tuning=engine_tuning)
+    network = build_network(scenario, protocol_factory(protocol))
 
     allocations: Dict[str, float] = {}
     if track_allocations:
@@ -373,10 +330,8 @@ def profile_trial(
         wall_seconds=wall,
         events_processed=events,
         events_per_second=events / wall if wall > 0 else 0.0,
-        fast_paths=fp != FastPaths.none(),
         summary=summary,
         gc=collector,
         layers=layers,
-        event_queue=engine_tuning.event_queue,
         faults=faults if scenario.faults else None,
     )

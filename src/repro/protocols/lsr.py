@@ -87,10 +87,8 @@ class LsdbEntry:
 class LsrConfig(ProtocolConfig):
     """LSR intervals, holding times and flood control.
 
-    ``incremental_routes`` gates the dirty-flag/validity-horizon SPF
-    scheduling (exact — a skipped SPF would have rebuilt the identical
-    table); ``lsa_min_interval`` rate-limits triggered re-originations so
-    a flapping neighbour cannot melt the network with floods.
+    ``lsa_min_interval`` rate-limits triggered re-originations so a
+    flapping neighbour cannot melt the network with floods.
     """
 
     hello_interval: float = 2.0
@@ -100,7 +98,6 @@ class LsrConfig(ProtocolConfig):
     lsa_min_interval: float = 0.5
     lsa_ttl: int = 16
     route_recompute_interval: float = 1.0
-    incremental_routes: bool = True
     hop_limit: int = 32
 
 
@@ -198,7 +195,7 @@ class LsrProtocol(RoutingProtocol):
     def _route_maintenance(self, now: float) -> None:
         if self._origination_pending:
             self._originate_lsa(now)
-        if not self.config.incremental_routes or self._routes_dirty:
+        if self._routes_dirty:
             self._recompute_routes()
             return
         if now < self._routes_valid_until:
@@ -286,17 +283,16 @@ class LsrProtocol(RoutingProtocol):
                     next_frontier.append(neighbor)
             frontier = next_frontier
         self.routing_table = table
-        if self.config.incremental_routes:
-            valid_until = _NEVER
-            for expiry in self.neighbors.values():
-                if now < expiry < valid_until:
-                    valid_until = expiry
-            for entry in self.lsdb.values():
-                if now < entry.expires_at < valid_until:
-                    valid_until = entry.expires_at
-            self._routes_valid_until = valid_until
-            self._routes_computed_at = now
-            self._routes_dirty = False
+        valid_until = _NEVER
+        for expiry in self.neighbors.values():
+            if now < expiry < valid_until:
+                valid_until = expiry
+        for entry in self.lsdb.values():
+            if now < entry.expires_at < valid_until:
+                valid_until = entry.expires_at
+        self._routes_valid_until = valid_until
+        self._routes_computed_at = now
+        self._routes_dirty = False
 
     def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         """The current first hop toward ``destination``, if reachable."""

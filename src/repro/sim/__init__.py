@@ -13,7 +13,6 @@ Building blocks:
   packets, nodes and trial assembly.
 * :mod:`repro.sim.stats` — the trial metrics the paper reports.
 * :mod:`repro.sim.monitor` — run-time loop-freedom auditing.
-* :mod:`repro.sim.tuning` — the exact (bit-identical) hot-path fast paths.
 """
 
 from .channel import Channel, ChannelStats
@@ -29,10 +28,8 @@ from .rng import RngStreams, derive_seed
 from .space import Position, Terrain
 from .spatial import SpatialGrid
 from .stats import TrialStats, TrialSummary
-from .tuning import FastPaths
 
 __all__ = [
-    "FastPaths",
     "Channel",
     "ChannelStats",
     "Event",

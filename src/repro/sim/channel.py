@@ -16,11 +16,14 @@ carrier-sense range of a prospective sender.
 Performance design (and its invariants)
 ---------------------------------------
 
-The geometry queries sit on the simulation's hottest path — every broadcast
-flood asks for a reception set, every MAC attempt carrier-senses — so the
-channel layers three caches over the brute-force O(N) scans.  All three are
-exact: for a fixed seed, a trial produces bit-identical results with them on
-or off (``use_spatial_index=False`` restores the brute-force scan).
+The geometry queries sit on the simulation's hottest path — every
+transmission asks for a reception set, every MAC attempt carrier-senses — so
+the channel answers them from three structures instead of a scan over every
+node.  None of them changes an answer: each in-range decision is the same
+inclusive ``sqrt(dx²+dy²) <= r`` test against the same interpolated
+positions that a full scan would make, and receivers are reported in attach
+order (``tests/sim/test_channel_contract.py`` checks this against a
+brute-force disk scan kept in the test).
 
 1. **Per-timestamp position cache.**  Node positions are pure functions of
    the simulation clock, so the channel interpolates each node's mobility
@@ -35,19 +38,23 @@ or off (``use_spatial_index=False`` restores the brute-force scan).
    overlapping the query disk instead of every node.  The grid is a position
    *snapshot*: rebuilding it every query would cost the same O(N) as the
    scan it replaces, so the channel reuses a snapshot taken at time ``t0``
-   until nodes could have drifted more than a staleness budget
-   (``max_node_speed * (now - t0)``).  Queries inflate their radius by the
-   current drift bound — making the candidate set a strict superset of the
-   true neighbour set — and then re-filter against exact cached positions
-   with the same inclusive ``sqrt(dx²+dy²) <= r`` test, in listener attach
-   order, as the brute-force scan.  *Invariant:* no node moves faster than
-   ``max_node_speed`` (paper mobility: 20 m/s); a model that violates it must
-   lower the budget via the constructor or disable the index.
+   until nodes could have drifted more than a quarter of the reception
+   range (``max_node_speed * (now - t0)``).  Queries inflate their radius by
+   the current drift bound — making the candidate set a superset of the true
+   neighbour set — and then decide each candidate from its last exact
+   position plus a drift bound, interpolating only when that cannot settle
+   it.  The reception set is recomputed for every transmission, not
+   memoised.  *Invariant:* no node moves faster than ``max_node_speed``
+   (paper mobility: 20 m/s); a mobility model that does must be given a
+   larger bound.
 
 3. **End-time heap for in-flight transmissions.**  Carrier sense used to
    rebuild the whole active-transmission list on every query; the list is now
    a min-heap on end time, so expired entries are lazily popped in O(log T)
    and the surviving entries scanned directly.
+
+Reception records are recycled through a free list once their transmission's
+completion has run.
 """
 
 from __future__ import annotations
@@ -133,12 +140,6 @@ class Channel:
         phy: PhyConfig,
         *,
         max_node_speed: float = DEFAULT_MAX_NODE_SPEED,
-        use_spatial_index: bool = True,
-        use_reception_memo: bool = True,
-        use_airtime_memo: bool = True,
-        use_object_pool: bool = True,
-        use_grid_prefilter: bool = True,
-        use_batch_receptions: bool = True,
     ) -> None:
         self._simulator = simulator
         self._phy = phy
@@ -150,7 +151,7 @@ class Channel:
         self._radio_receive: Dict[NodeId, Callable[[Frame, NodeId], None]] = {}
         self._is_transmitting: Dict[NodeId, Callable[[], bool]] = {}
         # Attach index per node: candidate sets from the grid are re-ordered
-        # by it so neighbour lists match the brute-force scan exactly.
+        # by it so receivers are reported in attach order.
         self._attach_order: Dict[NodeId, int] = {}
         # Min-heap of (end_time, sequence, transmission); lazily pruned.
         self._active_transmissions: List[Tuple[float, int, _Transmission]] = []
@@ -170,33 +171,14 @@ class Channel:
         # is_busy_near.
         self._last_exact: Dict[NodeId, Tuple[float, float, float]] = {}
         # Spatial index over a position snapshot taken at _grid_time.
-        self._use_spatial_index = use_spatial_index
         self._max_node_speed = max(float(max_node_speed), 0.0)
         self._grid = SpatialGrid(phy.reception_range)
         self._grid_time: float = 0.0
         self._grid_dirty = True
         # Rebuild once queries would have to inflate their radius by more
-        # than this.  A quarter range lets a 20 m/s node age a snapshot for
-        # ~3 simulated seconds; with the grid prefilter on, a tenth keeps
-        # the snapshot-coordinate ambiguity band narrow (rebuilds are O(N)
-        # and trivially cheap next to the queries they sharpen).
-        self._use_grid_prefilter = use_grid_prefilter
-        self._stale_budget = (
-            0.1 if use_grid_prefilter else 0.25
-        ) * phy.reception_range
-        # Exact fast paths (see repro.sim.tuning for the exactness argument
-        # of each); every one of them can be disabled independently and the
-        # trial outcome is bit-identical either way.
-        self._use_reception_memo = use_reception_memo
-        self._use_object_pool = use_object_pool
-        self._use_batch_receptions = use_batch_receptions
-        # Reception sets per origin node, valid only at _memo_time.
-        self._reception_memo: Dict[NodeId, List[NodeId]] = {}
-        self._memo_time: float = -1.0
-        # Air time per distinct packet size (pure in size_bytes).
-        self._airtime_memo: Optional[Dict[int, float]] = (
-            {} if use_airtime_memo else None
-        )
+        # than this: a quarter range lets a 20 m/s node age a snapshot for
+        # ~3 simulated seconds.
+        self._stale_budget = 0.25 * phy.reception_range
         # Free list of _Reception records (recycled at end-of-air-time).
         self._reception_pool: List[_Reception] = []
         # Mobility segment providers (node -> segment_for) and the cached
@@ -229,7 +211,6 @@ class Channel:
         self._last_exact.pop(listener.node_id, None)
         self._segment_providers.pop(listener.node_id, None)
         self._segment_cache.pop(listener.node_id, None)
-        self._reception_memo.clear()
 
     def register_segment_provider(
         self, node_id: NodeId, provider: Callable[[float], object]
@@ -239,9 +220,9 @@ class Channel:
         ``provider(t)`` must return a :data:`repro.sim.mobility.Segment`
         covering ``t`` (or ``None`` to decline), and the node's position
         must follow that segment exactly — true for the built-in mobility
-        models, registered by ``build_network`` when the
-        ``mobility_segments`` fast path is on.  The listener's ``position()``
-        remains the fallback and the reference behaviour.
+        models, which ``build_network`` registers for every node.  The
+        listener's ``position()`` remains the fallback and the reference
+        behaviour.
         """
         self._segment_providers[node_id] = provider
         self._segment_cache.pop(node_id, None)
@@ -267,41 +248,10 @@ class Channel:
         return self._phy
 
     def airtime(self, frame: Frame) -> float:
-        """``phy.transmission_time(frame)``, memoised per packet size.
-
-        The air time is a pure function of ``frame.packet.size_bytes``; a
-        trial sees a handful of distinct sizes (the CBR payload plus the
-        control-packet sizes) but computes the time hundreds of thousands of
-        times.
-        """
-        memo = self._airtime_memo
-        if memo is None:
-            return self._phy.transmission_time(frame)
-        size = frame.packet.size_bytes
-        duration = memo.get(size)
-        if duration is None:
-            duration = self._phy.transmission_time(frame)
-            memo[size] = duration
-        return duration
+        """The frame's air time: ``phy.transmission_time(frame)``."""
+        return self._phy.transmission_time(frame)
 
     # -- position cache ----------------------------------------------------------
-
-    def invalidate_positions(self) -> None:
-        """Forget cached positions and the grid snapshot.
-
-        Needed only if a listener's position changes by some means other than
-        the simulation clock advancing (e.g. a test harness teleporting a
-        node); normal mobility models never require it.
-        """
-        self._cache_time = -1.0
-        self._positions.clear()
-        self._last_exact.clear()
-        self._grid_dirty = True
-        # All of these derive from cached positions / drift bounds; a
-        # teleport invalidates them with everything else.
-        self._reception_memo.clear()
-        self._memo_time = -1.0
-        self._segment_cache.clear()
 
     def _position_of(self, node_id: NodeId) -> Tuple[float, float]:
         """``node_id``'s position now, interpolated at most once per timestamp.
@@ -376,104 +326,54 @@ class Channel:
     ) -> List[NodeId]:
         """Nodes within reception range of ``origin``, in attach order.
 
-        Exact: candidates come from the (possibly stale) grid with the radius
-        inflated by the drift bound, then are filtered against fresh cached
-        positions with the same inclusive distance test the brute-force scan
-        uses.
+        Candidates come from the (possibly stale) grid with the radius
+        inflated by the drift bound; each is then decided with the inclusive
+        distance test against its exact current position.
         """
         reception_range = self._phy.reception_range
         ox, oy = origin
         result: List[NodeId] = []
-        if self._use_spatial_index:
-            slack = self._grid_slack()
-            now = self._simulator.now
-            known_get = self._last_exact.get
-            max_speed = self._max_node_speed
-            position_of = self._position_of
-            append = result.append
-            prefilter = self._use_grid_prefilter
-            for bucket in self._grid.candidate_buckets(
-                origin, reception_range + slack
-            ):
-                for node_id, bx, by in bucket:
-                    if node_id == exclude:
-                        continue
-                    if prefilter:
-                        # First filter from the snapshot coordinates already
-                        # in hand: the node has drifted at most `slack`
-                        # since the snapshot, so a snapshot distance at
-                        # least that far inside (outside) the range decides
-                        # membership with no per-node lookup at all.
-                        dx = bx - ox
-                        dy = by - oy
-                        snapshot_distance = (dx * dx + dy * dy) ** 0.5
-                        if snapshot_distance + slack <= reception_range:
-                            append(node_id)
-                            continue
-                        if snapshot_distance > reception_range + slack:
-                            continue
-                    # Decide d <= range from the last exact position when
-                    # the drift bound allows; interpolate only in the
-                    # ambiguous band.  A negative age means the position is
-                    # exact until a future time (paused node): zero drift.
-                    known = known_get(node_id)
-                    if known is not None:
-                        # Clamp the age, not the product: an age of -inf
-                        # (node static forever) times a zero speed bound
-                        # would otherwise be NaN.
-                        age = now - known[2]
-                        drift = max_speed * age if age > 0.0 else 0.0
-                        dx = known[0] - ox
-                        dy = known[1] - oy
-                        distance = (dx * dx + dy * dy) ** 0.5
-                        if distance + drift <= reception_range:
-                            append(node_id)
-                            continue
-                        if distance - drift > reception_range:
-                            continue
-                    position = position_of(node_id)
-                    dx = position[0] - ox
-                    dy = position[1] - oy
-                    if (dx * dx + dy * dy) ** 0.5 <= reception_range:
+        slack = self._grid_slack()
+        now = self._simulator.now
+        known_get = self._last_exact.get
+        max_speed = self._max_node_speed
+        position_of = self._position_of
+        append = result.append
+        for bucket in self._grid.candidate_buckets(origin, reception_range + slack):
+            for node_id, _, _ in bucket:
+                if node_id == exclude:
+                    continue
+                # Decide d <= range from the last exact position when the
+                # drift bound allows; interpolate only in the ambiguous
+                # band.  A negative age means the position is exact until a
+                # future time (paused node): zero drift.
+                known = known_get(node_id)
+                if known is not None:
+                    # Clamp the age, not the product: an age of -inf (node
+                    # static forever) times a zero speed bound would
+                    # otherwise be NaN.
+                    age = now - known[2]
+                    drift = max_speed * age if age > 0.0 else 0.0
+                    dx = known[0] - ox
+                    dy = known[1] - oy
+                    distance = (dx * dx + dy * dy) ** 0.5
+                    if distance + drift <= reception_range:
                         append(node_id)
-            result.sort(key=self._attach_order.__getitem__)
-            return result
-        for node_id in self._listeners:
-            if node_id == exclude:
-                continue
-            position = self._position_of(node_id)
-            dx = position[0] - ox
-            dy = position[1] - oy
-            if (dx * dx + dy * dy) ** 0.5 <= reception_range:
-                result.append(node_id)
+                        continue
+                    if distance - drift > reception_range:
+                        continue
+                position = position_of(node_id)
+                dx = position[0] - ox
+                dy = position[1] - oy
+                if (dx * dx + dy * dy) ** 0.5 <= reception_range:
+                    append(node_id)
+        result.sort(key=self._attach_order.__getitem__)
         return result
 
-    def _reception_set(self, node_id: NodeId) -> List[NodeId]:
-        """Nodes within reception range of ``node_id``, memoised per timestamp.
-
-        Positions are pure functions of the clock and
-        :meth:`_nodes_in_range_of` is deterministic in them, so two queries
-        for the same node at one timestamp must agree — which is exactly
-        what a flood burst does when several relays fire in the same slot.
-        Callers must not mutate the returned list.
-        """
-        if not self._use_reception_memo:
-            origin = self._position_of(node_id)
-            return self._nodes_in_range_of(origin, exclude=node_id)
-        now = self._simulator.now
-        if now != self._memo_time:
-            self._reception_memo.clear()
-            self._memo_time = now
-        cached = self._reception_memo.get(node_id)
-        if cached is None:
-            origin = self._position_of(node_id)
-            cached = self._nodes_in_range_of(origin, exclude=node_id)
-            self._reception_memo[node_id] = cached
-        return cached
-
     def neighbors_of(self, node_id: NodeId) -> List[NodeId]:
-        """Nodes currently within reception range of ``node_id``."""
-        return list(self._reception_set(node_id))
+        """Nodes within reception range of ``node_id`` now, in attach order:
+        the reception set of a frame it transmits."""
+        return self._nodes_in_range_of(self._position_of(node_id), exclude=node_id)
 
     def in_range(self, a: NodeId, b: NodeId) -> bool:
         """True when nodes ``a`` and ``b`` can currently hear each other."""
@@ -502,11 +402,10 @@ class Channel:
         MAC does).  Expired transmissions are pruned first, so a wake-up
         scheduled *at* the horizon observes an idle medium.
 
-        The returned value is *exact* (each in-or-out-of-range decision is
+        The returned value is *exact*: each in-or-out-of-range decision is
         settled conservatively from the last exact position plus a drift
-        bound, with fresh interpolation only inside the ambiguity band), and
-        deliberately independent of every FastPaths flag, so a trial is
-        bit-identical across FastPaths settings.
+        bound, with fresh interpolation only inside the ambiguity band, so
+        it equals what a scan of exact current positions would return.
         """
         now = self._simulator.now
         active = self._active_transmissions
@@ -621,83 +520,41 @@ class Channel:
         stats = self.stats
         is_transmitting = self._is_transmitting
         active_receptions = self._active_receptions
-        pool = self._reception_pool if self._use_object_pool else None
+        pool = self._reception_pool
         end = now + duration
         faults = self._faults
         position_of = self._position_of
-        receiver_ids = self._reception_set(transmitter)
-        if self._use_batch_receptions:
-            # Loop fission over the whole reception set (exactness argument
-            # in repro.sim.tuning): the fault filter consumes its draws in
-            # reception-set order, the half-duplex flags are pure state
-            # reads batched in one pass, and overlap marking plus record
-            # materialisation run in a final pass over the surviving set.
-            if faults is not None:
-                kept: List[NodeId] = []
-                kept_append = kept.append
-                for receiver_id in receiver_ids:
-                    if faults.blocked(transmitter, receiver_id, position_of):
-                        # The frame never reaches this radio: no reception
-                        # record, no collision.
-                        stats.fault_suppressed += 1
-                    else:
-                        kept_append(receiver_id)
-                receiver_ids = kept
-            collided_flags = [
-                is_transmitting[receiver_id]() for receiver_id in receiver_ids
-            ]
-            for index, receiver_id in enumerate(receiver_ids):
-                if pool:
-                    reception = pool.pop()
-                    reception.frame = frame
-                    reception.transmitter = transmitter
-                    reception.receiver = receiver_id
-                    reception.end = end
-                    reception.collided = False
-                else:
-                    reception = _Reception(frame, transmitter, receiver_id, end)
-                collided = collided_flags[index]
-                actives = active_receptions[receiver_id]
-                for other in actives:
-                    if other.end > now:
-                        other.collided = True
-                        collided = True
-                reception.collided = collided
-                actives.append(reception)
-                receptions_append(reception)
-        else:
-            for receiver_id in receiver_ids:
-                if faults is not None and faults.blocked(
-                    transmitter, receiver_id, position_of
-                ):
-                    # The frame never reaches this radio: no reception record,
-                    # no collision.
-                    stats.fault_suppressed += 1
-                    continue
-                if pool:
-                    reception = pool.pop()
-                    reception.frame = frame
-                    reception.transmitter = transmitter
-                    reception.receiver = receiver_id
-                    reception.end = end
-                    reception.collided = False
-                else:
-                    reception = _Reception(frame, transmitter, receiver_id, end)
-                # Half-duplex: a node that is itself transmitting cannot receive.
-                collided = is_transmitting[receiver_id]()
-                # Overlap with any reception already in progress collides both.
-                actives = active_receptions[receiver_id]
-                for other in actives:
-                    if other.end > now:
-                        other.collided = True
-                        collided = True
-                reception.collided = collided
-                actives.append(reception)
-                receptions_append(reception)
+        for receiver_id in self.neighbors_of(transmitter):
+            if faults is not None and faults.blocked(
+                transmitter, receiver_id, position_of
+            ):
+                # The frame never reaches this radio: no reception record,
+                # no collision.
+                stats.fault_suppressed += 1
+                continue
+            if pool:
+                reception = pool.pop()
+                reception.frame = frame
+                reception.transmitter = transmitter
+                reception.receiver = receiver_id
+                reception.end = end
+                reception.collided = False
+            else:
+                reception = _Reception(frame, transmitter, receiver_id, end)
+            # Half-duplex: a node that is itself transmitting cannot receive.
+            collided = is_transmitting[receiver_id]()
+            # Overlap with any reception already in progress collides both.
+            actives = active_receptions[receiver_id]
+            for other in actives:
+                if other.end > now:
+                    other.collided = True
+                    collided = True
+            reception.collided = collided
+            actives.append(reception)
+            receptions_append(reception)
         stats.receptions_started += len(receptions)
 
         radio_receive = self._radio_receive
-        swap_remove = self._use_batch_receptions
 
         def finish() -> None:
             delivered_to_target = False
@@ -715,16 +572,7 @@ class Channel:
                 receiver = reception.receiver
                 # Every reception was appended in the loop above and is only
                 # ever removed here, so it is always present.
-                if swap_remove:
-                    # Exact despite reordering the list: active-reception
-                    # lists are only consumed by the overlap scan, which
-                    # marks every overlapping pair regardless of order.
-                    records = active_receptions[receiver]
-                    last = records.pop()
-                    if last is not reception:
-                        records[records.index(reception)] = last
-                else:
-                    active_receptions[receiver].remove(reception)
+                active_receptions[receiver].remove(reception)
                 if reception.collided:
                     collisions += 1
                     continue
@@ -737,10 +585,9 @@ class Channel:
                     delivered_to_target = True
             stats.collisions += collisions
             stats.receptions_delivered += delivered
-            if pool is not None:
-                # The records are out of every active list and the local
-                # references die with this closure: recycle them.
-                pool.extend(receptions)
+            # The records are out of every active list and the local
+            # references die with this closure: recycle them.
+            pool.extend(receptions)
             if on_complete is not None:
                 on_complete(delivered_to_target)
             # Runs last so a retry scheduled by on_complete contends from

@@ -15,39 +15,26 @@ calls, keeping the ``cancel()`` API unchanged; hot-path callers that never
 cancel use :meth:`Simulator.call_in`, which skips the handle allocation
 entirely and queues the bare callback.
 
-Two queue implementations back the engine, selected by the ``event_queue``
-constructor argument (``repro.sim.tuning.EngineTuning`` wires it through
-``build_network``):
-
-``"calendar"`` (default)
-    A bucketed calendar queue with an overflow ladder
-    (:class:`~repro.sim.eventq.CalendarQueue`): O(1) amortized push and
-    pop against the heap's O(log n), which is the measured difference at
-    millions of events per trial.
-``"heap"``
-    The PR 1 binary heap (``heapq`` over a plain list), kept as the
-    reference implementation and oracle.
-
-Pop order is totally determined by ``(time, priority, sequence)`` — the
-sequence number is unique — so the two queues dequeue the *identical* entry
-sequence and a trial is bit-identical under either (the equivalence suite in
-``tests/sim/test_eventq.py`` enforces this, including the priority ``-1``
-fault events and cancellation).
+The queue is a bucketed calendar queue with an overflow ladder
+(:class:`~repro.sim.eventq.CalendarQueue`): O(1) amortized push and pop
+against a binary heap's O(log n).  At 50 nodes the two are within noise; at
+200 nodes the calendar queue won every paired run against the heap.  Pop
+order is totally determined by ``(time, priority, sequence)`` — the
+sequence number is unique — so the queue dequeues exactly what a ``heapq``
+list would; ``tests/sim/test_eventq.py`` holds the engine to a ``heapq``
+reference kept there, including the priority ``-1`` fault events and
+cancellation.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .eventq import CalendarQueue
 
-__all__ = ["Event", "Simulator", "SimulationError", "EVENT_QUEUES"]
-
-#: The recognised event-queue implementations.
-EVENT_QUEUES: Tuple[str, ...] = ("heap", "calendar")
+__all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -116,23 +103,9 @@ class Simulator:
     protocol is measurably slower at millions of reads per trial.
     """
 
-    def __init__(self, *, event_queue: str = "calendar") -> None:
-        if event_queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"unknown event queue {event_queue!r}; expected one of "
-                f"{EVENT_QUEUES}"
-            )
-        self.event_queue = event_queue
-        if event_queue == "calendar":
-            self._calendar: Optional[CalendarQueue] = CalendarQueue()
-            self._queue: List[_HeapEntry] = []  # unused; kept for introspection
-            self._push: Callable[[_HeapEntry], None] = self._calendar.push
-        else:
-            self._calendar = None
-            self._queue = []
-            # partial(heappush, list) keeps the heap push one C-level call
-            # for hot-path callers going through hot_scheduler().
-            self._push = partial(heapq.heappush, self._queue)
+    def __init__(self) -> None:
+        self._calendar = CalendarQueue()
+        self._push: Callable[[_HeapEntry], None] = self._calendar.push
         self._sequence = itertools.count()
         self.now = 0.0
         self._running = False
@@ -151,12 +124,10 @@ class Simulator:
         """Number of live (non-cancelled) events still queued.
 
         Cancelled events stay queued as tombstones until the loop reaches
-        them (their callbacks are already dropped), so both queue flavours
-        subtract the tombstone count from their raw size.
+        them (their callbacks are already dropped), so the tombstone count
+        is subtracted from the queue's raw size.
         """
-        if self._calendar is not None:
-            return len(self._calendar) - self._cancelled_pending
-        return len(self._queue) - self._cancelled_pending
+        return len(self._calendar) - self._cancelled_pending
 
     # -- scheduling --------------------------------------------------------------
 
@@ -207,9 +178,8 @@ class Simulator:
         next_sequence(), callback)`` with ``delay >= 0``.  This skips one
         Python call and the negative-delay check per event, which the MAC's
         backoff machinery pays many times per trial; ordering semantics are
-        identical because the entries are.  ``push`` is queue-flavour
-        agnostic: the heap's C ``heappush`` pre-bound to the list, or the
-        calendar queue's ``push`` method.
+        identical because the entries are.  ``push`` is the calendar
+        queue's ``push`` method.
         """
         return self._push, self._sequence.__next__
 
@@ -230,93 +200,55 @@ class Simulator:
         # that raise.
         processed = self._processed
         calendar = self._calendar
+        advance = calendar._advance
+        push = calendar.push
+        pop = heapq.heappop
         try:
-            if calendar is not None:
-                advance = calendar._advance
-                push = calendar.push
-                pop = heapq.heappop
-                while self._running:
-                    # Fast path at heap parity: one attribute load and a
-                    # C-level heappop.  The attribute must be re-read every
-                    # iteration — callbacks push into it and _advance
-                    # replaces it wholesale at each bucket boundary.
-                    active = calendar._active
-                    if active:
-                        entry = pop(active)
-                    else:
-                        entry = advance()
-                        if entry is None:
-                            break
-                    time = entry[0]
-                    if until is not None and time > until:
-                        # Leave it queued for a potential later run() call;
-                        # everything else in the queue is later still.
-                        push(entry)
+            while self._running:
+                # The common case is one attribute load and a C-level
+                # heappop.  The attribute must be re-read every iteration —
+                # callbacks push into it and _advance replaces it wholesale
+                # at each bucket boundary.
+                active = calendar._active
+                if active:
+                    entry = pop(active)
+                else:
+                    entry = advance()
+                    if entry is None:
                         break
-                    payload = entry[3]
-                    if payload.__class__ is event_class:
-                        if payload.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        callback = payload.callback
-                        # Drop the closure before executing so a fired event
-                        # never pins its captured state, mirroring cancel()
-                        # for tombstones.
-                        payload.callback = None
-                        self.now = time
-                        processed += 1
-                        callback()
-                    else:
-                        self.now = time
-                        processed += 1
-                        payload()
-            else:
-                queue = self._queue
-                pop = heapq.heappop
-                push = heapq.heappush
-                while queue and self._running:
-                    entry = pop(queue)
-                    time = entry[0]
-                    if until is not None and time > until:
-                        # Leave it queued for a potential later run() call.
-                        # (The heap is time-ordered, so everything else is
-                        # beyond `until` too — pushing the one popped entry
-                        # back is a single operation per run() call, cheaper
-                        # than peeking every iteration.)
-                        push(queue, entry)
-                        break
-                    payload = entry[3]
-                    if payload.__class__ is event_class:
-                        if payload.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        callback = payload.callback
-                        payload.callback = None
-                        self.now = time
-                        processed += 1
-                        callback()
-                    else:
-                        self.now = time
-                        processed += 1
-                        payload()
+                time = entry[0]
+                if until is not None and time > until:
+                    # Leave it queued for a potential later run() call;
+                    # everything else in the queue is later still.
+                    push(entry)
+                    break
+                payload = entry[3]
+                if payload.__class__ is event_class:
+                    if payload.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    callback = payload.callback
+                    # Drop the closure before executing so a fired event
+                    # never pins its captured state, mirroring cancel()
+                    # for tombstones.
+                    payload.callback = None
+                    self.now = time
+                    processed += 1
+                    callback()
+                else:
+                    self.now = time
+                    processed += 1
+                    payload()
         finally:
             self._processed = processed
         if until is not None and self.now < until:
             self.now = until
         self._running = False
 
-    def _pop_entry(self) -> Optional[_HeapEntry]:
-        """The next queued entry regardless of queue flavour, or ``None``."""
-        if self._calendar is not None:
-            return self._calendar.pop()
-        if self._queue:
-            return heapq.heappop(self._queue)
-        return None
-
     def step(self) -> bool:
         """Execute the single next event; returns False when the queue is empty."""
         while True:
-            entry = self._pop_entry()
+            entry = self._calendar.pop()
             if entry is None:
                 return False
             payload = entry[3]

@@ -3,10 +3,10 @@
 The :class:`~repro.sim.engine.Simulator` orders events by the tuple
 ``(time, priority, sequence)``; the sequence number is unique, so the order
 is *total* and any correct priority queue pops the exact same sequence of
-entries.  That totality is what makes this queue an **exact** drop-in for
-the binary heap: the bit-identity tests in ``tests/sim/test_eventq.py``
-compare the two structures entry-for-entry under randomized workloads, and
-the whole-trial equivalence tests do the same for complete simulations.
+entries.  That totality is what makes this queue an **exact** replacement
+for a binary heap: ``tests/sim/test_eventq.py`` compares it entry-for-entry
+with a ``heapq`` list under randomized workloads, both as a bare structure
+and behind the engine.
 
 Structure (R. Brown's calendar queue, with a heap-ladder overflow):
 

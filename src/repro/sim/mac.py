@@ -173,7 +173,6 @@ class Mac:
         rng: random.Random,
         *,
         position_provider: Callable[[], "tuple[float, float]"],
-        use_frame_pool: bool = True,
     ) -> None:
         self.node_id = node_id
         self._simulator = simulator
@@ -183,7 +182,6 @@ class Mac:
         self._push, self._next_sequence = simulator.hot_scheduler()
         # Free list of Frame objects (recycled once off the air).
         self._frame_pool: "list[Frame]" = []
-        self._use_frame_pool = use_frame_pool
         self._position_provider = position_provider
         self._phy = channel.phy
         # Contention windows per attempt, precomputed: the window formula sits
@@ -363,13 +361,11 @@ class Mac:
             if self._epoch != epoch:
                 return
             if self._queue:
-                frame = self._queue.popleft()
-                if self._use_frame_pool:
-                    # The channel's end-of-air-time completion ran at this
-                    # timestamp with priority 1, before this priority-2
-                    # callback: every reception of the frame is settled and
-                    # nothing will read it again.
-                    self._frame_pool.append(frame)
+                # The channel's end-of-air-time completion ran at this
+                # timestamp with priority 1, before this priority-2
+                # callback: every reception of the frame is settled and
+                # nothing will read it again, so it is recycled.
+                self._frame_pool.append(self._queue.popleft())
             self._busy = False
             self._try_dequeue()
 

@@ -12,6 +12,13 @@ deterministically from the trial's mobility random stream, so the same
 :class:`RandomWaypointMobility` object (or another built from the same seed)
 gives identical positions to every protocol in a trial — mirroring the paper's
 off-line generated mobility scripts.
+
+:class:`RandomWaypointMobility` answers position queries from a flat segment
+table (one float tuple per leg) rather than from its :class:`Waypoint`
+objects, and hands the channel the active :data:`Segment` so the channel can
+interpolate in place.  :meth:`Waypoint.position_at` remains the reference
+the table is tested against: the interpolation expressions are the same, so
+the floats are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ __all__ = [
     "RandomWaypointMobility",
     "Waypoint",
     "Segment",
-    "bulk_positions_at",
 ]
 
 #: One precompiled motion segment: ``(valid_from, depart, arrival, sx, sy,
@@ -134,13 +140,12 @@ class RandomWaypointMobility(MobilityModel):
     O(log n) in the number of generated legs via binary search over arrival
     times; identical seeds produce identical traces.
 
-    With ``use_segment_table`` (default) each appended leg is also compiled
-    into a flat tuple ``(depart, arrival, sx, sy, ex, ey)`` kept in a list
-    parallel to ``_arrivals``; ``position_at_xy`` then binary-searches and
-    interpolates over plain floats with no :class:`Waypoint` attribute
-    walks.  The interpolation expressions are copied verbatim from
-    :meth:`Waypoint.position_at`, so the returned floats are bit-identical
-    to the slow path's.
+    Each appended leg is also compiled into a flat tuple ``(depart,
+    arrival, sx, sy, ex, ey)`` kept in a list parallel to ``_arrivals``;
+    ``position_at_xy`` binary-searches and interpolates over plain floats
+    with no :class:`Waypoint` attribute walks.  The interpolation
+    expressions are those of :meth:`Waypoint.position_at`, so the returned
+    floats are bit-identical to it.
     """
 
     def __init__(
@@ -152,7 +157,6 @@ class RandomWaypointMobility(MobilityModel):
         max_speed: float = 20.0,
         pause_time: float = 0.0,
         initial_position: Position | None = None,
-        use_segment_table: bool = True,
     ) -> None:
         if max_speed <= 0:
             raise ValueError("max_speed must be positive")
@@ -165,13 +169,12 @@ class RandomWaypointMobility(MobilityModel):
         self._min_speed = min_speed
         self._max_speed = max_speed
         self._pause_time = pause_time
-        self._use_segment_table = use_segment_table
         start = initial_position or terrain.random_position(rng)
         self._legs: List[Waypoint] = []
         # Arrival times of self._legs, kept parallel for bisecting.
         self._arrivals: List[float] = []
         # Precompiled segment table: (depart, arrival, sx, sy, ex, ey) per
-        # leg, parallel to _arrivals (built only when use_segment_table).
+        # leg, parallel to _arrivals.
         self._segments: List[Tuple[float, float, float, float, float, float]] = []
         self._append_leg(start_time=0.0, start=start)
 
@@ -197,17 +200,16 @@ class RandomWaypointMobility(MobilityModel):
             )
         )
         self._arrivals.append(depart_time + travel_time)
-        if self._use_segment_table:
-            self._segments.append(
-                (
-                    depart_time,
-                    depart_time + travel_time,
-                    start.x,
-                    start.y,
-                    destination.x,
-                    destination.y,
-                )
+        self._segments.append(
+            (
+                depart_time,
+                depart_time + travel_time,
+                start.x,
+                start.y,
+                destination.x,
+                destination.y,
             )
+        )
 
     def _extend_until(self, time: float) -> None:
         while self._legs[-1].arrival_time < time:
@@ -228,56 +230,33 @@ class RandomWaypointMobility(MobilityModel):
         return self._leg_at(time).position_at(time)
 
     def position_at_xy(self, time: float) -> Tuple[float, float]:
-        if self._use_segment_table:
-            # Precompiled segment table: binary search over plain floats,
-            # same inlined interpolation expressions as the slow path below.
-            if time < 0:
-                raise ValueError("time must be non-negative")
+        # Binary search over the segment table, then Waypoint.position_at's
+        # interpolation (with Position.interpolate's clamp) inlined over
+        # plain floats, expression for expression.
+        if time < 0:
+            raise ValueError("time must be non-negative")
+        arrivals = self._arrivals
+        if arrivals[-1] < time:
+            self._extend_until(time)
             arrivals = self._arrivals
-            if arrivals[-1] < time:
-                self._extend_until(time)
-                arrivals = self._arrivals
-            depart, arrival, sx, sy, ex, ey = self._segments[
-                bisect_left(arrivals, time)
-            ]
-            if time <= depart:
-                return (sx, sy)
-            if time >= arrival:
-                return (ex, ey)
-            travel = arrival - depart
-            fraction = (time - depart) / travel if travel > 0 else 1.0
-            fraction = min(max(fraction, 0.0), 1.0)
-            return (sx + (ex - sx) * fraction, sy + (ey - sy) * fraction)
-        # Inlined Waypoint.position_at + Position.interpolate, expression for
-        # expression, so the floats are identical to the slow path — but with
-        # no intermediate Position allocated.
-        leg = self._leg_at(time)
-        if time <= leg.depart_time:
-            start = leg.start
-            return (start.x, start.y)
-        if time >= leg.arrival_time:
-            end = leg.end
-            return (end.x, end.y)
-        travel = leg.arrival_time - leg.depart_time
-        fraction = (time - leg.depart_time) / travel if travel > 0 else 1.0
+        depart, arrival, sx, sy, ex, ey = self._segments[bisect_left(arrivals, time)]
+        if time <= depart:
+            return (sx, sy)
+        if time >= arrival:
+            return (ex, ey)
+        travel = arrival - depart
+        fraction = (time - depart) / travel if travel > 0 else 1.0
         fraction = min(max(fraction, 0.0), 1.0)
-        start = leg.start
-        end = leg.end
-        return (
-            start.x + (end.x - start.x) * fraction,
-            start.y + (end.y - start.y) * fraction,
-        )
+        return (sx + (ex - sx) * fraction, sy + (ey - sy) * fraction)
 
-    def segment_for(self, time: float) -> "Segment | None":
-        """The precompiled segment covering ``time`` (segment table only).
+    def segment_for(self, time: float) -> "Segment":
+        """The precompiled segment covering ``time``.
 
         ``valid_from`` is the previous leg's arrival (0 for the first leg):
         at the exact boundary instant both legs evaluate to the same
         coordinates (one leg's end is the next leg's start), so a caller
         holding either segment computes identical floats.
         """
-        if not self._use_segment_table:
-            return None
         if time < 0:
             raise ValueError("time must be non-negative")
         arrivals = self._arrivals
@@ -292,20 +271,3 @@ class RandomWaypointMobility(MobilityModel):
     def pause_time(self) -> float:
         """The configured pause time in seconds."""
         return self._pause_time
-
-
-def bulk_positions_at(
-    models: "dict[object, MobilityModel]", time: float
-) -> "dict[object, Tuple[float, float]]":
-    """Every model's position at ``time``, in one pass.
-
-    A convenience for tooling and tests that need a full position snapshot
-    (each node interpolated once via its allocation-free ``position_at_xy``
-    fast path).  The channel itself does *not* use this: it fills its
-    per-timestamp cache lazily — cheaper when only a subset of nodes is
-    queried at a timestamp — and evaluates registered mobility segments in
-    place (see :meth:`MobilityModel.segment_for`).
-    """
-    return {
-        node_id: model.position_at_xy(time) for node_id, model in models.items()
-    }

@@ -21,7 +21,6 @@ from .mobility import RandomWaypointMobility, StaticMobility
 from .node import Node
 from .rng import RngStreams
 from .stats import TrialStats, TrialSummary
-from .tuning import EngineTuning, FastPaths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..protocols.base import RoutingProtocol
@@ -78,45 +77,21 @@ def build_network(
     *,
     with_traffic: bool = True,
     static_positions: bool = False,
-    use_spatial_index: bool = True,
-    fast_paths: Optional[FastPaths] = None,
-    tuning: Optional[EngineTuning] = None,
 ) -> Network:
     """Assemble a ready-to-run :class:`Network` for one trial.
 
     ``static_positions`` replaces the random-waypoint model with static nodes
     at the same initial positions; integration tests use it to study protocol
-    behaviour without mobility.  ``use_spatial_index=False`` keeps the
-    channel on its brute-force O(N) geometry scans — results are identical
-    either way (the equivalence tests rely on this); it exists for A/B
-    benchmarking and as a fallback.  ``fast_paths`` selects the exact
-    hot-path optimizations (:class:`~repro.sim.tuning.FastPaths`; default:
-    all on) under the same bit-identical contract.  ``tuning`` selects the
-    event queue (:class:`~repro.sim.tuning.EngineTuning`); when omitted it
-    is resolved from the environment via :meth:`EngineTuning.from_env`, so
-    an A/B sweep can flip a whole run to the reference heap without a CLI
-    flag.
+    behaviour without mobility.
     """
     from ..workloads.cbr import CbrTrafficManager  # local import to avoid a cycle
 
-    fp = FastPaths() if fast_paths is None else fast_paths
-    engine_tuning = EngineTuning.from_env() if tuning is None else tuning
-    simulator = Simulator(event_queue=engine_tuning.event_queue)
+    simulator = Simulator()
     streams = RngStreams(scenario.seed)
     # Random-waypoint legs floor the drawn speed at 0.1 m/s, so the channel's
     # drift bound must too; static trials never move nodes at all.
     max_node_speed = 0.0 if static_positions else max(scenario.max_speed, 0.1)
-    channel = Channel(
-        simulator,
-        scenario.phy,
-        max_node_speed=max_node_speed,
-        use_spatial_index=use_spatial_index,
-        use_reception_memo=fp.reception_memo,
-        use_airtime_memo=fp.airtime_memo,
-        use_object_pool=fp.frame_pool,
-        use_grid_prefilter=fp.grid_prefilter,
-        use_batch_receptions=fp.batch_receptions,
-    )
+    channel = Channel(simulator, scenario.phy, max_node_speed=max_node_speed)
     stats = TrialStats()
     terrain = scenario.terrain
     mobility_rng = streams.get("mobility")
@@ -134,7 +109,6 @@ def build_network(
                 max_speed=scenario.max_speed,
                 pause_time=scenario.pause_time,
                 initial_position=initial,
-                use_segment_table=fp.mobility_segments,
             )
         # The position provider looks the node up lazily, so it is safe to
         # construct the MAC before the Node object exists.
@@ -144,16 +118,14 @@ def build_network(
             channel,
             streams.get(f"mac:{node_id}"),
             position_provider=lambda nid=node_id: nodes[nid].position(),
-            use_frame_pool=fp.frame_pool,
         )
         node = Node(node_id, simulator, mobility, mac, stats, rng_streams=streams)
         nodes[node_id] = node
         node.attach_protocol(protocol_factory(node_id))
-        if fp.mobility_segments:
-            # Let the channel interpolate this node from precompiled
-            # segments instead of calling through mac -> node -> mobility
-            # on every position-cache miss.
-            channel.register_segment_provider(node_id, mobility.segment_for)
+        # Let the channel interpolate this node from precompiled segments
+        # instead of calling through mac -> node -> mobility on every
+        # position-cache miss.
+        channel.register_segment_provider(node_id, mobility.segment_for)
 
     if scenario.faults:
         # Compile the declarative fault plan into simulator events now, before
@@ -197,17 +169,9 @@ def run_trial(
     protocol_factory: ProtocolFactory,
     *,
     static_positions: bool = False,
-    use_spatial_index: bool = True,
-    fast_paths: Optional[FastPaths] = None,
-    tuning: Optional[EngineTuning] = None,
 ) -> TrialSummary:
     """Build a network for ``scenario``, run it, and return the summary."""
     network = build_network(
-        scenario,
-        protocol_factory,
-        static_positions=static_positions,
-        use_spatial_index=use_spatial_index,
-        fast_paths=fast_paths,
-        tuning=tuning,
+        scenario, protocol_factory, static_positions=static_positions
     )
     return network.run()

@@ -91,9 +91,9 @@ class Frame:
 
     Frames are the highest-churn objects in a trial after events: one per
     MAC enqueue, dead as soon as the frame leaves the air.  The MAC's frame
-    pool (``FastPaths.frame_pool``) recycles them through
-    :meth:`reinit`; nothing in the simulation reads frame identity or
-    ``uid`` for any routing or metrics decision, so recycling is exact.
+    pool recycles them through :meth:`reinit`; nothing in the simulation
+    reads frame identity or ``uid`` for any routing or metrics decision, so
+    recycling is exact.
     """
 
     packet: Packet

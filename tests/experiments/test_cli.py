@@ -366,3 +366,47 @@ class TestRetiredPhyField:
         assert code == 3
         assert "different sweep" in capsys.readouterr().err
         assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before
+
+
+class TestMistypedInputFailsClosed:
+    """A mistyped protocol name or a negative pause time is a usage error at
+    parse time: exit 2, one ``error:`` line naming the bad value, and nothing
+    written — no store directory, no profile JSON."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["run", "--scale", "smoke", "--protocols", "SRP", "Bogus"], "'Bogus'"),
+            (
+                ["run", "--scale", "smoke", "--protocols", "Bogus", "--out", "d"],
+                "'Bogus'",
+            ),
+            (
+                ["worker", "--store", "d", "--scale", "smoke", "--protocols", "Bogus"],
+                "'Bogus'",
+            ),
+            (["live", "--protocols", "Bogus", "--out", "d"], "'Bogus'"),
+            (["profile", "--protocol", "Bogus", "--json", "p.json"], "'Bogus'"),
+            (["profile", "--pause", "-5", "--json", "p.json"], "-5"),
+        ],
+        ids=["run-default-out", "run", "worker", "live", "profile", "profile-pause"],
+    )
+    def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, bad):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and bad in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_registered_protocol_is_accepted(self):
+        from repro.experiments.__main__ import build_parser
+        from repro.protocols import PROTOCOLS
+
+        args = build_parser().parse_args(["run", "--protocols", *PROTOCOLS])
+        assert args.protocols == list(PROTOCOLS)
+        args = build_parser().parse_args(["profile", "--pause", "0"])
+        assert args.pause == 0.0

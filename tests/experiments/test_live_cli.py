@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.__main__ import main
 from repro.experiments.gate import live_invariants
 from repro.experiments.store import ResultsStore
@@ -41,7 +43,11 @@ class TestLiveCommand:
         assert code != 0
 
     def test_unknown_protocol_is_a_usage_error(self):
-        assert main(["live", "--protocols", "RIP"] + FAST) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["live", "--protocols", "RIP"] + FAST)
+        assert exited.value.code == 2
+        # Registered, but it needs the simulator's global topology.
+        assert main(["live", "--protocols", "Oracle"] + FAST) == 2
 
     def test_store_holding_a_different_sweep_is_refused(self, tmp_path):
         out = tmp_path / "store"

@@ -12,7 +12,6 @@ from repro.experiments.profile import (
     layer_of,
     profile_trial,
 )
-from repro.sim.tuning import FastPaths
 from repro.workloads.scenario import scaled_scenario
 
 
@@ -133,12 +132,6 @@ class TestProfileTrial:
         plain = run_trial(scenario, protocol_factory("AODV"))
         assert profile.summary == plain
 
-    def test_fast_paths_off_is_recorded(self):
-        profile = profile_trial(
-            tiny_scenario(), "SRP", scale_name="tiny", fast_paths=FastPaths.none()
-        )
-        assert profile.fast_paths is False
-
     def test_allocation_tracking(self):
         profile = profile_trial(
             tiny_scenario(), "SRP", scale_name="tiny", track_allocations=True
@@ -178,21 +171,6 @@ class TestProfileCli:
         assert "Trial profile: SRP" in captured.out
         assert "  gc: " in captured.out
 
-    def test_profile_fast_paths_off(self, capsys):
-        from repro.experiments.__main__ import main
-
-        argv = [
-            "profile",
-            "--scale",
-            "smoke",
-            "--protocol",
-            "SRP",
-            "--fast-paths",
-            "off",
-        ]
-        assert main(argv) == 0
-        assert "fast paths off" in capsys.readouterr().out
-
     def test_profile_faulted_trial(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
@@ -203,8 +181,6 @@ class TestProfileCli:
             "smoke",
             "--protocol",
             "SRP",
-            "--queue",
-            "calendar",
             "--faults",
             "churn-partition",
             "--json",
@@ -212,9 +188,8 @@ class TestProfileCli:
         ]
         assert main(argv) == 0
         text = capsys.readouterr().out
-        assert "queue=calendar" in text and "faults=churn-partition" in text
+        assert "faults=churn-partition" in text
         recorded = json.loads(out.read_text(encoding="utf-8"))["profiles"][0]
-        assert recorded["event_queue"] == "calendar"
         assert recorded["faults"] == "churn-partition"
         layers = {layer["layer"] for layer in recorded["layers"]}
         assert {"engine.queue", "mac.timers"} <= layers
@@ -239,12 +214,16 @@ class TestBenchTrialRecord:
         return module
 
     def test_build_and_merge_record(self, bench):
-        record = bench.build_record("smoke", ["SRP"], with_off=True)
+        record = bench.build_record("smoke", ["SRP"])
         assert record["scale"] == "smoke"
-        assert record["event_queue"] == "calendar"
         point = record["protocols"]["SRP"]
         assert point["seconds"] > 0 and point["events"] > 0
-        assert "off_seconds" in point and "speedup" in point
+        assert set(point) == {
+            "seconds",
+            "events",
+            "events_per_second",
+            "delivery_ratio",
+        }
         document = bench.merge_into_document(None, record)
         assert document["records"]["smoke"] is record
         # Merging another scale keeps the first.
@@ -252,32 +231,9 @@ class TestBenchTrialRecord:
         document = bench.merge_into_document(document, other)
         assert set(document["records"]) == {"smoke", "paper-tier"}
 
-    def test_record_key_appends_non_default_axes(self, bench):
-        base = {"scale": "smoke", "event_queue": "calendar"}
-        assert bench.record_key(base) == "smoke"
-        assert bench.record_key(dict(base, event_queue="heap")) == "smoke+heap"
-        # Legacy records without the axis fields key by scale alone.
-        assert bench.record_key({"scale": "paper-tier"}) == "paper-tier"
-
-    def test_non_default_record_merges_alongside_the_default(self, bench):
-        record = bench.build_record("smoke", ["SRP"], event_queue="heap")
-        assert record["event_queue"] == "heap"
-        document = bench.merge_into_document(None, record)
-        assert document["records"]["smoke+heap"] is record
-        # A non-default record never overwrites the default baseline...
-        default = {
-            "scale": "smoke",
-            "event_queue": "calendar",
-            "commit": None,
-            "protocols": {},
-        }
-        document = bench.merge_into_document(document, default)
-        assert set(document["records"]) == {"smoke", "smoke+heap"}
-        # ...and the regression check compares like with like.
-        problems = bench.check_against_baseline(
-            record, {"records": {"smoke": default}}, 1.5
-        )
-        assert problems and "smoke+heap" in problems[0]
+    def test_record_key_is_the_scale(self, bench):
+        assert bench.record_key({"scale": "smoke"}) == "smoke"
+        assert bench.record_key({"scale": "scaling200"}) == "scaling200"
 
     def test_check_against_baseline(self, bench):
         record = {

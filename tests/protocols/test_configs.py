@@ -49,8 +49,8 @@ class TestRegistryConfigHandling:
         assert resolve_config("OLSR", config) is config
 
     def test_resolve_config_from_dict(self):
-        config = resolve_config("OLSR", {"incremental_routes": False})
-        assert config.incremental_routes is False
+        config = resolve_config("OLSR", {"route_recompute_interval": 2.5})
+        assert config.route_recompute_interval == 2.5
 
     def test_configless_protocol_rejects_config(self):
         with pytest.raises(ValueError, match="takes no config"):

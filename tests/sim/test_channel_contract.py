@@ -17,12 +17,18 @@ pinned here directly against bare radio listeners:
   longer counts at its own end instant.
 * **Sleepers.**  A frozen backoff is woken at the first verified idle edge,
   never while a transmission still covers it.
-* **Exactness of the channel caches.**  Turning off any one of the channel's
-  fast-path switches leaves every delivery, ACK and counter unchanged.
+* **Exactness of the channel caches.**  The grid index answers exactly what
+  a brute-force disk scan over every listener answers, for fixed and moving
+  listeners, and a seeded contention burst reproduces every delivery, ACK
+  and counter of its golden capture.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +39,10 @@ from repro.sim.packet import Frame, Packet, PacketKind
 from repro.sim.phy import PhyConfig
 
 PHY = PhyConfig()  # 250 m reception, 400 m carrier sense
+
+GOLDEN_BURSTS = json.loads(
+    (Path(__file__).parent / "golden_seed_summaries.json").read_text(encoding="utf-8")
+)["channel_bursts"]
 
 
 class Radio:
@@ -57,10 +67,10 @@ class Radio:
         self._log.append((self._simulator.now, self.node_id, transmitter))
 
 
-def build(positions, *, phy=PHY, max_node_speed=0.0, **flags):
+def build(positions, *, phy=PHY, max_node_speed=0.0):
     """A channel with one :class:`Radio` per ``positions`` entry, in order."""
     simulator = Simulator()
-    channel = Channel(simulator, phy, max_node_speed=max_node_speed, **flags)
+    channel = Channel(simulator, phy, max_node_speed=max_node_speed)
     log = []
     radios = {}
     for node_id, where in positions.items():
@@ -87,6 +97,16 @@ def airtime(size=256):
 def in_disk(a, b, radius):
     dx, dy = a[0] - b[0], a[1] - b[1]
     return (dx * dx + dy * dy) ** 0.5 <= radius
+
+
+def scan_in_range(positions, origin, exclude):
+    """The brute-force reference: every listener inside the reception disk
+    around ``origin``, in attach (``positions``) order."""
+    return [
+        node
+        for node, point in positions.items()
+        if node != exclude and in_disk(point, origin, PHY.reception_range)
+    ]
 
 
 # -- timing and range ----------------------------------------------------------------
@@ -140,19 +160,14 @@ class TestArrivalTiming:
         simulator, channel, _, log = build(positions)
         duration = channel.transmit(0, frame(0))
         simulator.run()
-        expected = [
-            node
-            for node, point in positions.items()
-            if node != 0 and in_disk(point, positions[0], PHY.reception_range)
-        ]
+        expected = scan_in_range(positions, positions[0], exclude=0)
         assert [node for _, node, _ in log] == expected
         assert all(when == duration for when, _, _ in log)
         assert channel.stats.receptions_delivered == len(expected)
 
 
 class TestDeliveryOrder:
-    @pytest.mark.parametrize("use_spatial_index", [True, False], ids=["grid", "scan"])
-    def test_receivers_hear_in_attach_order(self, use_spatial_index):
+    def test_receivers_hear_in_attach_order(self):
         # Attach order deliberately disagrees with distance and with x.
         positions = {
             "c": (220.0, 0.0),
@@ -160,12 +175,13 @@ class TestDeliveryOrder:
             "tx": (0.0, 0.0),
             "b": (-150.0, 90.0),
         }
-        simulator, channel, _, log = build(
-            positions, use_spatial_index=use_spatial_index
-        )
+        simulator, channel, _, log = build(positions)
         channel.transmit("tx", frame("tx"))
         simulator.run()
         assert [node for _, node, _ in log] == ["c", "a", "b"]
+        assert channel.neighbors_of("tx") == scan_in_range(
+            positions, positions["tx"], exclude="tx"
+        )
 
 
 # -- carrier sense -------------------------------------------------------------------
@@ -370,43 +386,27 @@ class TestMovingListener:
             return (min(20.0 * t, 1800.0), 0.0)
 
         static = {f"s{x}": (float(x), 120.0) for x in range(0, 1801, 300)}
-        results = {}
-        for use_spatial_index in (True, False):
-            simulator, channel, _, log = build(
-                {"m": mover, **static},
-                max_node_speed=20.0,
-                use_spatial_index=use_spatial_index,
-            )
-            for when in (0.0, 7.5, 22.0, 46.0, 61.25, 89.0):
-                simulator.schedule_at(
-                    when, lambda: channel.transmit("m", frame("m"))
-                )
-            simulator.run()
-            results[use_spatial_index] = log
-        expected = []
-        for when in (0.0, 7.5, 22.0, 46.0, 61.25, 89.0):
-            expected.extend(
-                node
-                for node, point in static.items()
-                if in_disk(point, mover(when), PHY.reception_range)
-            )
-        assert [node for _, node, _ in results[True]] == expected
-        assert results[True] == results[False]
+        instants = (0.0, 7.5, 22.0, 46.0, 61.25, 89.0)
+        simulator, channel, _, log = build({"m": mover, **static}, max_node_speed=20.0)
+        neighbours = []
+
+        def send():
+            neighbours.append(channel.neighbors_of("m"))
+            channel.transmit("m", frame("m"))
+
+        for when in instants:
+            simulator.schedule_at(when, send)
+        simulator.run()
+        expected = [scan_in_range(static, mover(t), exclude="m") for t in instants]
+        assert neighbours == expected
+        heard = [node for nodes in expected for node in nodes]
+        assert [node for _, node, _ in log] == heard
 
 
 # -- cache exactness -----------------------------------------------------------------
 
-CHANNEL_FLAGS = (
-    "use_spatial_index",
-    "use_reception_memo",
-    "use_airtime_memo",
-    "use_object_pool",
-    "use_grid_prefilter",
-    "use_batch_receptions",
-)
 
-
-def burst(*, mobile, **flags):
+def burst(*, mobile):
     """A seeded contention burst: every delivery, ACK and counter it yields.
 
     Fourteen radios on a 700 m square (moving at up to 20 m/s when
@@ -424,7 +424,7 @@ def burst(*, mobile, **flags):
             positions[node] = lambda t, x=x, y=y, vx=vx, vy=vy: (x + vx * t, y + vy * t)
         else:
             positions[node] = (x, y)
-    simulator, channel, radios, log = build(positions, max_node_speed=20.0, **flags)
+    simulator, channel, radios, log = build(positions, max_node_speed=20.0)
     acks = []
 
     def send(node, receiver, size):
@@ -450,13 +450,20 @@ def burst(*, mobile, **flags):
     return log, acks, channel.stats
 
 
+def burst_capture(mobile):
+    """:func:`burst`'s outcome as a golden capture: the counters, plus one
+    digest over every (time, receiver, transmitter) delivery and every ACK."""
+    log, acks, stats = burst(mobile=mobile)
+    digest = hashlib.sha256(repr((log, acks)).encode("utf-8")).hexdigest()
+    return {"digest": digest, "stats": dataclasses.asdict(stats)}
+
+
 class TestChannelCacheExactness:
     @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
-    @pytest.mark.parametrize("flag", CHANNEL_FLAGS)
-    def test_each_switch_off_matches_all_on(self, flag, mobile):
-        reference = burst(mobile=mobile)
-        log, acks, stats = reference
-        # The burst must exercise what the switches could get wrong.
+    def test_burst_matches_golden_capture(self, mobile):
+        log, acks, stats = burst(mobile=mobile)
+        # The burst must exercise what the channel's caches could get wrong.
         assert log and stats.collisions > 0
         assert any(ok for _, _, ok in acks) and not all(ok for _, _, ok in acks)
-        assert burst(mobile=mobile, **{flag: False}) == reference
+        expected = GOLDEN_BURSTS["mobile" if mobile else "static"]
+        assert burst_capture(mobile) == expected

@@ -1,20 +1,26 @@
-"""Calendar-queue exactness: oracle equivalence and whole-trial bit-identity.
+"""Calendar-queue exactness against a binary-heap oracle kept in this module.
 
 The calendar queue's correctness contract (``repro.sim.eventq``) is total:
 pop order is fully determined by the ``(time, priority, sequence)`` prefix,
-so a correct queue is indistinguishable from the reference binary heap —
-not statistically, *entry for entry*.  This module enforces the contract at
-three levels:
+so a correct queue is indistinguishable from a binary heap — not
+statistically, *entry for entry*.  The heap lives only here, as the oracle.
+This module enforces the contract at two levels:
 
 1. **Structure level** — property-based workloads (hypothesis) drive a
    :class:`CalendarQueue` and a ``heapq`` list through identical push/pop
    interleavings, including negative priorities (fault-schedule flips),
    same-timestamp ties and resize-triggering bursts.
-2. **Engine level** — cancel-then-refire timer churn and the
-   ``pending_events`` bookkeeping, on both queue flavours.
-3. **Trial level** — the acceptance matrix: all five protocols, clean and
-   faulted, FastPaths off and on, must produce bit-identical
-   :class:`TrialSummary` objects and event counts under either queue.
+2. **Engine level** — cancel-then-refire timer churn, partial runs, the
+   ``pending_events`` bookkeeping and ``step`` versus ``run``, on the
+   :class:`Simulator` and on :class:`ReferenceSimulator`, an engine over a
+   plain ``heapq`` list.
+3. **Trial level** — every protocol's smoke trial, clean and under two
+   fault presets, run once on the calendar queue and once with
+   :class:`HeapQueue` standing in for it: the summaries and event counts
+   must be identical.
+
+Whole trials are also held to the golden captures in
+``test_runtime_seam.py``.
 """
 
 import heapq
@@ -25,14 +31,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.paper import EvaluationScale
-from repro.protocols import protocol_factory
+from repro.protocols import PROTOCOLS, protocol_factory
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.eventq import CalendarQueue
 from repro.sim.faults import fault_preset
 from repro.sim.network import build_network
-from repro.sim.tuning import EngineTuning, FastPaths
-
-PROTOCOLS = ("SRP", "LDR", "AODV", "DSR", "OLSR")
 
 
 # -- structure-level oracle ------------------------------------------------------
@@ -177,6 +181,67 @@ class TestCalendarOracle:
 # -- engine level ----------------------------------------------------------------
 
 
+class ReferenceHandle:
+    """The reference engine's cancellable handle."""
+
+    def __init__(self, callback):
+        self.callback = callback
+
+    def cancel(self):
+        self.callback = None
+
+
+class ReferenceSimulator:
+    """The engine's contract on a plain ``heapq`` list, kept here as the
+    oracle :class:`Simulator` and its calendar queue are held to: entries
+    ``(time, priority, sequence, handle)``, cancelled handles skipped when
+    popped, and ``run(until)`` stopping short of the first later entry."""
+
+    def __init__(self):
+        self._heap = []
+        self._sequence = itertools.count()
+        self.now = 0.0
+        self.events_processed = 0
+
+    def schedule_at(self, time, callback, *, priority=0):
+        handle = ReferenceHandle(callback)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), handle))
+        return handle
+
+    def schedule_in(self, delay, callback, *, priority=0):
+        return self.schedule_at(self.now + delay, callback, priority=priority)
+
+    def call_in(self, delay, callback, priority=0):
+        self.schedule_at(self.now + delay, callback, priority=priority)
+
+    @property
+    def pending_events(self):
+        return sum(entry[3].callback is not None for entry in self._heap)
+
+    def _fire(self, entry):
+        time, _, _, handle = entry
+        if handle.callback is None:
+            return False
+        callback, handle.callback = handle.callback, None
+        self.now = time
+        self.events_processed += 1
+        callback()
+        return True
+
+    def step(self):
+        while self._heap:
+            if self._fire(heapq.heappop(self._heap)):
+                return True
+        return False
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            self._fire(heapq.heappop(heap))
+        if until is not None and self.now < until:
+            self.now = until
+
+
 def fire_log(simulator, script):
     """Run ``script(simulator, log)`` and return the observed fire order."""
     log = []
@@ -185,72 +250,103 @@ def fire_log(simulator, script):
     return log
 
 
-class TestEngineEquivalence:
+def timer_churn(seed):
+    """Randomized timer churn — schedule, cancel, reschedule from inside
+    callbacks, at priorities -1 to 2 — recording ``(now, label,
+    pending_events)`` at every firing."""
+
+    def script(simulator, log):
+        rng = random.Random(seed)
+        handles = []
+
+        def tick(label):
+            def callback():
+                log.append((simulator.now, label, simulator.pending_events))
+                if rng.random() < 0.5 and handles:
+                    handles.pop(rng.randrange(len(handles))).cancel()
+                if rng.random() < 0.6:
+                    handles.append(
+                        simulator.schedule_in(
+                            rng.uniform(0.0, 5.0),
+                            tick(label + 1),
+                            priority=rng.choice([-1, 0, 1]),
+                        )
+                    )
+                if rng.random() < 0.3:
+                    simulator.call_in(rng.uniform(0.0, 1.0), tick(label + 500), 2)
+
+            return callback
+
+        for label in range(30):
+            handles.append(
+                simulator.schedule_at(
+                    rng.uniform(0.0, 10.0) if rng.random() < 0.9 else 1.25,
+                    tick(label * 1000),
+                    priority=rng.choice([-1, 0, 2]),
+                )
+            )
+
+    return script
+
+
+class TestEngineAgainstHeapReference:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_cancel_then_refire_matches_heap(self, seed):
-        """Randomized timer churn — schedule, cancel, reschedule from inside
-        callbacks — fires identically on both queues."""
+        """Timer churn fires identically, with identical pending counts, on
+        the engine and on the heap reference."""
+        script = timer_churn(seed)
+        reference = ReferenceSimulator()
+        reference_log = fire_log(reference, script)
+        simulator = Simulator()
+        assert fire_log(simulator, script) == reference_log
+        assert simulator.events_processed == reference.events_processed
+        assert reference_log  # the workload actually fired something
 
-        def script(simulator, log):
-            rng = random.Random(seed)
-            handles = []
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_partial_runs_match_heap(self, seed):
+        """``run(until)`` in slices leaves the clock, the pending count and
+        the fire order where the heap reference leaves them."""
+        script = timer_churn(seed)
+        observed = []
+        for simulator in (ReferenceSimulator(), Simulator()):
+            log = []
+            script(simulator, log)
+            checkpoints = []
+            for until in (0.5, 1.25, 1.25, 4.0, 9.99):
+                simulator.run(until=until)
+                checkpoints.append((simulator.now, simulator.pending_events, len(log)))
+            simulator.run()
+            observed.append((log, checkpoints, simulator.pending_events))
+        assert observed[1] == observed[0]
 
-            def tick(label):
-                def callback():
-                    log.append((simulator.now, label))
-                    if rng.random() < 0.5 and handles:
-                        handles.pop(rng.randrange(len(handles))).cancel()
-                    if rng.random() < 0.6:
-                        handles.append(
-                            simulator.schedule_in(
-                                rng.uniform(0.0, 5.0),
-                                tick(label + 1),
-                                priority=rng.choice([-1, 0, 1]),
-                            )
-                        )
-                return callback
+    def test_pending_events_excludes_cancelled_tombstones(self):
+        """Cancelled events stay physically queued as tombstones, but
+        ``pending_events`` must count only live events — and double-cancel
+        must not double-subtract."""
+        observed = []
+        for simulator in (ReferenceSimulator(), Simulator()):
+            fired = []
+            handles = [
+                simulator.schedule_at(float(i), lambda i=i: fired.append(i))
+                for i in range(10)
+            ]
+            simulator.call_in(20.0, lambda: fired.append("tail"))
+            counts = [simulator.pending_events]
+            for handle in handles[3:7]:
+                handle.cancel()
+                handle.cancel()  # idempotent: accounting touched once
+            counts.append(simulator.pending_events)
+            simulator.run()
+            counts.append(simulator.pending_events)
+            observed.append((fired, counts, simulator.events_processed))
+        assert observed[1] == observed[0]
+        assert observed[1] == ([0, 1, 2, 7, 8, 9, "tail"], [11, 7, 0], 7)
 
-            for label in range(30):
-                handles.append(
-                    simulator.schedule_at(
-                        rng.uniform(0.0, 10.0) if rng.random() < 0.9 else 1.25,
-                        tick(label * 1000),
-                        priority=rng.choice([-1, 0, 2]),
-                    )
-                )
-
-        heap_log = fire_log(Simulator(event_queue="heap"), script)
-        calendar_log = fire_log(Simulator(event_queue="calendar"), script)
-        assert calendar_log == heap_log
-        assert heap_log  # the workload actually fired something
-
-    @pytest.mark.parametrize("event_queue", ["heap", "calendar"])
-    def test_pending_events_excludes_cancelled_tombstones(self, event_queue):
-        """Regression (the ISSUE's bookkeeping audit): cancelled events stay
-        physically queued as tombstones, but ``pending_events`` must count
-        only live events — and double-cancel must not double-subtract."""
-        simulator = Simulator(event_queue=event_queue)
-        fired = []
-        handles = [
-            simulator.schedule_at(float(i), lambda i=i: fired.append(i))
-            for i in range(10)
-        ]
-        simulator.call_in(20.0, lambda: fired.append("tail"))
-        assert simulator.pending_events == 11
-        for handle in handles[3:7]:
-            handle.cancel()
-            handle.cancel()  # idempotent: accounting touched once
-        assert simulator.pending_events == 7
-        simulator.run()
-        assert fired == [0, 1, 2, 7, 8, 9, "tail"]
-        assert simulator.pending_events == 0
-        assert simulator.events_processed == 7
-
-    @pytest.mark.parametrize("event_queue", ["heap", "calendar"])
-    def test_pending_events_during_partial_run(self, event_queue):
+    def test_pending_events_during_partial_run(self):
         """The `until` push-back keeps the leftover entry counted exactly once."""
-        simulator = Simulator(event_queue=event_queue)
+        simulator = Simulator()
         for i in range(6):
             simulator.call_in(float(i), lambda: None)
         simulator.run(until=2.5)
@@ -261,11 +357,8 @@ class TestEngineEquivalence:
         simulator.run()
         assert simulator.pending_events == 0
 
-    def test_step_and_run_agree_across_queues(self):
-        logs = []
-        for event_queue in ("heap", "calendar"):
-            simulator = Simulator(event_queue=event_queue)
-            log = []
+    def test_step_and_run_agree_with_heap(self):
+        def script(simulator, log):
             rng = random.Random(5)
             for i in range(50):
                 simulator.schedule_at(
@@ -273,94 +366,84 @@ class TestEngineEquivalence:
                     lambda i=i: log.append(i),
                     priority=rng.choice([-1, 0, 1]),
                 )
+
+        logs = []
+        for simulator in (ReferenceSimulator(), Simulator()):
+            log = []
+            script(simulator, log)
             while simulator.step():
                 pass
             logs.append(log)
-        assert logs[0] == logs[1]
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            Simulator(event_queue="splay")
+        assert logs[1] == logs[0] == fire_log(Simulator(), script)
 
 
 # -- trial level -----------------------------------------------------------------
 
 
-def smoke_scenario(*, faulted=False):
-    scenario = EvaluationScale.smoke().scenario
-    if faulted:
-        scenario = scenario.with_faults(fault_preset("churn-partition", scenario))
-    return scenario
+class HeapQueue:
+    """:class:`CalendarQueue`'s interface over one plain ``heapq`` list.
+
+    :meth:`Simulator.run` pops straight from the queue's ``_active`` heap
+    and calls ``_advance`` only once that heap is empty; here ``_active`` is
+    the whole queue, so ``_advance`` has nothing left to expose.
+    """
+
+    def __init__(self):
+        self._active = []
+
+    def push(self, entry):
+        heapq.heappush(self._active, entry)
+
+    def pop(self):
+        return heapq.heappop(self._active) if self._active else None
+
+    def _advance(self):
+        return None
+
+    def __len__(self):
+        return len(self._active)
 
 
-def run_matrix_point(scenario, protocol, *, event_queue, fast_paths):
-    network = build_network(
-        scenario,
-        protocol_factory(protocol),
-        fast_paths=fast_paths,
-        tuning=EngineTuning(event_queue=event_queue),
-    )
+def smoke_trial(protocol, preset):
+    scenario = EvaluationScale.smoke().scenario.with_pause_time(0.0)
+    if preset is not None:
+        scenario = scenario.with_faults(fault_preset(preset, scenario))
+    network = build_network(scenario, protocol_factory(protocol))
     summary = network.run()
-    return summary, network.simulator.events_processed
+    return network, (summary.to_dict(), network.simulator.events_processed)
 
 
-class TestTrialBitIdentity:
-    """The acceptance matrix: queue flag x FastPaths x faults, all protocols."""
+class TestTrialAgainstHeapReference:
+    @pytest.mark.parametrize(
+        "preset",
+        [None, "churn-partition", "blackout-burst"],
+        ids=["clean", "churn-partition", "blackout-burst"],
+    )
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_trial_matches_heap_driven_trial(self, monkeypatch, protocol, preset):
+        """A whole trial pops the same entries off the calendar queue as off
+        a binary heap, so nothing it measures can differ."""
+        calendar_network, calendar_run = smoke_trial(protocol, preset)
+        assert isinstance(calendar_network.simulator._calendar, CalendarQueue)
+        monkeypatch.setattr(engine, "CalendarQueue", HeapQueue)
+        heap_network, heap_run = smoke_trial(protocol, preset)
+        assert isinstance(heap_network.simulator._calendar, HeapQueue)
+        assert heap_run == calendar_run
+        assert heap_run[1] > 1000
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
-    def test_queue_and_fast_paths_matrix(self, protocol, faulted):
-        scenario = smoke_scenario(faulted=faulted)
-        results = {
-            (event_queue, flags_on): run_matrix_point(
-                scenario,
-                protocol,
-                event_queue=event_queue,
-                fast_paths=FastPaths() if flags_on else FastPaths.none(),
-            )
-            for event_queue in ("heap", "calendar")
-            for flags_on in (True, False)
-        }
-        reference = results[("heap", True)]
-        for point, result in results.items():
-            assert result == reference, (
-                f"{protocol} ({'faulted' if faulted else 'clean'}) diverged at "
-                f"queue={point[0]}, fast_paths={'on' if point[1] else 'off'}"
-            )
 
+class TestTrialEventBudget:
     def test_mac_backoff_stays_event_driven(self):
         """An absolute budget on the MAC's event cost: smoke OLSR runs at 6.2
         events per transmitted frame under the freeze/resume backoff (8.7 at
         paper-tier).  A backoff that re-senses a busy medium on a timer blows
         straight through the ceiling — the retired polling loop cost 28 here
         and 74 at paper-tier."""
-        network = build_network(smoke_scenario(), protocol_factory("OLSR"))
+        network = build_network(
+            EvaluationScale.smoke().scenario, protocol_factory("OLSR")
+        )
         network.run()
         frames = sum(
             node.mac.stats.transmitted_frames for node in network.nodes.values()
         )
         assert network.simulator.events_processed < 12 * frames
-
-
-class TestEngineTuning:
-    def test_defaults(self):
-        tuning = EngineTuning()
-        assert tuning.event_queue == "calendar"
-
-    def test_rejects_unknown_values(self):
-        with pytest.raises(ValueError, match="event queue"):
-            EngineTuning(event_queue="splay")
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        tuning = EngineTuning.from_env()
-        assert tuning.event_queue == "heap"
-
-    def test_from_env_defaults_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert EngineTuning.from_env() == EngineTuning()
-
-    def test_build_network_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        network = build_network(smoke_scenario(), protocol_factory("SRP"))
-        assert network.simulator.event_queue == "heap"

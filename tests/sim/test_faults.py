@@ -7,8 +7,8 @@ PR 6's sim-side contract, in three parts:
   content key) it had before the chaos layer existed, and produces the same
   trials.
 * **Exactness under faults**: a *faulted* trial is still a pure function of
-  its scenario — bit-identical across FastPaths on/off (the same contract
-  ``test_fast_paths.py`` enforces for clean trials) and across repeated runs.
+  its scenario — bit-identical across repeated runs, and to the faulted
+  golden captures ``test_runtime_seam.py`` holds every protocol to.
 * **Physics**: crashed nodes stop transmitting and receiving, blackouts
   silence the channel, partitions split the terrain, and the resilience
   counters (during/post-fault delivery, route-recovery time, heal burst)
@@ -26,10 +26,7 @@ from repro.sim.faults import (
     fault_preset,
 )
 from repro.sim.network import build_network, run_trial
-from repro.sim.tuning import FastPaths
 from repro.workloads.scenario import Scenario, scaled_scenario
-
-PROTOCOLS = ("SRP", "LDR", "AODV", "DSR", "OLSR")
 
 
 def smoke_scenario(pause_time: float = 0.0) -> Scenario:
@@ -110,21 +107,6 @@ class TestOffPath:
 
 
 class TestExactnessUnderFaults:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_fast_paths_off_vs_on_bit_identical(self, protocol):
-        """The clean-trial exactness contract extends to faulted trials."""
-        scenario = churned(smoke_scenario())
-        off = build_network(
-            scenario, protocol_factory(protocol), fast_paths=FastPaths.none()
-        )
-        summary_off = off.run()
-        on = build_network(
-            scenario, protocol_factory(protocol), fast_paths=FastPaths()
-        )
-        summary_on = on.run()
-        assert summary_off == summary_on
-        assert off.simulator.events_processed == on.simulator.events_processed
-
     def test_faulted_trial_is_deterministic(self):
         scenario = churned(smoke_scenario())
         first = run_trial(scenario, protocol_factory("AODV"))

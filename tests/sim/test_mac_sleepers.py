@@ -25,7 +25,6 @@ from repro.sim.engine import Event
 from repro.sim.faults import FaultSpec, fault_preset
 from repro.sim.mac import Mac, _Backoff
 from repro.sim.network import build_network
-from repro.sim.tuning import EngineTuning
 from repro.workloads.scenario import scaled_scenario
 
 #: (scenario seed, protocol): broadcast floods (OLSR) and unicast retry
@@ -49,14 +48,7 @@ def small_scenario(seed):
 
 
 def build(scenario, protocol, *, static):
-    # The heap queue keeps pending entries in plain lists the trial-end
-    # check can walk; trials are bit-identical under either queue.
-    return build_network(
-        scenario,
-        protocol_factory(protocol),
-        static_positions=static,
-        tuning=EngineTuning(event_queue="heap"),
-    )
+    return build_network(scenario, protocol_factory(protocol), static_positions=static)
 
 
 class SleeperWatch:
@@ -102,7 +94,9 @@ class SleeperWatch:
 
 
 def pending_callbacks(simulator):
-    for entry in simulator._queue:
+    # Every entry still queued, wherever the calendar holds it (active
+    # bucket, later buckets or the far-future ladder).
+    for entry in simulator._calendar._drain():
         payload = entry[3]
         callback = payload.callback if isinstance(payload, Event) else payload
         if callback is not None:

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.protocols import protocol_factory
-from repro.sim.network import run_trial
+from repro.protocols import PROTOCOLS, protocol_factory
+from repro.sim.faults import fault_preset
+from repro.sim.network import build_network, run_trial
 from repro.sim.spatial import SpatialGrid
 from repro.workloads.scenario import scaled_scenario
 
@@ -149,22 +150,46 @@ class TestSpatialGridAgainstBruteForce:
 
 
 class TestTrialEquivalence:
-    def test_spatial_index_trial_is_bit_identical_to_brute_force(self):
-        """A fixed-seed SRP trial must produce an identical TrialSummary with
-        the spatial index enabled and with the brute-force fallback."""
+    @pytest.mark.parametrize(
+        "preset", [None, "churn-partition"], ids=["clean", "churn-partition"]
+    )
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_trial_reception_sets_match_brute_force(self, protocol, preset):
+        """Every reception set the channel computes from its grid during a
+        fixed-seed trial equals a full scan of every node's exact position,
+        in node order — for each protocol's traffic pattern, and with nodes
+        crashing and the terrain partitioned."""
         scenario = scaled_scenario(
             node_count=14,
             flow_count=3,
-            duration=10.0,
+            duration=20.0,
             terrain_width=800.0,
             terrain_height=300.0,
             seed=97,
         )
-        with_index = run_trial(scenario, protocol_factory("SRP"))
-        without_index = run_trial(
-            scenario, protocol_factory("SRP"), use_spatial_index=False
-        )
-        assert with_index == without_index
+        if preset is not None:
+            scenario = scenario.with_faults(fault_preset(preset, scenario))
+        network = build_network(scenario, protocol_factory(protocol))
+        channel = network.channel
+        neighbors_of = channel.neighbors_of
+        checked = []
+
+        def checked_neighbors_of(node_id):
+            got = neighbors_of(node_id)
+            positions = {
+                other: node.position() for other, node in network.nodes.items()
+            }
+            expected = brute_force_within(
+                positions, positions[node_id], scenario.phy.reception_range
+            )
+            expected.discard(node_id)
+            assert got == sorted(expected)
+            checked.append(node_id)
+            return got
+
+        channel.neighbors_of = checked_neighbors_of
+        network.run()
+        assert len(checked) > 100
 
     def test_repeat_runs_are_deterministic(self):
         scenario = scaled_scenario(
