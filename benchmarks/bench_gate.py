@@ -23,10 +23,13 @@ import sys
 import time
 
 from repro.experiments import (
+    PAPER_PROTOCOLS,
     EvaluationScale,
+    collect_sweep,
     evaluate_gate,
+    execute_jobs,
     paper_invariants,
-    run_evaluation,
+    plan_sweep,
 )
 
 
@@ -53,7 +56,10 @@ def main(argv=None) -> int:
 
     scale = getattr(EvaluationScale, args.scale)()
     start = time.perf_counter()
-    results = run_evaluation(scale, workers=args.jobs)
+    shape = dict(pause_times=scale.pause_times, trials=scale.trials)
+    jobs = plan_sweep(scale.scenario, PAPER_PROTOCOLS, **shape)
+    outcomes = execute_jobs(jobs, workers=args.jobs)
+    results = collect_sweep(outcomes, protocols=PAPER_PROTOCOLS, **shape)
     sweep_seconds = time.perf_counter() - start
     start = time.perf_counter()
     report = evaluate_gate(results, scale=scale.name)

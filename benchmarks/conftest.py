@@ -2,7 +2,8 @@
 
 Every table/figure benchmark derives its rows from one shared protocol x
 pause-time sweep, run once per benchmark session through the job pipeline
-(:func:`repro.experiments.run_evaluation`).  Two tiers are available:
+(``plan_sweep`` -> ``execute_jobs`` -> ``collect_sweep``).  Two tiers are
+available:
 
 * the default laptop-friendly ``BENCH_SCALE`` (structure of the paper's
   evaluation — five protocols, several pause times, shared per-trial
@@ -23,7 +24,13 @@ import os
 
 import pytest
 
-from repro.experiments import EvaluationScale, run_evaluation
+from repro.experiments import (
+    PAPER_PROTOCOLS,
+    EvaluationScale,
+    collect_sweep,
+    execute_jobs,
+    plan_sweep,
+)
 from repro.workloads.scenario import scaled_scenario
 
 #: The scale used by the benchmark harness; chosen so the whole suite runs in
@@ -77,4 +84,8 @@ def evaluation_scale(request) -> EvaluationScale:
 @pytest.fixture(scope="session")
 def evaluation_results(evaluation_scale):
     """The shared sweep behind Table I and Figures 3–7."""
-    return run_evaluation(evaluation_scale, workers=_sweep_workers())
+    scale = evaluation_scale
+    shape = dict(pause_times=scale.pause_times, trials=scale.trials)
+    jobs = plan_sweep(scale.scenario, PAPER_PROTOCOLS, **shape)
+    outcomes = execute_jobs(jobs, workers=_sweep_workers())
+    return collect_sweep(outcomes, protocols=PAPER_PROTOCOLS, **shape)

@@ -43,11 +43,14 @@ import time
 
 from repro.experiments import (
     EXPERIMENTS,
+    PAPER_PROTOCOLS,
     SCALE_NAMES,
     ResultsStore,
+    collect_sweep,
+    execute_jobs,
     figure_text,
+    plan_sweep,
     resolve_scale,
-    run_evaluation,
     table1_text,
 )
 
@@ -104,7 +107,7 @@ def main(argv=None) -> int:
             store.ensure_meta(
                 scale=scale.name,
                 scenario=scale.scenario,
-                protocols=EXPERIMENTS["table1"].protocols,
+                protocols=PAPER_PROTOCOLS,
                 pause_times=scale.pause_times,
                 trials=scale.trials,
             )
@@ -122,9 +125,10 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    results = run_evaluation(
-        scale, workers=args.jobs, store=store, progress=progress
-    )
+    shape = dict(pause_times=scale.pause_times, trials=scale.trials)
+    jobs = plan_sweep(scale.scenario, PAPER_PROTOCOLS, **shape)
+    outcomes = execute_jobs(jobs, workers=args.jobs, store=store, progress=progress)
+    results = collect_sweep(outcomes, protocols=PAPER_PROTOCOLS, **shape)
     elapsed = time.time() - started
     print(f"\nSweep finished in {elapsed:.1f} s.\n")
     if store is not None:

@@ -1,10 +1,13 @@
 """Experiment harness regenerating the paper's Table I and Figures 3–7.
 
-Organised as a job pipeline since PR 2: :mod:`~repro.experiments.jobs` plans a
-sweep as independent :class:`TrialJob` cells, :mod:`~repro.experiments.executor`
-runs them serially or over a process pool, :mod:`~repro.experiments.store`
-persists completed cells so interrupted sweeps resume, and
-``python -m repro.experiments`` drives it all from the command line.
+Organised as a job pipeline: :mod:`~repro.experiments.jobs` plans a sweep as
+independent :class:`TrialJob` cells, :mod:`~repro.experiments.executor` runs
+them through one claim → run → settle loop (in process, over a process pool,
+or — with :mod:`~repro.experiments.distributed`'s leases — across workers
+sharing a store), :mod:`~repro.experiments.runner` collects them into
+:class:`SweepResults`, :mod:`~repro.experiments.store` persists completed
+cells so interrupted sweeps resume, and ``python -m repro.experiments``
+drives it all from the command line.
 
 Since PR 3 the results are also *asserted*: :mod:`~repro.experiments.gate`
 holds the science gate — the paper's qualitative claims as declarative
@@ -25,7 +28,6 @@ from .distributed import (
 )
 from .executor import (
     ExecutionProgress,
-    ProcessPoolBackend,
     SerialBackend,
     SweepBackend,
     execute_jobs,
@@ -53,11 +55,10 @@ from .paper import (
     figure,
     figure_text,
     resolve_scale,
-    run_evaluation,
     table1,
     table1_text,
 )
-from .runner import SweepResults, collect_sweep, run_sweep
+from .runner import SweepResults, collect_sweep
 from .store import ResultsStore, TornCellWarning
 from .trajectory import (
     MergeReport,
@@ -86,7 +87,6 @@ __all__ = [
     "LayerCost",
     "MergeReport",
     "OrderingInvariant",
-    "ProcessPoolBackend",
     "ResultsStore",
     "SerialBackend",
     "SweepBackend",
@@ -107,9 +107,7 @@ __all__ = [
     "plan_sweep",
     "profile_trial",
     "resolve_scale",
-    "run_evaluation",
     "run_job",
-    "run_sweep",
     "sparkline",
     "store_status",
     "sweep_shape",

@@ -95,7 +95,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..protocols import PROTOCOLS
 from ..sim.faults import FAULT_PRESETS, fault_preset
@@ -112,7 +112,7 @@ from ..runtime.live import (
     run_soak,
 )
 from ..workloads.scenario import Scenario, ScenarioFieldError
-from .executor import ExecutionProgress, FaultPolicy, execute_jobs
+from .executor import ExecutionProgress, FaultPolicy, SweepBackend, execute_jobs
 from .gate import (
     GATE_REGISTRIES,
     LIVE_PROTOCOLS,
@@ -169,26 +169,37 @@ def _print_progress(event: ExecutionProgress) -> None:
     )
 
 
-def _pause_time(text: str) -> float:
-    """argparse type of a pause time: a non-negative number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 seconds, got {text}")
-    return value
+def _bounded(
+    convert: Callable[[str], float], floor: float, *, inclusive: bool = True
+) -> Callable[[str], float]:
+    """An argparse type: ``convert(text)``, refused below ``floor`` (and at
+    it unless ``inclusive``), so a bad number is a usage error before
+    anything is written."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not (value >= floor if inclusive else value > floor):
+            bound = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(f"must be {bound} {floor:g}, got {text}")
+        return value
+
+    return parse
+
+
+_count = _bounded(int, 1)  #: --jobs, --trials
+_retries = _bounded(int, 0)
+_seconds = _bounded(float, 0.0)  #: a pause time, a retry backoff
+_interval = _bounded(float, 0.0, inclusive=False)  #: timeouts, TTLs, polls
 
 
 def _policy_from_args(args: argparse.Namespace) -> FaultPolicy:
-    try:
-        return FaultPolicy(
-            timeout=args.trial_timeout,
-            retries=args.retries,
-            backoff=args.retry_backoff,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    return FaultPolicy(
+        timeout=args.trial_timeout, retries=args.retries, backoff=args.retry_backoff
+    )
 
 
 def _apply_faults(scale, preset: Optional[str]):
@@ -256,35 +267,14 @@ def _ensure_meta_or_exit(store: ResultsStore, scale, protocols) -> Optional[int]
     return None
 
 
-def _persist_results(
-    store: ResultsStore,
-    outcomes,
-    *,
-    pause_times: Sequence[float],
-    trials: int,
-    protocols: Sequence[str],
-) -> None:
-    """Assemble and write ``results.json`` (atomic; concurrent workers that
-    both observe completion write the same bytes, so the last rename wins
-    harmlessly)."""
-    results = collect_sweep(
-        outcomes, pause_times=pause_times, trials=trials, protocols=protocols
-    )
-    store.write_results(results)
-
-
 def _execute_and_collect(
-    store: ResultsStore,
-    jobs: List[TrialJob],
-    *,
-    pause_times: Sequence[float],
-    trials: int,
-    protocols: Sequence[str],
-    workers: int,
-    quiet: bool,
-    policy: Optional[FaultPolicy] = None,
+    store: ResultsStore, jobs: List[TrialJob], backend: SweepBackend, *, quiet: bool
 ) -> int:
+    """Run the store's pending cells, write ``results.json`` (atomic;
+    concurrent workers that both observe completion write the same bytes)
+    and report quarantined cells; the CLI exit code."""
     cached = len(jobs) - len(store.missing(jobs))
+    workers = backend.workers
     print(
         f"Executing {len(jobs)} trial jobs "
         f"({cached} already in store, {len(jobs) - cached} to run, "
@@ -293,14 +283,19 @@ def _execute_and_collect(
     started = time.monotonic()
     outcomes = execute_jobs(
         jobs,
-        workers=workers,
         store=store,
+        backend=backend,
         progress=None if quiet else _print_progress,
-        policy=policy,
     )
     elapsed = time.monotonic() - started
-    _persist_results(
-        store, outcomes, pause_times=pause_times, trials=trials, protocols=protocols
+    meta = store.require_meta()
+    store.write_results(
+        collect_sweep(
+            outcomes,
+            pause_times=meta["pause_times"],
+            trials=meta["trials"],
+            protocols=meta["protocols"],
+        )
     )
     print(
         f"Sweep complete in {elapsed:.1f} s: {len(outcomes)} cells in "
@@ -329,16 +324,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"x {scale.trials} trials = {len(jobs)} simulations{faulted} "
         f"-> {store.root}"
     )
-    return _execute_and_collect(
-        store,
-        jobs,
-        pause_times=scale.pause_times,
-        trials=scale.trials,
-        protocols=protocols,
-        workers=args.jobs,
-        quiet=args.quiet,
-        policy=_policy_from_args(args),
-    )
+    backend = SweepBackend(args.jobs, policy=_policy_from_args(args))
+    return _execute_and_collect(store, jobs, backend, quiet=args.quiet)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -353,16 +340,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         f"Resuming sweep '{meta['scale']}' from {store.root}: "
         f"{len(jobs) - len(store.missing(jobs))}/{len(jobs)} cells already done."
     )
-    return _execute_and_collect(
-        store,
-        jobs,
-        pause_times=meta["pause_times"],
-        trials=meta["trials"],
-        protocols=meta["protocols"],
-        workers=args.jobs,
-        quiet=args.quiet,
-        policy=_policy_from_args(args),
-    )
+    backend = SweepBackend(args.jobs, policy=_policy_from_args(args))
+    return _execute_and_collect(store, jobs, backend, quiet=args.quiet)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -418,33 +397,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         f"{len(jobs) - len(store.missing(jobs))}/{len(jobs)} cells already done "
         f"(lease ttl {args.lease_ttl:g}s)."
     )
-    started = time.monotonic()
-    outcomes = execute_jobs(
-        jobs,
-        store=store,
-        backend=backend,
-        progress=None if args.quiet else _print_progress,
-    )
-    elapsed = time.monotonic() - started
-    # Joining an already-complete store skips run_pending (and with it the
-    # per-cycle lease housekeeping) entirely; reap abandoned leases here so
-    # a finished sweep never shows stale claims in `status` forever.
-    backend.reap_abandoned(store)
-    _persist_results(
-        store,
-        outcomes,
-        pause_times=meta["pause_times"],
-        trials=meta["trials"],
-        protocols=meta["protocols"],
-    )
-    stolen = len(jobs) - len(backend.ran_keys)
+    code = _execute_and_collect(store, jobs, backend, quiet=args.quiet)
+    ran = len(backend.ran_keys)
     print(
-        f"Worker {worker_id} done in {elapsed:.1f} s: ran "
-        f"{len(backend.ran_keys)} of {len(jobs)} cells itself "
-        f"({stolen} cached or completed by other workers); sweep complete in "
-        f"{store.root} (results.json written)."
+        f"Worker {worker_id} ran {ran} of {len(jobs)} cells itself "
+        f"({len(jobs) - ran} cached or completed by other workers)."
     )
-    return _report_quarantined(store, jobs)
+    return code
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -783,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_count,
             default=1,
             metavar="N",
             help="worker processes (1 = serial in-process; default: 1)",
@@ -795,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_policy_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--trial-timeout",
-            type=float,
+            type=_interval,
             default=None,
             metavar="S",
             help="wall-clock watchdog per trial: a cell exceeding it counts "
@@ -803,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--retries",
-            type=int,
+            type=_retries,
             default=1,
             metavar="N",
             help="re-attempts per failing trial before it is quarantined "
@@ -811,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--retry-backoff",
-            type=float,
+            type=_seconds,
             default=0.5,
             metavar="S",
             help="base delay before retry k is backoff * 2**(k-1) seconds "
@@ -838,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="how large a sweep to run (default: smoke)",
     )
     run.add_argument(
-        "--trials", type=int, default=None, help="override trials per pause time"
+        "--trials", type=_count, default=None, help="override trials per pause time"
     )
     run.add_argument(
         "--protocols",
@@ -882,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_interval,
         default=DEFAULT_LEASE_TTL,
         metavar="S",
         help="seconds without a heartbeat before a lease counts as abandoned "
@@ -890,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--poll-interval",
-        type=float,
+        type=_interval,
         default=1.0,
         metavar="S",
         help="seconds between store rescans when every remaining cell is "
@@ -898,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         metavar="N",
         help="local worker processes: claimed cells are fanned over a "
@@ -913,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workers are safe); omit to join an existing store",
     )
     worker.add_argument(
-        "--trials", type=int, default=None, help="override trials per pause time"
+        "--trials", type=_count, default=None, help="override trials per pause time"
     )
     worker.add_argument(
         "--protocols",
@@ -937,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_arg(status, required=True)
     status.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_interval,
         default=DEFAULT_LEASE_TTL,
         metavar="S",
         help="staleness threshold used to classify leases "
@@ -1153,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--pause",
-        type=_pause_time,
+        type=_seconds,
         default=None,
         metavar="S",
         help="mobility pause time (default: the scale's first pause time)",

@@ -1,11 +1,13 @@
-"""Work-stealing distributed sweep backend: many workers, one shared store.
+"""Leases for the sweep loop: many workers, one shared store.
 
 The job pipeline's contract — every cell a pure function of a picklable
 :class:`~repro.experiments.jobs.TrialJob`, results keyed by content hash —
 is exactly what a multi-host work queue needs, and the filesystem the store
 already lives on is the only coordination channel required.
-:class:`DistributedBackend` turns any number of ``worker`` processes sharing
-one store directory (NFS mount, pod volume, plain local dir) into one sweep:
+:class:`DistributedBackend` is the executor's one claim → run → settle loop
+with lease steps plugged in; it turns any number of ``worker`` processes
+sharing one store directory (NFS mount, pod volume, plain local dir) into
+one sweep:
 
 * a worker *claims* a cell by atomically publishing
   ``claims/<key>.lease`` (temp write + ``link(2)``, which fails on an
@@ -36,18 +38,10 @@ import re
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..sim.stats import TrialSummary
-from .executor import (
-    RUN_HOOK_ENV,
-    CompletionReporter,
-    FaultPolicy,
-    SweepBackend,
-    resolve_run_hook,
-    run_job_guarded,
-)
+from .executor import CompletionReporter, FaultPolicy, SweepBackend
 from .jobs import TrialJob
 from .store import FailureRecord, ResultsStore
 
@@ -93,29 +87,17 @@ def default_worker_id() -> str:
     return f"{host}-{os.getpid()}"
 
 
-def _guarded_pool_run(
-    job: TrialJob,
-    policy: FaultPolicy,
-    run: Optional[Callable[[TrialJob], TrialSummary]],
-    run_spec: Optional[str],
-) -> Tuple[TrialJob, Optional[TrialSummary], Optional[FailureRecord]]:
-    """Pool-worker wrapper for the hybrid loop: run guarded, tag the outcome
-    (module-level so it pickles; mirrors the executor's ``_pool_run_job``)."""
-    if run is None:
-        run = resolve_run_hook(run_spec)
-    summary, failure = run_job_guarded(job, policy=policy, run=run)
-    return job, summary, failure
-
-
 class DistributedBackend(SweepBackend):
-    """Run jobs cooperatively with other workers against one shared store.
+    """The sweep loop with leases: cooperate with other workers on one store.
 
-    Each scan cycle re-reads the store (other workers complete cells at any
-    time), loads finished cells, and tries to claim one unclaimed missing
-    cell to run.  When every remaining cell is leased to a live worker, the
-    backend sleeps ``poll_interval`` and rescans; it returns only once it
-    holds a summary for *every* job it was given, so ``execute_jobs`` keeps
-    its contract regardless of which worker ran what.
+    Each pass of the loop re-reads the store (other workers complete cells
+    at any time), adopts finished cells, and claims unclaimed missing cells
+    to run — in process, or with ``jobs > 1`` over a local process pool, so
+    one host contributes N cores with a single lease-polling worker.  When
+    every remaining cell is leased to a live worker, the loop sleeps
+    ``poll_interval`` and rescans; it returns only once it holds an outcome
+    for *every* job it was given, so ``execute_jobs`` keeps its contract
+    regardless of which worker ran what.
     """
 
     def __init__(
@@ -137,32 +119,43 @@ class DistributedBackend(SweepBackend):
             # sleep(0) would turn the wait-for-others loop into a busy spin
             # hammering the shared directory.
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        super().__init__(jobs, policy=policy, run=run)
         self.worker_id = validate_worker_id(worker_id or default_worker_id())
         self.lease_ttl = lease_ttl
         self.poll_interval = poll_interval
-        #: Hybrid worker pool: with jobs > 1 this worker fans the cells it
-        #: claims over a local ProcessPoolExecutor, so one beefy host
-        #: contributes N cores to the fleet without N lease-polling
-        #: processes (the claim/heartbeat/release bookkeeping stays in this
-        #: process; ``run`` must then be picklable).
-        self.jobs = jobs
         self.heartbeat_interval = heartbeat_interval or max(lease_ttl / 4.0, 0.05)
         self.clock = clock
         self.sleep = sleep
-        #: Trial function override; ``None`` defers to the ``REPRO_RUN_HOOK``
-        #: resolution (captured below for the pooled path's workers).
-        self.run = run
-        self.policy = policy if policy is not None else FaultPolicy()
-        self._run_spec = os.environ.get(RUN_HOOK_ENV)
         self._claim_count = 0
         #: wall-clock start of the current run_pending pass; quarantine
         #: records at least this fresh (minus a lease TTL of slack) are
         #: adopted as settled instead of retried.
         self._started = 0.0
-        #: content keys of cells this worker ran itself (provenance record).
-        self.ran_keys: List[str] = []
+        #: ``len(ran_keys)`` when the provenance record was last written.
+        self._recorded = 0
+        #: key -> (stop event, thread) of each lease this worker holds.
+        self._heartbeats: Dict[str, Tuple[threading.Event, threading.Thread]] = {}
+
+    def run_pending(
+        self,
+        jobs: Sequence[TrialJob],
+        *,
+        store: Optional[ResultsStore],
+        report: CompletionReporter,
+    ) -> Dict[TrialJob, TrialSummary]:
+        if store is None:
+            raise ValueError(
+                "DistributedBackend coordinates through the store; "
+                "execute_jobs(..., store=...) is required"
+            )
+        self._started = self.clock()
+        # Each worker scans from a different starting point so concurrent
+        # workers mostly claim different cells instead of racing every lease.
+        order = list(jobs)
+        if order:
+            offset = hash(self.worker_id) % len(order)
+            order = order[offset:] + order[:offset]
+        return super().run_pending(order, store=store, report=report)
 
     # -- claiming ----------------------------------------------------------------------
 
@@ -170,7 +163,7 @@ class DistributedBackend(SweepBackend):
         self._claim_count += 1
         return f"{self.worker_id}:{self._claim_count}"
 
-    def _acquire(self, store: ResultsStore, job: TrialJob) -> bool:
+    def _claim(self, store: ResultsStore, job: TrialJob) -> bool:
         """Try to become the unique owner of ``job``'s cell.
 
         Atomic lease publish first; failing that, a stale lease (its worker missed
@@ -219,29 +212,10 @@ class DistributedBackend(SweepBackend):
         heartbeat.start()
         return stop, heartbeat
 
-    def _run_leased(
-        self, store: ResultsStore, job: TrialJob
-    ) -> Tuple[Optional[TrialSummary], Optional[FailureRecord]]:
-        """Run the claimed job guarded, under a heartbeat so the lease stays
-        live for however long the simulation (and any retries) takes."""
-        stop, heartbeat = self._start_heartbeat(store, job.content_key)
-        try:
-            return run_job_guarded(
-                job,
-                policy=self.policy,
-                run=self.run if self.run is not None else resolve_run_hook(),
-                worker=self.worker_id,
-                sleep=self.sleep,
-                clock=self.clock,
-            )
-        finally:
-            stop.set()
-            heartbeat.join()
-
     def _adopt_failure(
-        self, store: ResultsStore, job: TrialJob, report: CompletionReporter
-    ) -> bool:
-        """Adopt another worker's *fresh* quarantine of this cell as settled.
+        self, store: ResultsStore, job: TrialJob
+    ) -> Optional[FailureRecord]:
+        """Another worker's *fresh* quarantine of this cell, to adopt as settled.
 
         A record written within this pass (with a lease TTL of clock slack)
         means a peer just exhausted the fault policy on the cell — re-running
@@ -252,35 +226,13 @@ class DistributedBackend(SweepBackend):
         """
         record = store.get_failure(job.content_key)
         if record is None or record.recorded_at < self._started - self.lease_ttl:
-            return False
-        report(job, cached=False, worker=self.worker_id, failed=True)
-        return True
-
-    def _adopt_or_acquire(self, store, job):
-        """One cell's claim step, shared by the serial and pooled loops.
-
-        Returns ``("cached", summary)`` when the cell is already on disk
-        (adopted, no lease held), ``("acquired", None)`` when this worker
-        now holds the cell's lease and must run it (the
-        completed-in-the-window case was re-checked *under* the lease —
-        safe because every runner publishes its cell before releasing),
-        or ``None`` when the cell is leased to someone else.
-        """
-        summary = store.get(job)
-        if summary is not None:
-            return ("cached", summary)
-        if not self._acquire(store, job):
             return None
-        summary = store.get(job)
-        if summary is not None:
-            store.release_claim(job.content_key, self.worker_id)
-            return ("cached", summary)
-        return ("acquired", None)
+        return record
 
     def reap_abandoned(self, store: ResultsStore) -> int:
         """Housekeeping: remove every lease whose owner's heartbeat lapsed.
 
-        Covers leases the steal loop itself never revisits — above all a
+        Covers leases the claim step itself never revisits — above all a
         worker that died *between* writing its cell and releasing the lease,
         whose completed cell other workers adopt straight from the store
         cache skim — plus graveyard litter from reapers that died mid-reap.
@@ -297,213 +249,51 @@ class DistributedBackend(SweepBackend):
         store.reap_graveyard(ttl=self.lease_ttl, now=now)
         return reaped
 
-    # -- the steal loop ----------------------------------------------------------------
+    # -- the lease steps the sweep loop calls ------------------------------------------
 
-    def run_pending(
-        self,
-        jobs: Sequence[TrialJob],
-        *,
-        store: Optional[ResultsStore],
-        report: CompletionReporter,
-    ) -> Dict[TrialJob, TrialSummary]:
-        if store is None:
-            raise ValueError(
-                "DistributedBackend coordinates through the store; "
-                "execute_jobs(..., store=...) is required"
-            )
-        self._started = self.clock()
-        if self.jobs > 1:
-            return self._run_pending_pooled(jobs, store=store, report=report)
-        outcomes: Dict[TrialJob, TrialSummary] = {}
-        remaining: Dict[str, TrialJob] = {job.content_key: job for job in jobs}
-        # Each worker scans from a different starting point so concurrent
-        # workers mostly claim different cells instead of racing every lease.
-        order = list(remaining)
-        if order:
-            offset = hash(self.worker_id) % len(order)
-            order = order[offset:] + order[:offset]
+    def _housekeep(self, store: ResultsStore) -> None:
+        if len(self.ran_keys) > self._recorded:
+            # Provenance for `status`, refreshed once per pass — per cell it
+            # would rewrite a growing list (O(n^2) bytes) onto the shared
+            # filesystem for a purely cosmetic record.
+            store.record_worker_cells(self.worker_id, self.ran_keys, now=self.clock())
+            self._recorded = len(self.ran_keys)
+        store.invalidate_key_cache()
+        # Tidy abandoned leases — including ones for cells that are already
+        # complete (their dead owner never released), which the claim step
+        # would otherwise never look at again.
+        self.reap_abandoned(store)
 
-        while remaining:
-            progressed = False
-            ran_before = len(self.ran_keys)
-            store.invalidate_key_cache()
-            # Tidy abandoned leases first — including ones for cells that
-            # are already complete (their dead owner never released), which
-            # the claim loop below would otherwise never look at again.
-            self.reap_abandoned(store)
-            for key in order:
-                job = remaining.get(key)
-                if job is None:
-                    continue
-                if self._adopt_failure(store, job, report):
-                    del remaining[key]
-                    progressed = True
-                    continue
-                takeover = self._adopt_or_acquire(store, job)
-                if takeover is None:
-                    continue
-                state, summary = takeover
-                if state == "acquired":
-                    try:
-                        summary, failure = self._run_leased(store, job)
-                        # Publish before releasing: other workers re-check
-                        # under a freshly-acquired lease and trust that a
-                        # released cell is settled on disk.  A quarantined
-                        # cell is settled too — its failure record lands
-                        # before the lease goes, so the release never
-                        # re-opens the cell to the fleet unrecorded.
-                        if summary is not None:
-                            store.put(job, summary)
-                        elif failure is not None:
-                            store.put_failure(failure)
-                    finally:
-                        store.release_claim(key, self.worker_id)
-                    if summary is None:
-                        del remaining[key]
-                        report(job, cached=False, worker=self.worker_id, failed=True)
-                        progressed = True
-                        continue
-                    self.ran_keys.append(key)
-                outcomes[job] = summary
-                del remaining[key]
-                report(job, cached=state == "cached", worker=self.worker_id)
-                progressed = True
-            if len(self.ran_keys) > ran_before:
-                # Provenance for `status`, refreshed once per steal cycle —
-                # per cell it would rewrite a growing list (O(n^2) bytes)
-                # onto the shared filesystem for a purely cosmetic record.
-                store.record_worker_cells(
-                    self.worker_id, self.ran_keys, now=self.clock()
-                )
-            if remaining and not progressed:
-                # Everything left is leased to someone alive; wait for cells
-                # to land (or for a lease to go stale) and rescan.
-                self.sleep(self.poll_interval)
-        return outcomes
+    def _adopt(
+        self, store: ResultsStore, job: TrialJob
+    ) -> Optional[Union[TrialSummary, FailureRecord]]:
+        failure = self._adopt_failure(store, job)
+        return failure if failure is not None else store.get(job)
 
-    def _run_pending_pooled(
-        self,
-        jobs: Sequence[TrialJob],
-        *,
-        store: ResultsStore,
-        report: CompletionReporter,
-    ) -> Dict[TrialJob, TrialSummary]:
-        """The steal loop with claimed cells fanned over a local process pool.
+    def _acquire(self, store: ResultsStore, job: TrialJob) -> bool:
+        if not self._claim(store, job):
+            return False
+        if store.get(job) is not None:
+            # Completed in the window between the loop's store read and the
+            # claim (safe to trust: every runner publishes before releasing);
+            # the next pass adopts it.
+            store.release_claim(job.content_key, self.worker_id)
+            return False
+        self._heartbeats[job.content_key] = self._start_heartbeat(
+            store, job.content_key
+        )
+        return True
 
-        Same protocol as the serial loop — claim via lease, heartbeat while
-        running, write-through, release — except that up to ``self.jobs``
-        claimed cells run concurrently in worker processes while this
-        process keeps all the lease bookkeeping (one heartbeat thread per
-        in-flight cell).  Equivalence is inherited: cells remain pure
-        functions of their jobs, so the store converges byte-identical to a
-        serial worker's.
-        """
-        outcomes: Dict[TrialJob, TrialSummary] = {}
-        remaining: Dict[str, TrialJob] = {job.content_key: job for job in jobs}
-        order = list(remaining)
-        if order:
-            offset = hash(self.worker_id) % len(order)
-            order = order[offset:] + order[:offset]
-        #: future -> (key, job, heartbeat stop event, heartbeat thread)
-        in_flight: Dict[
-            Any, Tuple[str, TrialJob, threading.Event, threading.Thread]
-        ] = {}
+    def _release(self, store: ResultsStore, key: str) -> None:
+        stop, heartbeat = self._heartbeats.pop(key)
+        stop.set()
+        heartbeat.join()
+        store.release_claim(key, self.worker_id)
 
-        def settle(future: Any) -> None:
-            key, job, stop, heartbeat = in_flight.pop(future)
-            stop.set()
-            heartbeat.join()
-            try:
-                _, summary, failure = future.result()
-                # Publish before releasing, exactly like the serial loop:
-                # other workers re-check under a freshly-acquired lease and
-                # trust that a released cell is settled on disk — completed
-                # or quarantined, never silently re-opened.
-                if summary is not None:
-                    store.put(job, summary)
-                elif failure is not None:
-                    store.put_failure(failure)
-            finally:
-                store.release_claim(key, self.worker_id)
-            remaining.pop(key, None)
-            if summary is None:
-                report(job, cached=False, worker=self.worker_id, failed=True)
-                return
-            self.ran_keys.append(key)
-            outcomes[job] = summary
-            report(job, cached=False, worker=self.worker_id)
-
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            try:
-                while remaining or in_flight:
-                    progressed = False
-                    ran_before = len(self.ran_keys)
-                    store.invalidate_key_cache()
-                    self.reap_abandoned(store)
-                    busy_keys = {entry[0] for entry in in_flight.values()}
-                    for key in order:
-                        job = remaining.get(key)
-                        if job is None or key in busy_keys:
-                            continue
-                        if self._adopt_failure(store, job, report):
-                            del remaining[key]
-                            progressed = True
-                            continue
-                        if len(in_flight) >= self.jobs:
-                            # Pool full: only adopt cells already on disk.
-                            summary = store.get(job)
-                            if summary is None:
-                                continue
-                            takeover = ("cached", summary)
-                        else:
-                            takeover = self._adopt_or_acquire(store, job)
-                            if takeover is None:
-                                continue
-                        state, summary = takeover
-                        if state == "acquired":
-                            stop, heartbeat = self._start_heartbeat(store, key)
-                            future = pool.submit(
-                                _guarded_pool_run,
-                                job,
-                                self.policy,
-                                self.run,
-                                self._run_spec,
-                            )
-                            in_flight[future] = (key, job, stop, heartbeat)
-                            busy_keys.add(key)
-                            progressed = True
-                            continue
-                        outcomes[job] = summary
-                        del remaining[key]
-                        report(job, cached=True, worker=self.worker_id)
-                        progressed = True
-                    if in_flight:
-                        done, _ = wait(
-                            set(in_flight),
-                            timeout=self.poll_interval,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for future in done:
-                            settle(future)
-                            progressed = True
-                    if len(self.ran_keys) > ran_before:
-                        store.record_worker_cells(
-                            self.worker_id, self.ran_keys, now=self.clock()
-                        )
-                    if remaining and not in_flight and not progressed:
-                        # Everything left is leased to other live workers.
-                        self.sleep(self.poll_interval)
-            finally:
-                # A failed cell must not leave its sibling leases dangling
-                # until the TTL: stop heartbeats and release everything this
-                # worker still holds.
-                for future, (key, _job, stop, heartbeat) in list(in_flight.items()):
-                    stop.set()
-                    heartbeat.join()
-                    future.cancel()
-                    store.release_claim(key, self.worker_id)
-                    del in_flight[future]
-        return outcomes
+    def _wait_for_peers(self) -> None:
+        # Everything left is leased to someone alive; wait for cells to land
+        # (or for a lease to go stale) and rescan.
+        self.sleep(self.poll_interval)
 
 
 def store_status(

@@ -1,22 +1,21 @@
-"""Pluggable execution backends for trial jobs, with progress and caching.
+"""The one claim → run → settle loop every sweep runs through.
 
 Every :class:`~repro.experiments.jobs.TrialJob` is a pure function of its own
-fields, so an executor is free to run jobs in any order and on any worker:
-the result map is keyed by job, and the assembled
-:class:`~repro.experiments.runner.SweepResults` is bit-identical whichever
-backend ran it.  :func:`execute_jobs` is the single entry point; the *how* is
-a :class:`SweepBackend` strategy:
+fields, so a sweep is free to run jobs in any order and on any worker: the
+result map is keyed by job, and the assembled
+:class:`~repro.experiments.runner.SweepResults` is bit-identical however it
+ran.  :func:`execute_jobs` is the single entry point and
+:class:`SweepBackend` the single loop:
 
-* :class:`SerialBackend` runs jobs in order in the calling process (the
-  legacy ``run_sweep`` behaviour; ``workers <= 1``);
-* :class:`ProcessPoolBackend` fans jobs out over a ``ProcessPoolExecutor``
-  with bounded workers, collecting results as they complete
-  (``workers > 1``);
+* at ``workers=1`` each cell runs in the calling process
+  (:class:`SerialBackend` is that case by name);
+* at ``workers > 1`` cells run in a bounded process pool and settle as they
+  complete;
 * :class:`~repro.experiments.distributed.DistributedBackend` (own module)
-  work-steals cells from a shared store via lease files, so N processes on N
-  hosts cooperate on one sweep.
+  adds leases to the same loop, so N processes on N hosts work-steal cells
+  from one shared store.
 
-An optional :class:`~repro.experiments.store.ResultsStore` makes any backend
+An optional :class:`~repro.experiments.store.ResultsStore` makes a run
 persistent and resumable: completed cells are loaded instead of re-run, and
 every fresh result is written to disk the moment it arrives, so an
 interrupted sweep loses at most the cells in flight.
@@ -26,11 +25,11 @@ each trial with a wall-clock watchdog and retries transient errors with
 exponential backoff; a cell that still cannot complete is *quarantined* — a
 structured :class:`~repro.experiments.store.FailureRecord` is persisted to
 the store's ``failures/`` directory and the sweep continues with the other
-cells.  :class:`ProcessPoolBackend` extends the same guarantee to worker
-*processes*: a pool broken by a killed or crashed worker is rebuilt once
-(the crash may be unrelated to any one cell), and if it breaks again the
-surviving jobs run isolated in single-worker pools so exactly the poisonous
-cell is quarantined while every other cell completes.
+cells.  The pool extends the same guarantee to worker *processes*: a pool
+broken by a killed or crashed worker is rebuilt once (the crash may be
+unrelated to any one cell), and if it breaks again the remaining cells run
+one at a time in a one-worker pool so exactly the poisonous cell is
+quarantined while every other cell completes — with or without leases.
 
 Progress is reported as structured :class:`ExecutionProgress` events
 (completed/total, cache hit or fresh run or quarantined failure, wall-clock
@@ -46,11 +45,10 @@ import os
 import threading
 import time
 import traceback
-from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..protocols import protocol_factory
 from ..sim.network import run_trial
@@ -61,7 +59,6 @@ from .store import FailureRecord, ResultsStore
 __all__ = [
     "ExecutionProgress",
     "FaultPolicy",
-    "ProcessPoolBackend",
     "RUN_HOOK_ENV",
     "SerialBackend",
     "SweepBackend",
@@ -266,46 +263,119 @@ def run_job_guarded(
     return None, failure
 
 
-def _pool_run_job(
-    job: TrialJob,
-    policy: Optional[FaultPolicy] = None,
-    run_spec: Optional[str] = None,
-) -> Tuple[TrialJob, Optional[TrialSummary], Optional[FailureRecord]]:
-    """Worker wrapper: run guarded, return the job with its outcome.
+#: One settled cell: ``(job, summary, None)`` or ``(job, None, failure)``.
+Settled = Tuple[TrialJob, Optional[TrialSummary], Optional[FailureRecord]]
 
-    Futures complete out of submission order, so each result carries its own
-    identity; and a raising trial comes back as a *tagged failure record*,
-    never as an exception through the future — one bad cell must not abort
-    the pool's whole ``run_pending`` pass.
+
+class _InProcessRunner:
+    """Runs each cell the moment it is submitted, in the calling process, so
+    ``run`` may be any callable (a lambda, a traced wrapper)."""
+
+    def __init__(self, guard: Dict[str, object]) -> None:
+        self.guard = guard
+        self.done: List[Settled] = []
+
+    @property
+    def full(self) -> bool:
+        return bool(self.done)
+
+    def submit(self, job: TrialJob) -> None:
+        self.done.append((job, *run_job_guarded(job, **self.guard)))
+
+    def collect(self, timeout: Optional[float]) -> List[Settled]:
+        done, self.done = self.done, []
+        return done
+
+    def close(self) -> None:
+        pass
+
+
+class _PoolRunner:
+    """Runs cells in a bounded process pool, settling them as they finish.
+
+    Trial-level faults come back from the worker as failure records.  A
+    worker *process* dying (SIGKILL, interpreter abort) breaks the whole pool
+    and hides which cell killed it, so the runner climbs a ladder: rebuild
+    the pool once and re-run the cells it lost (they are pure; a transient
+    crash costs only repeated work); if that pool breaks too, run one cell at
+    a time in a one-worker pool, so the cell whose worker dies is settled as
+    ``WorkerCrashed`` while every other cell completes.
     """
-    policy = policy if policy is not None else FaultPolicy()
-    summary, failure = run_job_guarded(
-        job, policy=policy, run=resolve_run_hook(run_spec)
-    )
-    return job, summary, failure
 
+    def __init__(self, workers: int, guard: Dict[str, object]) -> None:
+        self.workers = workers
+        self.guard = guard
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.futures: Dict[Future, TrialJob] = {}
+        self.lost: List[TrialJob] = []  #: cells of a broken pool, to re-run
+        self.breaks = 0
 
-def _settle_outcome(
-    job: TrialJob,
-    summary: Optional[TrialSummary],
-    failure: Optional[FailureRecord],
-    outcomes: Dict[TrialJob, TrialSummary],
-    *,
-    store: Optional[ResultsStore],
-    report: CompletionReporter,
-    worker: Optional[str] = None,
-) -> None:
-    """Persist and report one finished job: a completed cell into the store
-    and the outcome map, a failed one into quarantine."""
-    if summary is not None:
-        if store is not None:
-            store.put(job, summary)
-        outcomes[job] = summary
-        report(job, cached=False, worker=worker)
-        return
-    if store is not None and failure is not None:
-        store.put_failure(failure)
-    report(job, cached=False, worker=worker, failed=True)
+    @property
+    def _capacity(self) -> int:
+        return 1 if self.breaks > 1 else self.workers
+
+    @property
+    def full(self) -> bool:
+        return len(self.futures) + len(self.lost) >= self._capacity
+
+    def submit(self, job: TrialJob) -> None:
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self._capacity)
+        self.futures[self.pool.submit(run_job_guarded, job, **self.guard)] = job
+
+    def collect(self, timeout: Optional[float]) -> List[Settled]:
+        """Cells that finished, waiting up to ``timeout`` seconds for the
+        first one (``None``: until one does; nothing in flight: none)."""
+        while self.lost and len(self.futures) < self._capacity:
+            self.submit(self.lost.pop(0))
+        if not self.futures:
+            return []
+        done, _ = wait(self.futures, timeout=timeout, return_when=FIRST_COMPLETED)
+        settled: List[Settled] = []
+        crashed: List[TrialJob] = []
+
+        def reap(future: Future) -> None:
+            job = self.futures.pop(future)
+            try:
+                settled.append((job, *future.result()))
+            except BrokenProcessPool:
+                crashed.append(job)
+
+        for future in done:
+            reap(future)
+        if crashed:
+            # The pool is dead; once it is shut down every other future of
+            # it has either a result (it finished first) or the same break.
+            self.pool.shutdown(wait=True)
+            self.pool = None
+            for future in list(self.futures):
+                reap(future)
+            if self.breaks > 1:  # alone in its pool: this cell killed it
+                settled.extend(
+                    (job, None, self._worker_crashed(job)) for job in crashed
+                )
+            else:
+                self.breaks += 1
+                self.lost.extend(crashed)
+        return settled
+
+    def _worker_crashed(self, job: TrialJob) -> FailureRecord:
+        return FailureRecord(
+            key=job.content_key,
+            error="WorkerCrashed",
+            message=(
+                "worker process died (killed or crashed) while "
+                f"running {job.cell_label}"
+            ),
+            attempts=1,
+            cell=job.cell_dict(),
+            worker=self.guard["worker"],
+            recorded_at=time.time(),
+        )
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _ProgressTracker:
@@ -356,26 +426,49 @@ class _ProgressTracker:
         )
 
 
-class SweepBackend(ABC):
-    """Strategy for running the pending (not-yet-stored) jobs of a sweep.
+class SweepBackend:
+    """Runs the pending (not-yet-stored) jobs of a sweep through the one
+    claim → run → settle loop.
 
     :func:`execute_jobs` handles the store cache skim and progress
-    accounting; a backend only decides *how* the remaining jobs run.  The
-    contract every implementation must keep: settle **every** job it was
-    given — completing it (running it, or — for cooperative backends —
-    loading a cell some other process completed) or quarantining it with a
-    persisted failure record — persist fresh results to ``store`` as they
-    arrive, and call ``report(job, cached=..., worker=..., failed=...)``
-    exactly once per job.  Quarantined jobs are absent from the returned
-    map; their failure records live in the store.
+    accounting; the loop settles **every** job it is given — completing it
+    (running it, or adopting a cell a peer completed) or quarantining it with
+    a persisted failure record — persists fresh results to ``store`` as they
+    arrive, and calls ``report(job, cached=..., worker=..., failed=...)``
+    exactly once per job.  Quarantined jobs are absent from the returned map.
+
+    ``workers=1`` runs each cell in the calling process, so ``run`` may be
+    any callable; ``workers > 1`` runs cells in a process pool (``run`` must
+    then pickle: a module-level function).  ``run=None`` resolves
+    ``$REPRO_RUN_HOOK``, else :func:`run_job`.
+
+    The loop calls five lease steps — ``_housekeep``, ``_adopt``,
+    ``_acquire``, ``_release`` and ``_wait_for_peers``.  A local run holds no
+    leases, so here they do nothing;
+    :class:`~repro.experiments.distributed.DistributedBackend` implements
+    them over the store's lease files.
     """
 
     #: The identity this backend reports in progress events; ``None`` for
-    #: anonymous local backends, the worker id for distributed ones (also
-    #: stamped onto the cache-skim events ``execute_jobs`` itself emits).
+    #: local runs, the worker id for distributed ones (also stamped onto the
+    #: cache-skim events ``execute_jobs`` itself emits).
     worker_id: Optional[str] = None
 
-    @abstractmethod
+    def __init__(
+        self,
+        workers: int = 1,
+        *,
+        policy: Optional[FaultPolicy] = None,
+        run: Optional[Callable[[TrialJob], TrialSummary]] = None,
+    ) -> None:
+        if workers < 1:
+            raise ValueError(f"worker processes (jobs) must be >= 1, got {workers}")
+        self.workers = workers
+        self.policy = policy if policy is not None else FaultPolicy()
+        self.run = run
+        #: content keys of the cells this backend ran itself, in order.
+        self.ran_keys: List[str] = []
+
     def run_pending(
         self,
         jobs: Sequence[TrialJob],
@@ -384,10 +477,104 @@ class SweepBackend(ABC):
         report: CompletionReporter,
     ) -> Dict[TrialJob, TrialSummary]:
         """Settle every job; ``{job: summary}`` for the completed ones."""
+        outcomes: Dict[TrialJob, TrialSummary] = {}
+        unclaimed: Dict[str, TrialJob] = {job.content_key: job for job in jobs}
+        running: Set[str] = set()
+        guard: Dict[str, object] = {
+            "policy": self.policy,
+            "run": self.run if self.run is not None else resolve_run_hook(),
+            "worker": self.worker_id,
+        }
+        runner = (
+            _InProcessRunner(guard)
+            if self.workers == 1
+            else _PoolRunner(min(self.workers, len(jobs)) or 1, guard)
+        )
+
+        def finish(job: TrialJob, summary: Optional[TrialSummary], ran: bool) -> None:
+            if summary is not None:
+                outcomes[job] = summary
+                if ran:
+                    self.ran_keys.append(job.content_key)
+            report(
+                job,
+                cached=summary is not None and not ran,
+                worker=self.worker_id,
+                failed=summary is None,
+            )
+
+        def settle(settled: List[Settled]) -> None:
+            for job, summary, failure in settled:
+                # Publish before releasing: a peer that acquires the lease
+                # next re-checks the store and trusts a released cell to be
+                # settled on disk, completed or quarantined.
+                try:
+                    if store is not None:
+                        if summary is not None:
+                            store.put(job, summary)
+                        else:
+                            store.put_failure(failure)
+                finally:
+                    running.discard(job.content_key)
+                    self._release(store, job.content_key)
+                finish(job, summary, ran=True)
+
+        try:
+            while True:
+                self._housekeep(store)
+                if not unclaimed and not running:
+                    return outcomes
+                unclaimed_before = len(unclaimed)
+                for key, job in list(unclaimed.items()):
+                    peer = self._adopt(store, job)
+                    if peer is not None:
+                        del unclaimed[key]
+                        summary = peer if isinstance(peer, TrialSummary) else None
+                        finish(job, summary, ran=False)
+                        continue
+                    while runner.full:
+                        settle(runner.collect(None))
+                    if not self._acquire(store, job):
+                        continue
+                    del unclaimed[key]
+                    running.add(key)
+                    runner.submit(job)
+                    settle(runner.collect(0))
+                settle(runner.collect(None))
+                if unclaimed and not running and len(unclaimed) == unclaimed_before:
+                    self._wait_for_peers()
+        finally:
+            try:
+                runner.close()
+            finally:
+                for key in running:
+                    self._release(store, key)
+
+    # -- lease steps: a local run holds no leases -----------------------------------
+
+    def _housekeep(self, store: Optional[ResultsStore]) -> None:
+        """Lease upkeep, before each pass over the unclaimed cells and once
+        after the last cell settles."""
+
+    def _adopt(
+        self, store: Optional[ResultsStore], job: TrialJob
+    ) -> Optional[Union[TrialSummary, FailureRecord]]:
+        """A peer's settled outcome for ``job``, or ``None`` if it is open."""
+        return None
+
+    def _acquire(self, store: Optional[ResultsStore], job: TrialJob) -> bool:
+        """Become the one worker to run ``job`` (``False``: a peer has it)."""
+        return True
+
+    def _release(self, store: Optional[ResultsStore], key: str) -> None:
+        """Give up the cell acquired for ``key`` (after publishing it)."""
+
+    def _wait_for_peers(self) -> None:
+        """Nothing could be done this pass: every open cell is a peer's."""
 
 
 class SerialBackend(SweepBackend):
-    """Run jobs one after another in the calling process."""
+    """The loop at one worker: cells run in order in the calling process."""
 
     def __init__(
         self,
@@ -395,146 +582,7 @@ class SerialBackend(SweepBackend):
         policy: Optional[FaultPolicy] = None,
         run: Optional[Callable[[TrialJob], TrialSummary]] = None,
     ) -> None:
-        self.policy = policy if policy is not None else FaultPolicy()
-        self.run = run
-
-    def run_pending(
-        self,
-        jobs: Sequence[TrialJob],
-        *,
-        store: Optional[ResultsStore],
-        report: CompletionReporter,
-    ) -> Dict[TrialJob, TrialSummary]:
-        outcomes: Dict[TrialJob, TrialSummary] = {}
-        run = self.run if self.run is not None else resolve_run_hook()
-        for job in jobs:
-            summary, failure = run_job_guarded(job, policy=self.policy, run=run)
-            _settle_outcome(
-                job, summary, failure, outcomes, store=store, report=report
-            )
-        return outcomes
-
-
-class ProcessPoolBackend(SweepBackend):
-    """Fan jobs out over a bounded ``ProcessPoolExecutor``.
-
-    Trial-level faults (exceptions, watchdog hangs) are handled inside each
-    worker by :func:`run_job_guarded` and come back as tagged failure
-    records.  Worker-*process* death (SIGKILL, interpreter abort,
-    ``MemoryError`` escalated by the OS) breaks the whole pool — every
-    outstanding future raises ``BrokenProcessPool`` and the culprit cell is
-    unknowable.  The recovery ladder: rebuild the pool once and re-run the
-    unsettled jobs (pure functions; a transient crash costs only repeated
-    work), and if the rebuilt pool breaks too, run each remaining job in its
-    own single-worker pool, so the job whose worker dies is quarantined as
-    ``WorkerCrashed`` while every other cell completes.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        policy: Optional[FaultPolicy] = None,
-        run_spec: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.policy = policy if policy is not None else FaultPolicy()
-        # Captured at construction so the hook survives into pool workers
-        # even under a spawn start method (no env inheritance assumptions).
-        self.run_spec = (
-            run_spec if run_spec is not None else os.environ.get(RUN_HOOK_ENV)
-        )
-
-    def run_pending(
-        self,
-        jobs: Sequence[TrialJob],
-        *,
-        store: Optional[ResultsStore],
-        report: CompletionReporter,
-    ) -> Dict[TrialJob, TrialSummary]:
-        outcomes: Dict[TrialJob, TrialSummary] = {}
-        pending: Dict[str, TrialJob] = {job.content_key: job for job in jobs}
-
-        def settle(
-            job: TrialJob,
-            summary: Optional[TrialSummary],
-            failure: Optional[FailureRecord],
-        ) -> None:
-            pending.pop(job.content_key, None)
-            _settle_outcome(
-                job, summary, failure, outcomes, store=store, report=report
-            )
-
-        rebuilt = False
-        while pending:
-            try:
-                self._drain_pool(list(pending.values()), settle)
-                break
-            except BrokenProcessPool:
-                if rebuilt:
-                    # Two dead pools: stop amortising, isolate the culprit.
-                    self._run_isolated(list(pending.values()), settle)
-                    break
-                rebuilt = True
-        return outcomes
-
-    def _drain_pool(
-        self,
-        jobs: Sequence[TrialJob],
-        settle: Callable[
-            [TrialJob, Optional[TrialSummary], Optional[FailureRecord]], None
-        ],
-    ) -> None:
-        """One shared pool over ``jobs``, settling results as they land.
-
-        Raises ``BrokenProcessPool`` when a worker process dies; jobs whose
-        results were not settled before the crash stay pending (a done
-        future skipped by the raise merely re-runs its pure job later).
-        """
-        max_workers = min(self.workers, len(jobs)) or 1
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_pool_run_job, job, self.policy, self.run_spec): job
-                for job in jobs
-            }
-            while futures:
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = futures.pop(future)
-                    _, summary, failure = future.result()
-                    settle(job, summary, failure)
-
-    def _run_isolated(
-        self,
-        jobs: Sequence[TrialJob],
-        settle: Callable[
-            [TrialJob, Optional[TrialSummary], Optional[FailureRecord]], None
-        ],
-    ) -> None:
-        """Last-resort pass: each job in its own single-worker pool, so a
-        worker death is attributable to exactly one cell."""
-        for job in jobs:
-            try:
-                with ProcessPoolExecutor(max_workers=1) as pool:
-                    _, summary, failure = pool.submit(
-                        _pool_run_job, job, self.policy, self.run_spec
-                    ).result()
-            except BrokenProcessPool:
-                summary = None
-                failure = FailureRecord(
-                    key=job.content_key,
-                    error="WorkerCrashed",
-                    message=(
-                        "worker process died (killed or crashed) while "
-                        f"running {job.cell_label}"
-                    ),
-                    attempts=1,
-                    cell=job.cell_dict(),
-                    recorded_at=time.time(),
-                )
-            settle(job, summary, failure)
+        super().__init__(1, policy=policy, run=run)
 
 
 def execute_jobs(
@@ -550,23 +598,17 @@ def execute_jobs(
 
     With a ``store``, cells already on disk are loaded (reported as
     ``cached=True`` progress events) and fresh results are persisted as they
-    complete.  ``backend`` picks the execution strategy explicitly; when
-    omitted, ``workers`` selects :class:`SerialBackend` (``<= 1``) or
-    :class:`ProcessPoolBackend`, both built with ``policy`` (watchdog /
+    complete.  ``backend`` picks the backend explicitly; when omitted, it is
+    a :class:`SweepBackend` of ``workers`` built with ``policy`` (watchdog /
     retries / quarantine; default: fail fast with no watchdog).  Cells that
     exhaust the policy are quarantined — persisted as failure records,
     reported as ``failed=True`` events, absent from the returned map — and
     the rest of the sweep completes.  Results are independent of the backend
     and of completion order: at fixed seeds the returned map is
-    bit-identical across the serial path, the pool path, distributed
-    workers and the legacy monolithic loop.
+    bit-identical in process, in a pool and across distributed workers.
     """
     if backend is None:
-        backend = (
-            SerialBackend(policy=policy)
-            if workers <= 1
-            else ProcessPoolBackend(workers, policy=policy)
-        )
+        backend = SweepBackend(workers, policy=policy)
     tracker = _ProgressTracker(len(jobs), progress)
     outcomes: Dict[TrialJob, TrialSummary] = {}
 
@@ -579,8 +621,7 @@ def execute_jobs(
         else:
             pending.append(job)
 
-    if pending:
-        outcomes.update(
-            backend.run_pending(pending, store=store, report=tracker.record)
-        )
+    # Called even with nothing pending: a distributed worker's lease
+    # housekeeping runs at the end of every sweep it joins.
+    outcomes.update(backend.run_pending(pending, store=store, report=tracker.record))
     return outcomes

@@ -113,14 +113,13 @@ def plan_sweep(
     pause_times: Sequence[float],
     trials: int = 1,
 ) -> List[TrialJob]:
-    """The full job list of one sweep, in the legacy serial-loop order.
+    """The full job list of one sweep, pause by pause.
 
     Trial ``k`` at pause time ``p`` uses seed ``base_scenario.seed + k`` with
     ``p`` folded into the scenario, so all protocols in that cell share
     mobility and traffic exactly, as in the paper.  The emitted order (pause,
-    then trial, then protocol) matches what the monolithic ``run_sweep`` loop
-    ran, so serial progress output reads the same — but nothing downstream
-    depends on it.
+    then trial, then protocol) is the order a one-worker run's progress lines
+    follow — but nothing downstream depends on it.
     """
     jobs: List[TrialJob] = []
     for pause_time in pause_times:

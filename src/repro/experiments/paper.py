@@ -2,9 +2,10 @@
 
 Each experiment knows which metric it plots, which protocols appear in it and
 how to render its output; all of them share one protocol x pause-time x trial
-sweep, so regenerating the whole evaluation costs a single call to
-:func:`run_evaluation` (the per-figure benchmark targets each run a reduced
-sweep of their own).
+sweep (:func:`~repro.experiments.jobs.plan_sweep` ->
+:func:`~repro.experiments.executor.execute_jobs` ->
+:func:`~repro.experiments.runner.collect_sweep`), so regenerating the whole
+evaluation costs one sweep.
 
 Scale: the paper uses 100 nodes, 30 flows, 900 s, 8 pause times and 10 trials
 on GloMoSim.  ``EvaluationScale`` lets callers choose between the full
@@ -36,10 +37,7 @@ from ..workloads.scenario import (
     Scenario,
     scaled_scenario,
 )
-from .executor import ExecutionProgress, execute_jobs
-from .jobs import plan_sweep
-from .runner import SweepResults, collect_sweep
-from .store import ResultsStore
+from .runner import SweepResults
 
 __all__ = [
     "EvaluationScale",
@@ -49,7 +47,6 @@ __all__ = [
     "ExperimentDefinition",
     "SCALE_NAMES",
     "resolve_scale",
-    "run_evaluation",
     "table1",
     "figure",
 ]
@@ -216,38 +213,6 @@ def resolve_scale(
     if trials is not None:
         scale = EvaluationScale(scale.name, scale.scenario, scale.pause_times, trials)
     return scale
-
-
-def run_evaluation(
-    scale: Optional[EvaluationScale] = None,
-    *,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    workers: int = 1,
-    store: Optional[ResultsStore] = None,
-    progress: Optional[Callable[[ExecutionProgress], None]] = None,
-) -> SweepResults:
-    """Run the shared sweep every table/figure is derived from.
-
-    Thin wrapper over the job pipeline: ``workers`` selects the serial
-    (``<= 1``) or process-pool backend, ``store`` makes the run persistent and
-    resumable, and ``progress`` receives structured
-    :class:`~repro.experiments.executor.ExecutionProgress` events.  Results at
-    a fixed scale are bit-identical whatever the backend.
-    """
-    scale = scale or EvaluationScale.benchmark()
-    jobs = plan_sweep(
-        scale.scenario,
-        protocols,
-        pause_times=scale.pause_times,
-        trials=scale.trials,
-    )
-    outcomes = execute_jobs(jobs, workers=workers, store=store, progress=progress)
-    return collect_sweep(
-        outcomes,
-        pause_times=scale.pause_times,
-        trials=scale.trials,
-        protocols=protocols,
-    )
 
 
 def table1(results: SweepResults) -> Dict[str, Dict[str, ConfidenceInterval]]:

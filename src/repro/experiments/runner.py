@@ -9,8 +9,6 @@ explicit job pipeline — :func:`~repro.experiments.jobs.plan_sweep` emits one
 process pool, optionally persisted in a
 :class:`~repro.experiments.store.ResultsStore`), and :func:`collect_sweep`
 assembles the :class:`SweepResults` container the figure/table code consumes.
-:func:`run_sweep` survives as a thin compatibility wrapper over that pipeline
-with the original signature and serial semantics.
 
 ``SweepResults`` round-trips through JSON (:meth:`SweepResults.to_json` /
 :meth:`SweepResults.from_json`) so a finished sweep can be archived as one
@@ -21,17 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.collectors import extract_metric
 from ..sim.stats import TrialSummary
-from ..workloads.scenario import Scenario
-from .jobs import TrialJob, plan_sweep
+from .jobs import TrialJob
 
-__all__ = ["SweepResults", "collect_sweep", "run_sweep"]
-
-#: Legacy progress signature: (protocol, pause_time, trial), called per cell.
-ProgressCallback = Callable[[str, float, int], None]
+__all__ = ["SweepResults", "collect_sweep"]
 
 RESULTS_FORMAT_VERSION = 1
 
@@ -155,34 +149,3 @@ def collect_sweep(
         results.add(job.protocol, job.pause_time, job.trial, summary)
     return results
 
-
-def run_sweep(
-    base_scenario: Scenario,
-    protocols: Sequence[str],
-    *,
-    pause_times: Sequence[float],
-    trials: int = 1,
-    progress: Optional[ProgressCallback] = None,
-) -> SweepResults:
-    """Run every protocol over every (pause time, trial) combination.
-
-    Compatibility wrapper over the job pipeline: plans the sweep, executes it
-    serially in-process and collects the results — bit-identical to both the
-    pre-pipeline monolithic loop and the parallel executor at fixed seeds.
-    The ``progress`` callback keeps the legacy per-cell
-    ``(protocol, pause_time, trial)`` signature.
-    """
-    from .executor import run_job
-
-    jobs = plan_sweep(
-        base_scenario, protocols, pause_times=pause_times, trials=trials
-    )
-    outcomes: Dict[TrialJob, TrialSummary] = {}
-    for job in jobs:
-        # The legacy callback fires *before* each cell runs, as it always did.
-        if progress is not None:
-            progress(job.protocol, job.pause_time, job.trial)
-        outcomes[job] = run_job(job)
-    return collect_sweep(
-        outcomes, pause_times=pause_times, trials=trials, protocols=protocols
-    )

@@ -15,10 +15,9 @@ import pytest
 from repro.experiments.__main__ import main
 from repro.experiments.executor import (
     FaultPolicy,
-    ProcessPoolBackend,
     SerialBackend,
+    SweepBackend,
     TrialHang,
-    _pool_run_job,
     execute_jobs,
     resolve_run_hook,
     run_job,
@@ -133,14 +132,20 @@ class TestRunJobGuarded:
             )
 
 
-class TestPoolWrapperTagsErrors:
-    def test_pool_run_job_returns_failure_not_exception(self, monkeypatch):
+class TestPoolQuarantinesErrors:
+    def test_raising_cell_in_a_pool_is_quarantined_not_raised(
+        self, tmp_path, monkeypatch
+    ):
         """One bad cell must never abort a pool's whole run_pending pass."""
         monkeypatch.setenv("REPRO_CHAOS_CRASH", "SRP:0:0")
-        job, summary, failure = _pool_run_job(
-            tiny_jobs(("SRP",))[0], FaultPolicy(), f"{HOOKS}:chaos_cell"
+        store = ResultsStore(tmp_path)
+        outcomes = execute_jobs(
+            tiny_jobs(),
+            store=store,
+            backend=SweepBackend(2, run=resolve_run_hook(f"{HOOKS}:chaos_cell")),
         )
-        assert summary is None
+        assert sorted(j.protocol for j in outcomes) == ["AODV"]
+        (failure,) = store.failure_records().values()
         assert failure.error == "RuntimeError"
         assert "injected crash" in failure.message
 
@@ -232,8 +237,8 @@ class TestProcessPoolChaos:
         outcomes = execute_jobs(
             jobs,
             store=store,
-            backend=ProcessPoolBackend(
-                2, run_spec=f"{HOOKS}:kill_worker_once"
+            backend=SweepBackend(
+                2, run=resolve_run_hook(f"{HOOKS}:kill_worker_once")
             ),
         )
         # The SIGKILL broke the first pool; the rebuilt pool (tombstone set)
@@ -250,7 +255,7 @@ class TestProcessPoolChaos:
         outcomes = execute_jobs(
             jobs,
             store=store,
-            backend=ProcessPoolBackend(2, run_spec=f"{HOOKS}:chaos_cell"),
+            backend=SweepBackend(2, run=resolve_run_hook(f"{HOOKS}:chaos_cell")),
         )
         assert sorted(j.protocol for j in outcomes) == ["SRP"]
         records = store.failure_records()
@@ -327,6 +332,45 @@ class TestDistributedQuarantine:
         assert len(outcomes) == 1
         # Success cleared the stale quarantine.
         assert store.failure_keys() == []
+
+    def test_pool_worker_killed_once_completes_every_cell(
+        self, tmp_path, monkeypatch
+    ):
+        state = tmp_path / "state"
+        state.mkdir()
+        monkeypatch.setenv("REPRO_CHAOS_STATE", str(state))
+        monkeypatch.setenv("REPRO_CHAOS_KILL", "AODV:0:0")
+        store = ResultsStore(tmp_path / "store")
+        jobs = tiny_jobs()
+        backend = DistributedBackend(
+            "w1",
+            jobs=2,
+            poll_interval=0.01,
+            run=resolve_run_hook(f"{HOOKS}:kill_worker_once"),
+        )
+        outcomes = execute_jobs(jobs, store=store, backend=backend)
+        # The SIGKILL broke the pool under live leases; the rebuilt pool
+        # completed every cell and every lease was released.
+        assert (state / "killed-AODV_0_0").exists()
+        assert len(outcomes) == len(jobs)
+        assert store.failure_keys() == []
+        assert store.claims() == {}
+
+    def test_pool_worker_killed_always_quarantines_that_cell_and_exits_4(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RUN_HOOK", f"{HOOKS}:chaos_cell")
+        monkeypatch.setenv("REPRO_CHAOS_KILL", "AODV:0:0")
+        out = tmp_path / "store"
+        argv = ["worker", "--store", str(out), "--scale", "smoke", "--quiet"]
+        argv += ["--protocols", "SRP", "AODV", "--jobs", "2", "--worker-id", "w1"]
+        assert main(argv) == 4
+        store = ResultsStore(out)
+        (record,) = store.failure_records().values()
+        assert record.error == "WorkerCrashed"
+        assert record.cell == {"protocol": "AODV", "pause_time": 0.0, "trial": 0}
+        assert len(store.completed_keys()) == len(store.planned_jobs()) - 1
+        assert store.claims() == {}  # the convicted cell's lease was released
 
 
 class TestCliChaos:

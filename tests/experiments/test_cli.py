@@ -144,10 +144,10 @@ class TestWorkerAndStatus:
         fresh = tmp_path / "fresh"
         code = main(
             ["worker", "--store", str(fresh), "--scale", "smoke",
-             "--lease-ttl", "0"]
+             "--worker-id", "a/b"]
         )
         assert code == 2
-        assert "lease_ttl" in capsys.readouterr().err
+        assert "filesystem-safe" in capsys.readouterr().err
         assert not fresh.exists()
 
     def test_worker_scale_conflict_exits_3(self, worker_store, capsys):
@@ -368,6 +368,10 @@ class TestRetiredPhyField:
         assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before
 
 
+#: A worker that would initialise a fresh store ``d``.
+FRESH_WORKER = ["worker", "--store", "d", "--scale", "smoke"]
+
+
 class TestMistypedInputFailsClosed:
     """A mistyped protocol name or a negative pause time is a usage error at
     parse time: exit 2, one ``error:`` line naming the bad value, and nothing
@@ -388,8 +392,45 @@ class TestMistypedInputFailsClosed:
             (["live", "--protocols", "Bogus", "--out", "d"], "'Bogus'"),
             (["profile", "--protocol", "Bogus", "--json", "p.json"], "'Bogus'"),
             (["profile", "--pause", "-5", "--json", "p.json"], "-5"),
+            (["run", "--jobs", "0"], "got 0"),
+            (["run", "--jobs", "-3", "--out", "d"], "got -3"),
+            (["run", "--trials", "0"], "got 0"),
+            (["run", "--trials", "-2", "--out", "d"], "got -2"),
+            (["run", "--retries", "-1"], "got -1"),
+            (["run", "--trial-timeout", "0"], "got 0"),
+            (["run", "--retry-backoff", "-0.5"], "got -0.5"),
+            (["resume", "--out", "d", "--jobs", "0"], "got 0"),
+            (["resume", "--out", "d", "--trial-timeout", "-1"], "got -1"),
+            ([*FRESH_WORKER, "--jobs", "0"], "got 0"),
+            ([*FRESH_WORKER, "--trials", "0"], "got 0"),
+            ([*FRESH_WORKER, "--retries", "-1"], "got -1"),
+            ([*FRESH_WORKER, "--lease-ttl", "0"], "got 0"),
+            ([*FRESH_WORKER, "--poll-interval", "0"], "got 0"),
+            (["status", "--out", "d", "--lease-ttl", "-5"], "got -5"),
         ],
-        ids=["run-default-out", "run", "worker", "live", "profile", "profile-pause"],
+        ids=[
+            "run-default-out",
+            "run",
+            "worker",
+            "live",
+            "profile",
+            "profile-pause",
+            "run-jobs-0",
+            "run-jobs-negative",
+            "run-trials-0",
+            "run-trials-negative",
+            "run-retries-negative",
+            "run-trial-timeout-0",
+            "run-retry-backoff-negative",
+            "resume-jobs-0",
+            "resume-trial-timeout-negative",
+            "worker-jobs-0",
+            "worker-trials-0",
+            "worker-retries-negative",
+            "worker-lease-ttl-0",
+            "worker-poll-interval-0",
+            "status-lease-ttl-negative",
+        ],
     )
     def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, bad):
         monkeypatch.chdir(tmp_path)

@@ -1,18 +1,22 @@
-"""Executor equivalence: every backend must produce bit-identical sweeps.
+"""Executor equivalence: the one sweep loop must produce bit-identical sweeps.
 
 The job pipeline's core guarantee is that a sweep's outcome is a pure function
-of its planned jobs — so the legacy monolithic ``run_sweep`` loop, the serial
-executor and the process-pool executor must agree exactly at fixed seeds, and
-progress events must account for every job exactly once.
+of its planned jobs — so the loop in process or in a pool, with or without
+leases, must agree exactly at fixed seeds, and progress events must account
+for every job exactly once.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.experiments import (
+    DistributedBackend,
+    ResultsStore,
+    SweepBackend,
     collect_sweep,
     execute_jobs,
     plan_sweep,
-    run_sweep,
     sweep_shape,
 )
 from repro.workloads.scenario import scaled_scenario
@@ -41,20 +45,46 @@ def jobs(scenario):
 
 
 @pytest.fixture(scope="module")
-def serial_results(jobs):
-    outcomes = execute_jobs(jobs, workers=1)
+def serial_outcomes(jobs):
+    return execute_jobs(jobs, workers=1)
+
+
+@pytest.fixture(scope="module")
+def serial_results(serial_outcomes):
     return collect_sweep(
-        outcomes, pause_times=PAUSE_TIMES, trials=TRIALS, protocols=PROTOCOLS
+        serial_outcomes, pause_times=PAUSE_TIMES, trials=TRIALS, protocols=PROTOCOLS
     )
 
 
-class TestBackendEquivalence:
-    def test_legacy_run_sweep_matches_serial_executor(self, scenario, serial_results):
-        legacy = run_sweep(
-            scenario, PROTOCOLS, pause_times=PAUSE_TIMES, trials=TRIALS
-        )
-        assert legacy.summaries == serial_results.summaries
+class TestOneLoop:
+    """workers in {1, 2} x {no leases, one lease-holding worker}: each is the
+    same loop, so each returns the serial outcome map and reports every job
+    exactly once."""
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("leased", [False, True], ids=["local", "leased"])
+    def test_matches_serial_with_one_event_per_job(
+        self, tmp_path, jobs, serial_outcomes, workers, leased
+    ):
+        backend = (
+            DistributedBackend("w1", jobs=workers, poll_interval=0.01)
+            if leased
+            else SweepBackend(workers)
+        )
+        store = ResultsStore(tmp_path)
+        events = []
+        outcomes = execute_jobs(
+            jobs, store=store, backend=backend, progress=events.append
+        )
+        assert outcomes == serial_outcomes
+        assert Counter(e.job for e in events) == Counter(jobs)
+        assert [e.completed for e in events] == list(range(1, len(jobs) + 1))
+        assert not any(e.cached or e.failed for e in events)
+        assert sorted(backend.ran_keys) == sorted(j.content_key for j in jobs)
+        assert store.claims() == {}
+
+
+class TestBackendEquivalence:
     def test_process_pool_matches_serial_executor(self, jobs, serial_results):
         outcomes = execute_jobs(jobs, workers=2)
         pooled = collect_sweep(
@@ -90,21 +120,6 @@ class TestProgressEvents:
         events = []
         execute_jobs(jobs[:2], workers=1, progress=events.append)
         assert events[-1].eta == 0.0
-
-
-class TestLegacyProgressCallback:
-    def test_run_sweep_announces_cells_in_plan_order(self, scenario, jobs):
-        seen = []
-        run_sweep(
-            scenario,
-            PROTOCOLS,
-            pause_times=PAUSE_TIMES,
-            trials=TRIALS,
-            progress=lambda protocol, pause, trial: seen.append(
-                (protocol, pause, trial)
-            ),
-        )
-        assert seen == [job.cell for job in jobs]
 
 
 class TestSweepShape:

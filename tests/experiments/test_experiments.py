@@ -7,10 +7,11 @@ from repro.experiments import (
     PAPER_PROTOCOLS,
     SEQUENCE_NUMBER_PROTOCOLS,
     EvaluationScale,
+    collect_sweep,
+    execute_jobs,
     figure,
     figure_text,
-    run_evaluation,
-    run_sweep,
+    plan_sweep,
     table1,
     table1_text,
 )
@@ -27,11 +28,10 @@ def tiny_results():
         terrain_width=800,
         terrain_height=300,
     )
-    return run_sweep(
-        scenario,
-        ["SRP", "AODV", "LDR"],
-        pause_times=(0.0, 15.0),
-        trials=1,
+    protocols, pause_times = ["SRP", "AODV", "LDR"], (0.0, 15.0)
+    jobs = plan_sweep(scenario, protocols, pause_times=pause_times, trials=1)
+    return collect_sweep(
+        execute_jobs(jobs), pause_times=pause_times, trials=1, protocols=protocols
     )
 
 
@@ -123,23 +123,3 @@ class TestTableAndFigures:
         series = figure("fig7", tiny_results)
         assert all(value == 0.0 for value in series.protocol_values("SRP"))
 
-
-class TestRunEvaluation:
-    def test_run_evaluation_smoke_scale(self):
-        results = run_evaluation(
-            EvaluationScale(
-                "tiny",
-                scaled_scenario(
-                    node_count=10,
-                    flow_count=2,
-                    duration=10.0,
-                    terrain_width=700,
-                    terrain_height=300,
-                ),
-                pause_times=(0.0,),
-                trials=1,
-            ),
-            protocols=("SRP", "AODV"),
-        )
-        assert ("SRP", 0.0, 0) in results.summaries
-        assert ("AODV", 0.0, 0) in results.summaries

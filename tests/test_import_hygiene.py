@@ -199,11 +199,14 @@ def test_library_work_loads_no_heavy_package(tmp_path):
     # and Table I (which takes the t quantile), in one interpreter.
     script = (
         "import sys\n"
-        "from repro.experiments.gate import evaluate_gate\n"
-        "from repro.experiments.paper import (\n"
-        "    PAPER_PROTOCOLS, EvaluationScale, run_evaluation, table1_text)\n"
+        "from repro.experiments import (\n"
+        "    PAPER_PROTOCOLS, EvaluationScale, collect_sweep, evaluate_gate,\n"
+        "    execute_jobs, plan_sweep, table1_text)\n"
         "scale = EvaluationScale.smoke()\n"
-        "results = run_evaluation(scale)\n"
+        "shape = dict(pause_times=scale.pause_times, trials=scale.trials)\n"
+        "jobs = plan_sweep(scale.scenario, PAPER_PROTOCOLS, **shape)\n"
+        "results = collect_sweep(\n"
+        "    execute_jobs(jobs), protocols=PAPER_PROTOCOLS, **shape)\n"
         "assert sorted({cell[0] for cell in results.summaries})"
         " == sorted(PAPER_PROTOCOLS)\n"
         "report = evaluate_gate(results, scale=scale.name)\n"
