@@ -18,11 +18,11 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..sim.packet import Packet
-from .base import PacketBuffer, ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, DiscoveryController, PeriodicTimer
+from .base import ProtocolConfig
+from .common import CONTROL_SIZES, OnDemandProtocol, PeriodicTimer
 
 __all__ = ["AodvConfig", "AodvProtocol", "AodvRreq", "AodvRrep", "AodvRerr"]
 
@@ -92,32 +92,17 @@ class AodvConfig(ProtocolConfig):
     maintenance_interval: float = 1.0
 
 
-class AodvProtocol(RoutingProtocol):
+class AodvProtocol(OnDemandProtocol):
     """One node's AODV instance."""
 
     name = "AODV"
 
     def __init__(self, config: Optional[AodvConfig] = None) -> None:
-        super().__init__()
-        self.config = config or AodvConfig()
+        super().__init__(config or AodvConfig())
         self.routes: Dict[NodeId, AodvRouteEntry] = {}
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
         self.own_sequence_number = 0
-        self.seen_rreqs: Set[Tuple[NodeId, int]] = set()
-        self.discovery: Optional[DiscoveryController] = None
-        self.data_drops = 0
 
     # -- lifecycle --------------------------------------------------------------
-
-    def attach(self, node) -> None:
-        super().attach(node)
-        self.discovery = DiscoveryController(
-            node.clock,
-            send_request=self._send_rreq,
-            give_up=self._discovery_failed,
-            timeout=self.config.discovery_timeout,
-            max_attempts=self.config.max_discovery_attempts,
-        )
 
     def start(self) -> None:
         PeriodicTimer(
@@ -131,16 +116,13 @@ class AodvProtocol(RoutingProtocol):
                 entry.valid = False
 
     def on_node_down(self) -> None:
-        """Crash: routes, RREQ dedup state and buffered data are volatile.
+        """Crash: routes are volatile too.
 
         The node's own sequence number is durable (RFC 3561 §6.1 requires it
         to survive reboots to keep loop freedom), so it is kept.
         """
         self.routes.clear()
-        self.seen_rreqs.clear()
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
-        if self.discovery is not None:
-            self.discovery.abandon_all()
+        super().on_node_down()
 
     # -- table helpers ------------------------------------------------------------
 
@@ -149,7 +131,7 @@ class AodvProtocol(RoutingProtocol):
             self.routes[destination] = AodvRouteEntry(destination)
         return self.routes[destination]
 
-    def _valid_next_hop(self, destination: NodeId) -> Optional[NodeId]:
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         entry = self.routes.get(destination)
         if entry and entry.valid and entry.expires_at > self.clock.now:
             return entry.next_hop
@@ -184,57 +166,22 @@ class AodvProtocol(RoutingProtocol):
         entry.expires_at = self.clock.now + self.config.route_lifetime
         return True
 
-    def _refresh(self, destination: NodeId) -> None:
-        entry = self.routes.get(destination)
-        if entry and entry.valid:
-            entry.expires_at = self.clock.now + self.config.route_lifetime
-
-    # -- application data --------------------------------------------------------------
-
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self._valid_next_hop(packet.destination)
-        if next_hop is not None:
-            self._forward_data(packet, next_hop)
-            return
-        if not self.buffer.push(packet):
-            self.data_drops += 1
-        self.discovery.begin(packet.destination)
+    # -- data path -------------------------------------------------------------------
 
     def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
-        self._refresh(packet.destination)
+        entry = self.routes.get(packet.destination)
+        if entry and entry.valid:
+            entry.expires_at = self.clock.now + self.config.route_lifetime
         self.node.send_unicast(packet, next_hop)
 
-    # -- MAC callbacks -----------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, AodvRreq):
-            self._handle_rreq(payload, from_node)
-        elif isinstance(payload, AodvRrep):
-            self._handle_rrep(payload, from_node)
-        elif isinstance(payload, AodvRerr):
-            self._handle_rerr(payload, from_node)
-
-    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self._valid_next_hop(packet.destination)
-        if next_hop is None:
-            self.data_drops += 1
-            entry = self.routes.get(packet.destination)
-            sequence = entry.sequence_number + 1 if entry else 0
-            rerr = AodvRerr(unreachable=((packet.destination, sequence),))
-            self.node.send_unicast(
-                self.make_control_packet(from_node, rerr, CONTROL_SIZES["rerr"]),
-                from_node,
-            )
-            return
-        self._forward_data(packet.copy_for_forwarding(), next_hop)
+    def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
+        entry = self.routes.get(destination)
+        sequence = entry.sequence_number + 1 if entry else 0
+        rerr = AodvRerr(unreachable=((destination, sequence),))
+        self.node.send_unicast(
+            self.make_control_packet(from_node, rerr, CONTROL_SIZES["rerr"]),
+            from_node,
+        )
 
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
         lost: List[Tuple[NodeId, int]] = []
@@ -243,12 +190,8 @@ class AodvProtocol(RoutingProtocol):
                 entry.valid = False
                 entry.sequence_number += 1  # AODV inflates the lost route's sn.
                 lost.append((destination, entry.sequence_number))
-        if packet.is_data and packet.source == self.node_id:
-            if not self.buffer.push(packet):
-                self.data_drops += 1
-            self.discovery.begin(packet.destination)
-        elif packet.is_data:
-            self.data_drops += 1
+        if packet.is_data:
+            self._rediscover_or_drop(packet)
         if lost:
             rerr = AodvRerr(unreachable=tuple(lost))
             self.node.send_broadcast(
@@ -262,28 +205,25 @@ class AodvProtocol(RoutingProtocol):
         # every RREQ — the source of AODV's fast sequence-number growth.
         self.own_sequence_number += 1
         entry = self.routes.get(destination)
-        rreq = AodvRreq(
-            source=self.node_id,
-            source_sequence_number=self.own_sequence_number,
-            rreq_id=rreq_id,
-            destination=destination,
-            destination_sequence_number=entry.sequence_number if entry else 0,
-            destination_sequence_unknown=entry is None or not entry.sequence_valid,
-            ttl=self.config.rreq_ttl,
+        self._broadcast_rreq(
+            AodvRreq(
+                source=self.node_id,
+                source_sequence_number=self.own_sequence_number,
+                rreq_id=rreq_id,
+                destination=destination,
+                destination_sequence_number=entry.sequence_number if entry else 0,
+                destination_sequence_unknown=entry is None or not entry.sequence_valid,
+                ttl=self.config.rreq_ttl,
+            )
         )
-        self.seen_rreqs.add((self.node_id, rreq_id))
-        self.node.send_broadcast(
-            self.make_control_packet(destination, rreq, CONTROL_SIZES["rreq"])
-        )
-
-    def _discovery_failed(self, destination: NodeId) -> None:
-        self.data_drops += self.buffer.drop_all(destination)
 
     def _handle_rreq(self, rreq: AodvRreq, from_node: NodeId) -> None:
-        key = (rreq.source, rreq.rreq_id)
-        if key in self.seen_rreqs or rreq.source == self.node_id or rreq.ttl <= 0:
+        if (
+            rreq.source == self.node_id
+            or rreq.ttl <= 0
+            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
+        ):
             return
-        self.seen_rreqs.add(key)
         # Reverse route toward the originator.
         self._update_route(
             rreq.source, from_node, rreq.source_sequence_number, rreq.hop_count + 1
@@ -330,15 +270,7 @@ class AodvProtocol(RoutingProtocol):
         relayed = rreq.relayed()
         if relayed.ttl <= 0:
             return
-        self.node.send_broadcast(
-            self.make_control_packet(rreq.destination, relayed, CONTROL_SIZES["rreq"])
-        )
-
-    def _send_rrep(self, rrep: AodvRrep, next_hop: NodeId) -> None:
-        self.node.send_unicast(
-            self.make_control_packet(rrep.source, rrep, CONTROL_SIZES["rrep"]),
-            next_hop,
-        )
+        self._broadcast_rreq(relayed)
 
     def _handle_rrep(self, rrep: AodvRrep, from_node: NodeId) -> None:
         self._update_route(
@@ -348,14 +280,10 @@ class AodvProtocol(RoutingProtocol):
             rrep.hop_count + 1,
         )
         if rrep.source == self.node_id:
-            self.discovery.complete(rrep.destination)
-            next_hop = self._valid_next_hop(rrep.destination)
-            if next_hop is not None:
-                for packet in self.buffer.pop_all(rrep.destination):
-                    self._forward_data(packet, next_hop)
+            self._route_found(rrep.destination)
             return
         # Forward the RREP along the reverse route toward the originator.
-        reverse_hop = self._valid_next_hop(rrep.source)
+        reverse_hop = self.next_hop(rrep.source)
         if reverse_hop is not None:
             self._send_rrep(rrep.relayed(), reverse_hop)
 
@@ -378,6 +306,12 @@ class AodvProtocol(RoutingProtocol):
                     self.node_id, AodvRerr(tuple(invalidated)), CONTROL_SIZES["rerr"]
                 )
             )
+
+    control_handlers = {
+        AodvRreq: _handle_rreq,
+        AodvRrep: _handle_rrep,
+        AodvRerr: _handle_rerr,
+    }
 
     # -- metrics -----------------------------------------------------------------------
 

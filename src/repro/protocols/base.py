@@ -16,6 +16,18 @@ points:
   (the paper's "link-layer unicast loss detection").  Transports without
   delivery feedback (UDP) simply never call it.
 
+Every protocol also answers one route query,
+:meth:`RoutingProtocol.next_hop`, which the live runtime's routing-table dump
+reads.
+
+``handle_packet`` is implemented once, here: data goes to the protocol's
+``_handle_data`` and a control payload to the handler its class lists in
+:attr:`RoutingProtocol.control_handlers` (payloads of any other type — another
+protocol's messages — are ignored).  The two protocol families share more
+than that; their skeletons live in :mod:`repro.protocols.common`
+(:class:`~repro.protocols.common.OnDemandProtocol` for SRP, LDR, AODV and DSR,
+:class:`~repro.protocols.common.LinkStateProtocol` for OLSR and LSR).
+
 Protocols see their environment only through the
 :class:`~repro.runtime.base.Runtime` seam (clock, sends, identity, RNG), so
 the same classes run inside the discrete-event simulator and as live asyncio
@@ -30,7 +42,17 @@ from __future__ import annotations
 import abc
 from collections import defaultdict, deque
 from dataclasses import fields, is_dataclass
-from typing import Any, Deque, Dict, Hashable, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Deque,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+)
 
 from ..runtime.base import Clock, Runtime
 from ..sim.packet import Packet, PacketKind
@@ -115,6 +137,11 @@ class RoutingProtocol(abc.ABC):
     #: Human-readable protocol name used in reports ("SRP", "AODV", ...).
     name: str = "abstract"
 
+    #: Control payload type -> the function handling it, called as
+    #: ``handler(self, payload, from_node)``.  One table per protocol class,
+    #: shared by all its instances.
+    control_handlers: ClassVar[Mapping[type, Callable[..., None]]] = {}
+
     def __init__(self) -> None:
         self.node: Optional[Runtime] = None
 
@@ -149,13 +176,27 @@ class RoutingProtocol(abc.ABC):
     def originate_data(self, packet: Packet) -> None:
         """Handle an application packet originated at this node."""
 
-    @abc.abstractmethod
     def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
         """Handle a packet received from a neighbour (data or control)."""
+        if packet.is_data:
+            self._handle_data(packet, from_node)
+            return
+        payload = packet.payload
+        handler = self.control_handlers.get(type(payload))
+        if handler is not None:
+            handler(self, payload, from_node)
+
+    @abc.abstractmethod
+    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
+        """Deliver or forward a data packet received from ``from_node``."""
 
     @abc.abstractmethod
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
         """React to MAC-level unicast failure toward ``next_hop``."""
+
+    @abc.abstractmethod
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
+        """The neighbour data for ``destination`` goes to now; ``None`` if none."""
 
     # -- statistics hooks --------------------------------------------------------------
 
@@ -178,11 +219,6 @@ class RoutingProtocol(abc.ABC):
         itself; live it is the asyncio-backed clock.  Either way ``now`` and
         the ``schedule_*`` calls behave identically from the protocol's side.
         """
-        return self.node.clock
-
-    @property
-    def simulator(self) -> Clock:
-        """Backward-compatible alias for :attr:`clock`."""
         return self.node.clock
 
     @property

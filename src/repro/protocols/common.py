@@ -1,29 +1,50 @@
-"""Machinery shared by the routing protocols.
+"""Machinery shared by the routing protocols: two skeletons and their parts.
 
-All four on-demand protocols in the paper share the same outer skeleton:
+**The on-demand skeleton** (:class:`OnDemandProtocol`) is the outer shape
+SRP, LDR, AODV and DSR share.  Data with a route is forwarded; data without
+one waits in a per-destination buffer while a
+:class:`DiscoveryController` floods RREQs, retries them on a timer and
+finally gives up, dropping the buffer (Procedure 1).  A route reply at the
+source flushes the buffer.  A relay that cannot forward data answers with a
+route error, a broken next hop sends the node's own data back to discovery
+and drops relayed data, and a crash wipes the buffer, the discoveries and
+the RREQ dedup (:class:`SeenSequences`).  LDR and SRP add a
+**route-request cache** (:class:`RreqCache`) with the passive / engaged /
+active states of one ``(source, rreq_id)`` computation, its reverse-path
+last hop and any per-computation ordering.
 
-* a **route-request cache** that remembers which ``(source, rreq_id)``
-  computations this node has already participated in, with the
-  passive / engaged / active states of LDR and SRP, the cached reverse-path
-  last hop and any per-computation ordering information;
-* a **route-discovery controller** per destination at the source: it numbers
-  RREQs, runs the retry timer (``2 * ttl * latency`` in the paper), counts
-  attempts and finally gives up, dropping buffered data.
+**The link-state skeleton** (:class:`LinkStateProtocol`) is what OLSR and
+LSR share: hello soft state for neighbours, a link-state database
+(:class:`LsdbEntry` per origin, flood dedup on :class:`SeenSequences`),
+desynchronised periodic emissions, a route tick that reruns the
+shortest-path computation only when its result could differ, split-horizon
+forwarding under a hop limit, and reroute-or-drop on a broken link.
 
-Keeping these here means the per-protocol modules contain only what actually
-differs: the loop-prevention state (sequence numbers, feasible distances,
-fraction orderings) and the reply/accept conditions.
-
-Every protocol drives its periodic maintenance with :class:`PeriodicTimer`,
-and the link-state floods (OLSR's TCs, LSR's LSAs) dedup on
-:class:`SeenSequences`.
+A protocol module holds only what differs: its messages and their handlers,
+its loop-prevention state (sequence numbers, feasible distances, fraction
+orderings, source routes) and its reply/accept conditions, or, for the link
+state pair, its flooding discipline and shortest-path computation.  Every
+protocol drives its periodic maintenance with :class:`PeriodicTimer`.
 """
 
 from __future__ import annotations
 
+import abc
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Optional,
+    Set,
+    Tuple,
+)
+
+from ..sim.packet import Packet
+from .base import PacketBuffer, RoutingProtocol
 
 __all__ = [
     "ComputationState",
@@ -33,10 +54,15 @@ __all__ = [
     "DiscoveryState",
     "PeriodicTimer",
     "SeenSequences",
+    "LsdbEntry",
+    "OnDemandProtocol",
+    "LinkStateProtocol",
     "CONTROL_SIZES",
 ]
 
 NodeId = Hashable
+
+_NEVER = float("inf")
 
 #: Nominal control-packet sizes in bytes (IP + UDP + protocol header), used
 #: only for transmission-time computation.
@@ -89,11 +115,12 @@ class SeenSequences:
 
     Exactly the membership of a ``set`` of tuples — out-of-order and
     duplicate arrivals included — stored as one int bitmask per origin
-    (bit ``seq`` set once seen).  Link-state floods number each origin's
-    advertisements 1, 2, 3, …, so a node's whole dedup memory is one small
-    int per origin instead of one tuple per flood it ever relayed, and
-    nothing is forgotten to keep it bounded.  A mask costs one bit per
-    sequence number up to the highest seen.
+    (bit ``seq`` set once seen).  Every flood here numbers each origin's
+    messages 1, 2, 3, … (link-state advertisements, and RREQ ids from a
+    node's :class:`DiscoveryController`), so a node's whole dedup memory is
+    one small int per origin instead of one tuple per flood it ever
+    relayed, and nothing is forgotten to keep it bounded.  A mask costs one
+    bit per sequence number up to the highest seen.
     """
 
     __slots__ = ("_masks",)
@@ -302,3 +329,343 @@ class DiscoveryController:
             if state.timer is not None:
                 state.timer.cancel()
         self._active.clear()
+
+
+class OnDemandProtocol(RoutingProtocol):
+    """Route discovery on demand: the skeleton of SRP, LDR, AODV and DSR.
+
+    A protocol built on it supplies its route state and these hooks:
+
+    * :meth:`next_hop`, its route lookup;
+    * ``_forward_data(packet, next_hop)``, which sends data along that route
+      (refreshing the route, or stamping DSR's source route);
+    * ``_send_rreq(destination, rreq_id, attempt)``, which floods one RREQ
+      for the discovery controller;
+    * ``_report_no_route(destination, from_node)``, the route error a relay
+      returns for data it cannot forward (DSR source-routes, so it overrides
+      ``_handle_data`` instead);
+    * ``handle_link_failure``, which passes the stranded data packet to
+      :meth:`_rediscover_or_drop` when it has no other route for it.
+
+    ``config`` must carry ``buffer_size``, ``discovery_timeout`` and
+    ``max_discovery_attempts``.
+    """
+
+    def __init__(self, config) -> None:
+        super().__init__()
+        self.config = config
+        self.buffer = PacketBuffer(max_per_destination=config.buffer_size)
+        #: ``(source, rreq_id)`` of every foreign RREQ this node handled.
+        #: SRP's :class:`RreqCache` does this job for SRP.
+        self.seen_rreqs = SeenSequences()
+        self.discovery: Optional[DiscoveryController] = None
+        self.data_drops = 0
+
+    def attach(self, node) -> None:
+        super().attach(node)
+        self.discovery = DiscoveryController(
+            node.clock,
+            send_request=self._send_rreq,
+            give_up=self._discovery_failed,
+            timeout=self.config.discovery_timeout,
+            max_attempts=self.config.max_discovery_attempts,
+        )
+
+    def on_node_down(self) -> None:
+        """Crash: RREQ dedup state, buffered data and discoveries are lost.
+
+        Each protocol extends this to wipe its routes and says what it keeps.
+        """
+        self.seen_rreqs.clear()
+        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
+        if self.discovery is not None:
+            self.discovery.abandon_all()
+
+    # -- data path -------------------------------------------------------------------
+
+    def originate_data(self, packet: Packet) -> None:
+        if self.deliver_or_forward_hook(packet):
+            return
+        next_hop = self.next_hop(packet.destination)
+        if next_hop is not None:
+            self._forward_data(packet, next_hop)
+            return
+        self._await_route(packet)
+
+    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
+        if self.deliver_or_forward_hook(packet):
+            return
+        next_hop = self.next_hop(packet.destination)
+        if next_hop is None:
+            self.data_drops += 1
+            self._report_no_route(packet.destination, from_node)
+            return
+        self._forward_data(packet.copy_for_forwarding(), next_hop)
+
+    def _rediscover_or_drop(self, packet: Packet) -> None:
+        """A data packet's next hop broke and no other route is known.
+
+        This node's own packet waits for a fresh discovery; a relayed one is
+        dropped.
+        """
+        if packet.source == self.node_id:
+            self._await_route(packet)
+        else:
+            self.data_drops += 1
+
+    def _await_route(self, packet: Packet) -> None:
+        """Buffer ``packet`` (a drop when full) and discover its route."""
+        if not self.buffer.push(packet):
+            self.data_drops += 1
+        self.discovery.begin(packet.destination)
+
+    def _discovery_failed(self, destination: NodeId) -> None:
+        self.data_drops += self.buffer.drop_all(destination)
+
+    def _route_found(self, destination: NodeId) -> None:
+        """The source's route is up: stop discovering, send the buffer."""
+        self.discovery.complete(destination)
+        next_hop = self.next_hop(destination)
+        if next_hop is not None:
+            for packet in self.buffer.pop_all(destination):
+                self._forward_data(packet, next_hop)
+
+    # -- control helpers -------------------------------------------------------------
+
+    def _broadcast_rreq(self, rreq) -> None:
+        self.node.send_broadcast(
+            self.make_control_packet(rreq.destination, rreq, CONTROL_SIZES["rreq"])
+        )
+
+    def _send_rrep(self, rrep, next_hop: NodeId) -> None:
+        """Unicast a route reply one hop back toward its RREQ's source."""
+        self.node.send_unicast(
+            self.make_control_packet(rrep.source, rrep, CONTROL_SIZES["rrep"]),
+            next_hop,
+        )
+
+    # -- hooks -----------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
+        """Send data along this node's route (``next_hop`` is its first hop)."""
+
+    @abc.abstractmethod
+    def _send_rreq(self, destination: NodeId, rreq_id: int, attempt: int) -> None:
+        """Flood one route request for ``destination`` (Procedure 1)."""
+
+    def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
+        """Tell ``from_node`` this node has no route to ``destination``."""
+
+
+@dataclass(slots=True)
+class LsdbEntry:
+    """One origin's row in a link-state database."""
+
+    links: Set[NodeId]
+    sequence_number: int
+    expires_at: float
+
+
+class LinkStateProtocol(RoutingProtocol):
+    """Proactive link-state routing: the skeleton of OLSR and LSR.
+
+    A protocol built on it supplies its messages and these hooks:
+
+    * ``_periodic_emissions()``, its ``(interval, emit(now))`` pairs (hello
+      and flood), each started at the node's desynchronising offset;
+    * ``_shortest_paths(now)``, the routing table (destination -> first
+      hop) over :attr:`neighbors` and :attr:`lsdb`;
+    * ``_adjacency_changed(now)``, run when a neighbour comes up or a link
+      breaks (LSR re-floods its LSA there);
+    * :attr:`hop_limit`, the transmissions after which relayed data is
+      dropped.
+
+    The route tick reruns the shortest-path computation only when its inputs
+    could have changed: it skips while no neighbour or database entry was
+    added, revived or replaced with a different link set (dirty flag) and no
+    entry that fed the last computation can have expired yet (validity
+    horizon).  A skipped computation would have rebuilt the identical table,
+    so this changes cost, not routes; recomputing every tick made an OLSR
+    trial 9 % slower.
+
+    ``config`` must carry ``hello_interval``, ``neighbor_hold_time`` and
+    ``route_recompute_interval``.
+    """
+
+    hop_limit: int
+
+    def __init__(self, config) -> None:
+        super().__init__()
+        self.config = config
+        #: neighbour -> expiry time (hello soft state)
+        self.neighbors: Dict[NodeId, float] = {}
+        #: origin -> its advertised links, for every *other* node heard from
+        self.lsdb: Dict[NodeId, LsdbEntry] = {}
+        self.routing_table: Dict[NodeId, NodeId] = {}
+        self.data_drops = 0
+        # The table must be rebuilt when something was added/revived/replaced
+        # (dirty) or once an entry that fed the last rebuild actually
+        # expires.  `_routes_valid_until` is the earliest such expiry *as of
+        # the last rebuild*; entries refreshed since then push the true
+        # horizon later, which the route tick revalidates with a cheap expiry
+        # scan before paying for a shortest-path run.
+        self._routes_dirty = True
+        self._routes_valid_until = -_NEVER
+        self._routes_computed_at = -_NEVER
+
+    def start(self) -> None:
+        # Desynchronise periodic emissions across nodes with a per-node offset.
+        offset = (hash(self.node_id) % 1000) / 1000.0
+        for interval, emit in self._periodic_emissions():
+            PeriodicTimer(self.clock, interval, emit).start(
+                first_delay=offset * interval
+            )
+        PeriodicTimer(
+            self.clock, self.config.route_recompute_interval, self._route_maintenance
+        ).start()
+
+    def on_node_down(self) -> None:
+        """Crash: all link-state knowledge is volatile."""
+        self.neighbors.clear()
+        self.lsdb.clear()
+        self.routing_table.clear()
+        self._routes_dirty = True
+        self._routes_valid_until = -_NEVER
+        self._routes_computed_at = -_NEVER
+
+    # -- neighbours and the database -------------------------------------------------
+
+    def _live_neighbors(self) -> Set[NodeId]:
+        now = self.clock.now
+        return {n for n, expiry in self.neighbors.items() if expiry > now}
+
+    def _handle_hello(self, hello, from_node: NodeId) -> None:
+        now = self.clock.now
+        previous = self.neighbors.get(hello.origin)
+        self.neighbors[hello.origin] = now + self.config.neighbor_hold_time
+        if previous is None or previous <= now:
+            # An unknown or expired neighbour became live: the next route
+            # tick must rebuild.  A refresh of an already-live neighbour
+            # only pushes its expiry later, which cannot invalidate the
+            # table before the recorded validity horizon.
+            self._routes_dirty = True
+            self._adjacency_changed(now)
+
+    def _store_advertisement(
+        self,
+        origin: NodeId,
+        links: Iterable[NodeId],
+        sequence_number: int,
+        hold_time: float,
+    ) -> None:
+        """Install ``origin``'s advertised links for ``hold_time`` seconds."""
+        now = self.clock.now
+        links = set(links)
+        existing = self.lsdb.get(origin)
+        if existing is None or existing.expires_at <= now or links != existing.links:
+            # New origin, revived origin, or a different link set: the
+            # learned graph changed.  A same-set refresh of a live entry
+            # only extends its expiry.
+            self._routes_dirty = True
+        self.lsdb[origin] = LsdbEntry(links, sequence_number, now + hold_time)
+
+    # -- routes ------------------------------------------------------------------------
+
+    def _route_maintenance(self, now: float) -> None:
+        if self._routes_dirty:
+            self._recompute_routes()
+            return
+        if now < self._routes_valid_until:
+            return
+        # The recorded horizon passed, but entries refreshed since the last
+        # rebuild may have pushed the true horizon later.  An entry only
+        # invalidates the table if it *died* since the rebuild — expiry
+        # inside (computed_at, now].  Scanning the expiries is an order of
+        # magnitude cheaper than the shortest-path rebuild it avoids.
+        computed_at = self._routes_computed_at
+        horizon = _NEVER
+        for expiry in self.neighbors.values():
+            if expiry <= now:
+                if expiry > computed_at:
+                    self._recompute_routes()
+                    return
+            elif expiry < horizon:
+                horizon = expiry
+        for entry in self.lsdb.values():
+            expiry = entry.expires_at
+            if expiry <= now:
+                if expiry > computed_at:
+                    self._recompute_routes()
+                    return
+            elif expiry < horizon:
+                horizon = expiry
+        self._routes_valid_until = horizon
+
+    def _recompute_routes(self) -> None:
+        now = self.clock.now
+        self.routing_table = self._shortest_paths(now)
+        # The table stays exact until the first live entry can expire — or
+        # until a dirty-marking update lands, whichever comes first.
+        valid_until = _NEVER
+        for expiry in self.neighbors.values():
+            if now < expiry < valid_until:
+                valid_until = expiry
+        for entry in self.lsdb.values():
+            if now < entry.expires_at < valid_until:
+                valid_until = entry.expires_at
+        self._routes_valid_until = valid_until
+        self._routes_computed_at = now
+        self._routes_dirty = False
+
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
+        return self.routing_table.get(destination)
+
+    # -- data path -------------------------------------------------------------------
+
+    def originate_data(self, packet: Packet) -> None:
+        if self.deliver_or_forward_hook(packet):
+            return
+        next_hop = self.next_hop(packet.destination)
+        if next_hop is None:
+            # Proactive protocol: no discovery to fall back on.
+            self.data_drops += 1
+            return
+        self.node.send_unicast(packet, next_hop)
+
+    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
+        if self.deliver_or_forward_hook(packet):
+            return
+        next_hop = self.next_hop(packet.destination)
+        # Split horizon + hop limit: link state is not loop-free at every
+        # instant.  With stale information the next hop can point straight
+        # back at the sender, and forwarding would ping-pong the packet, or a
+        # longer transient loop can keep it circling; drop instead.
+        if next_hop is None or next_hop == from_node or packet.hops > self.hop_limit:
+            self.data_drops += 1
+            return
+        self.node.send_unicast(packet.copy_for_forwarding(), next_hop)
+
+    def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
+        if self.neighbors.pop(next_hop, None) is not None:
+            self._adjacency_changed(self.clock.now)
+        self._recompute_routes()
+        if packet.is_data:
+            alternative = self.next_hop(packet.destination)
+            if alternative is not None and alternative != next_hop:
+                self.node.send_unicast(packet, alternative)
+            else:
+                self.data_drops += 1
+
+    # -- hooks -----------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def _periodic_emissions(self) -> Iterable[Tuple[float, Callable[[float], None]]]:
+        """The ``(interval, emit(now))`` pairs :meth:`start` schedules."""
+
+    @abc.abstractmethod
+    def _shortest_paths(self, now: float) -> Dict[NodeId, NodeId]:
+        """A fresh routing table: destination -> first hop."""
+
+    def _adjacency_changed(self, now: float) -> None:
+        """A neighbour came up or its link broke."""

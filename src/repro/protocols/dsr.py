@@ -18,11 +18,11 @@ also exhibits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..sim.packet import Packet
-from .base import PacketBuffer, ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, DiscoveryController
+from .base import ProtocolConfig
+from .common import CONTROL_SIZES, OnDemandProtocol
 
 __all__ = ["DsrConfig", "DsrProtocol", "DsrRreq", "DsrRrep", "DsrRerr", "SourceRoute"]
 
@@ -91,42 +91,24 @@ class DsrConfig(ProtocolConfig):
     max_salvage_count: int = 2
 
 
-class DsrProtocol(RoutingProtocol):
+class DsrProtocol(OnDemandProtocol):
     """One node's DSR instance."""
 
     name = "DSR"
 
     def __init__(self, config: Optional[DsrConfig] = None) -> None:
-        super().__init__()
-        self.config = config or DsrConfig()
+        super().__init__(config or DsrConfig())
         self.route_cache: Dict[NodeId, List[Tuple[NodeId, ...]]] = {}
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
-        self.seen_rreqs: Set[Tuple[NodeId, int]] = set()
-        self.discovery: Optional[DiscoveryController] = None
-        self.data_drops = 0
         self.salvage_counts: Dict[int, int] = {}
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def attach(self, node) -> None:
-        super().attach(node)
-        self.discovery = DiscoveryController(
-            node.clock,
-            send_request=self._send_rreq,
-            give_up=self._discovery_failed,
-            timeout=self.config.discovery_timeout,
-            max_attempts=self.config.max_discovery_attempts,
-        )
-
     def on_node_down(self) -> None:
-        """Crash: the route cache, dedup state and buffers are all volatile
-        (DSR keeps no durable per-node counters at all)."""
+        """Crash: the route cache and salvage counts are volatile too (DSR
+        keeps no durable per-node counters at all)."""
         self.route_cache.clear()
-        self.seen_rreqs.clear()
         self.salvage_counts.clear()
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
-        if self.discovery is not None:
-            self.discovery.abandon_all()
+        super().on_node_down()
 
     # -- route cache -------------------------------------------------------------------
 
@@ -156,6 +138,12 @@ class DsrProtocol(RoutingProtocol):
         cached = self.route_cache.get(destination)
         return cached[0] if cached else None
 
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
+        """The first hop of :meth:`best_route` (every cached route starts
+        here and has at least two nodes)."""
+        route = self.best_route(destination)
+        return route[1] if route is not None else None
+
     def remove_link(self, from_node: NodeId, to_node: NodeId) -> None:
         """Purge every cached route using the broken link."""
         for destination in list(self.route_cache):
@@ -178,45 +166,15 @@ class DsrProtocol(RoutingProtocol):
             for i in range(len(route) - 1)
         )
 
-    # -- application data --------------------------------------------------------------
+    # -- data path -------------------------------------------------------------------
 
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        route = self.best_route(packet.destination)
-        if route is not None:
-            self._send_along_route(packet, route)
-            return
-        if not self.buffer.push(packet):
-            self.data_drops += 1
-        self.discovery.begin(packet.destination)
-
-    def _send_along_route(self, packet: Packet, route: Tuple[NodeId, ...]) -> None:
-        header = SourceRoute(route=route, index=0)
-        packet.payload = header
-        next_hop = header.next_hop
-        if next_hop is None:
-            self.data_drops += 1
-            return
+    def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
+        """Stamp the best cached route on ``packet`` and send it on."""
+        packet.payload = SourceRoute(route=self.best_route(packet.destination))
         self.node.send_unicast(packet, next_hop)
 
-    # -- MAC callbacks -----------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, DsrRreq):
-            self._handle_rreq(payload, from_node)
-        elif isinstance(payload, DsrRrep):
-            self._handle_rrep(payload, from_node)
-        elif isinstance(payload, DsrRerr):
-            self._handle_rerr(payload, from_node)
-
     def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.destination == self.node_id:
-            self.node.deliver_data(packet)
+        if self.deliver_or_forward_hook(packet):
             return
         header = packet.payload
         if not isinstance(header, SourceRoute):
@@ -237,16 +195,12 @@ class DsrProtocol(RoutingProtocol):
             return
         # Salvaging: replace the failed route with one from our own cache.
         salvaged = self.salvage_counts.get(packet.uid, 0)
-        route = self.best_route(packet.destination)
-        if route is not None and salvaged < self.config.max_salvage_count:
+        salvage_hop = self.next_hop(packet.destination)
+        if salvage_hop is not None and salvaged < self.config.max_salvage_count:
             self.salvage_counts[packet.uid] = salvaged + 1
-            self._send_along_route(packet, route)
-        elif packet.source == self.node_id:
-            if not self.buffer.push(packet):
-                self.data_drops += 1
-            self.discovery.begin(packet.destination)
+            self._forward_data(packet, salvage_hop)
         else:
-            self.data_drops += 1
+            self._rediscover_or_drop(packet)
         # Tell the network about the broken link so caches converge.
         rerr = DsrRerr(from_node=self.node_id, to_node=next_hop)
         self.node.send_broadcast(
@@ -256,28 +210,24 @@ class DsrProtocol(RoutingProtocol):
     # -- route discovery ---------------------------------------------------------------
 
     def _send_rreq(self, destination: NodeId, rreq_id: int, attempt: int) -> None:
-        rreq = DsrRreq(
-            source=self.node_id,
-            rreq_id=rreq_id,
-            destination=destination,
-            path=(self.node_id,),
-            ttl=self.config.rreq_ttl,
+        self._broadcast_rreq(
+            DsrRreq(
+                source=self.node_id,
+                rreq_id=rreq_id,
+                destination=destination,
+                path=(self.node_id,),
+                ttl=self.config.rreq_ttl,
+            )
         )
-        self.seen_rreqs.add((self.node_id, rreq_id))
-        self.node.send_broadcast(
-            self.make_control_packet(destination, rreq, CONTROL_SIZES["rreq"])
-        )
-
-    def _discovery_failed(self, destination: NodeId) -> None:
-        self.data_drops += self.buffer.drop_all(destination)
 
     def _handle_rreq(self, rreq: DsrRreq, from_node: NodeId) -> None:
-        key = (rreq.source, rreq.rreq_id)
-        if key in self.seen_rreqs or rreq.source == self.node_id or rreq.ttl <= 0:
+        if (
+            rreq.source == self.node_id
+            or rreq.ttl <= 0
+            or self.node_id in rreq.path
+            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
+        ):
             return
-        if self.node_id in rreq.path:
-            return
-        self.seen_rreqs.add(key)
         # Overhearing the accumulated path populates the route cache.
         self.cache_route(tuple(reversed(rreq.path + (self.node_id,))))
 
@@ -302,24 +252,12 @@ class DsrProtocol(RoutingProtocol):
                 return
         if extended.ttl <= 0:
             return
-        self.node.send_broadcast(
-            self.make_control_packet(rreq.destination, extended, CONTROL_SIZES["rreq"])
-        )
-
-    def _send_rrep(self, rrep: DsrRrep, next_hop: NodeId) -> None:
-        self.node.send_unicast(
-            self.make_control_packet(rrep.source, rrep, CONTROL_SIZES["rrep"]),
-            next_hop,
-        )
+        self._broadcast_rreq(extended)
 
     def _handle_rrep(self, rrep: DsrRrep, from_node: NodeId) -> None:
         self.cache_route(rrep.route)
         if rrep.source == self.node_id:
-            self.discovery.complete(rrep.destination)
-            route = self.best_route(rrep.destination)
-            if route is not None:
-                for packet in self.buffer.pop_all(rrep.destination):
-                    self._send_along_route(packet, route)
+            self._route_found(rrep.destination)
             return
         # Forward the RREP backwards along the recorded route.
         try:
@@ -328,16 +266,13 @@ class DsrProtocol(RoutingProtocol):
             return
         if position == 0:
             return
-        self.node.send_unicast(
-            self.make_control_packet(rrep.source, rrep, CONTROL_SIZES["rrep"]),
-            rrep.route[position - 1],
-        )
+        self._send_rrep(rrep, rrep.route[position - 1])
 
     def _handle_rerr(self, rerr: DsrRerr, from_node: NodeId) -> None:
         self.remove_link(rerr.from_node, rerr.to_node)
 
-    # -- metrics -----------------------------------------------------------------------
-
-    def sequence_number_metric(self) -> int:
-        """DSR has no sequence numbers (not plotted in Fig. 7)."""
-        return 0
+    control_handlers = {
+        DsrRreq: _handle_rreq,
+        DsrRrep: _handle_rrep,
+        DsrRerr: _handle_rerr,
+    }

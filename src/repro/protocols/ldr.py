@@ -19,11 +19,11 @@ that can always be split locally, removing the need for most resets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..sim.packet import Packet
-from .base import PacketBuffer, ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, DiscoveryController, PeriodicTimer
+from .base import ProtocolConfig
+from .common import CONTROL_SIZES, OnDemandProtocol, PeriodicTimer
 
 __all__ = ["LdrConfig", "LdrProtocol", "LdrRreq", "LdrRrep", "LdrRerr"]
 
@@ -103,33 +103,18 @@ class LdrConfig(ProtocolConfig):
     maintenance_interval: float = 1.0
 
 
-class LdrProtocol(RoutingProtocol):
+class LdrProtocol(OnDemandProtocol):
     """One node's LDR instance."""
 
     name = "LDR"
 
     def __init__(self, config: Optional[LdrConfig] = None) -> None:
-        super().__init__()
-        self.config = config or LdrConfig()
+        super().__init__(config or LdrConfig())
         self.routes: Dict[NodeId, LdrRouteEntry] = {}
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
         self.own_sequence_number = 0
-        self.seen_rreqs: Set[Tuple[NodeId, int]] = set()
         self.reverse_path: Dict[Tuple[NodeId, int], NodeId] = {}
-        self.discovery: Optional[DiscoveryController] = None
-        self.data_drops = 0
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def attach(self, node) -> None:
-        super().attach(node)
-        self.discovery = DiscoveryController(
-            node.clock,
-            send_request=self._send_rreq,
-            give_up=self._discovery_failed,
-            timeout=self.config.discovery_timeout,
-            max_attempts=self.config.max_discovery_attempts,
-        )
 
     def start(self) -> None:
         PeriodicTimer(
@@ -143,14 +128,11 @@ class LdrProtocol(RoutingProtocol):
                 entry.valid = False
 
     def on_node_down(self) -> None:
-        """Crash: routes, reverse paths and buffers are volatile; the own
+        """Crash: routes and reverse paths are volatile too; the own
         sequence number is durable (LDR inherits AODV's reboot rule)."""
         self.routes.clear()
-        self.seen_rreqs.clear()
         self.reverse_path.clear()
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
-        if self.discovery is not None:
-            self.discovery.abandon_all()
+        super().on_node_down()
 
     # -- table helpers -------------------------------------------------------------
 
@@ -159,7 +141,7 @@ class LdrProtocol(RoutingProtocol):
             self.routes[destination] = LdrRouteEntry(destination)
         return self.routes[destination]
 
-    def _valid_next_hop(self, destination: NodeId) -> Optional[NodeId]:
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         entry = self.routes.get(destination)
         if entry and entry.valid and entry.expires_at > self.clock.now:
             return entry.next_hop
@@ -197,18 +179,7 @@ class LdrProtocol(RoutingProtocol):
         entry.expires_at = self.clock.now + self.config.route_lifetime
         return True
 
-    # -- application data -------------------------------------------------------------
-
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self._valid_next_hop(packet.destination)
-        if next_hop is not None:
-            self._forward_data(packet, next_hop)
-            return
-        if not self.buffer.push(packet):
-            self.data_drops += 1
-        self.discovery.begin(packet.destination)
+    # -- data path -------------------------------------------------------------------
 
     def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
         entry = self.routes.get(packet.destination)
@@ -216,33 +187,12 @@ class LdrProtocol(RoutingProtocol):
             entry.expires_at = self.clock.now + self.config.route_lifetime
         self.node.send_unicast(packet, next_hop)
 
-    # -- MAC callbacks -----------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, LdrRreq):
-            self._handle_rreq(payload, from_node)
-        elif isinstance(payload, LdrRrep):
-            self._handle_rrep(payload, from_node)
-        elif isinstance(payload, LdrRerr):
-            self._handle_rerr(payload, from_node)
-
-    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self._valid_next_hop(packet.destination)
-        if next_hop is None:
-            self.data_drops += 1
-            rerr = LdrRerr(unreachable=(packet.destination,))
-            self.node.send_unicast(
-                self.make_control_packet(from_node, rerr, CONTROL_SIZES["rerr"]),
-                from_node,
-            )
-            return
-        self._forward_data(packet.copy_for_forwarding(), next_hop)
+    def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
+        rerr = LdrRerr(unreachable=(destination,))
+        self.node.send_unicast(
+            self.make_control_packet(from_node, rerr, CONTROL_SIZES["rerr"]),
+            from_node,
+        )
 
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
         lost: List[NodeId] = []
@@ -250,12 +200,8 @@ class LdrProtocol(RoutingProtocol):
             if entry.valid and entry.next_hop == next_hop:
                 entry.valid = False
                 lost.append(destination)
-        if packet.is_data and packet.source == self.node_id:
-            if not self.buffer.push(packet):
-                self.data_drops += 1
-            self.discovery.begin(packet.destination)
-        elif packet.is_data:
-            self.data_drops += 1
+        if packet.is_data:
+            self._rediscover_or_drop(packet)
         if lost:
             self.node.send_broadcast(
                 self.make_control_packet(
@@ -267,31 +213,28 @@ class LdrProtocol(RoutingProtocol):
 
     def _send_rreq(self, destination: NodeId, rreq_id: int, attempt: int) -> None:
         entry = self.routes.get(destination)
-        rreq = LdrRreq(
-            source=self.node_id,
-            rreq_id=rreq_id,
-            destination=destination,
-            destination_sequence_number=entry.sequence_number if entry else 0,
-            feasible_distance=(
-                entry.feasible_distance if entry else INFINITE_DISTANCE
-            ),
-            unknown=entry is None,
-            ttl=self.config.rreq_ttl,
+        self._broadcast_rreq(
+            LdrRreq(
+                source=self.node_id,
+                rreq_id=rreq_id,
+                destination=destination,
+                destination_sequence_number=entry.sequence_number if entry else 0,
+                feasible_distance=(
+                    entry.feasible_distance if entry else INFINITE_DISTANCE
+                ),
+                unknown=entry is None,
+                ttl=self.config.rreq_ttl,
+            )
         )
-        self.seen_rreqs.add((self.node_id, rreq_id))
-        self.node.send_broadcast(
-            self.make_control_packet(destination, rreq, CONTROL_SIZES["rreq"])
-        )
-
-    def _discovery_failed(self, destination: NodeId) -> None:
-        self.data_drops += self.buffer.drop_all(destination)
 
     def _handle_rreq(self, rreq: LdrRreq, from_node: NodeId) -> None:
-        key = (rreq.source, rreq.rreq_id)
-        if key in self.seen_rreqs or rreq.source == self.node_id or rreq.ttl <= 0:
+        if (
+            rreq.source == self.node_id
+            or rreq.ttl <= 0
+            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
+        ):
             return
-        self.seen_rreqs.add(key)
-        self.reverse_path[key] = from_node
+        self.reverse_path[(rreq.source, rreq.rreq_id)] = from_node
 
         if rreq.destination == self.node_id:
             # Destination-controlled reset: only bump the sequence number when
@@ -353,15 +296,7 @@ class LdrProtocol(RoutingProtocol):
         relayed = rreq.relayed(reset_required=reset_required)
         if relayed.ttl <= 0:
             return
-        self.node.send_broadcast(
-            self.make_control_packet(rreq.destination, relayed, CONTROL_SIZES["rreq"])
-        )
-
-    def _send_rrep(self, rrep: LdrRrep, next_hop: NodeId) -> None:
-        self.node.send_unicast(
-            self.make_control_packet(rrep.source, rrep, CONTROL_SIZES["rrep"]),
-            next_hop,
-        )
+        self._broadcast_rreq(relayed)
 
     def _handle_rrep(self, rrep: LdrRrep, from_node: NodeId) -> None:
         accepted = self._accept_route(
@@ -372,11 +307,7 @@ class LdrProtocol(RoutingProtocol):
         )
         if rrep.source == self.node_id:
             if accepted:
-                self.discovery.complete(rrep.destination)
-                next_hop = self._valid_next_hop(rrep.destination)
-                if next_hop is not None:
-                    for packet in self.buffer.pop_all(rrep.destination):
-                        self._forward_data(packet, next_hop)
+                self._route_found(rrep.destination)
             return
         if not accepted:
             return
@@ -398,6 +329,12 @@ class LdrProtocol(RoutingProtocol):
                     self.node_id, LdrRerr(tuple(lost)), CONTROL_SIZES["rerr"]
                 )
             )
+
+    control_handlers = {
+        LdrRreq: _handle_rreq,
+        LdrRrep: _handle_rrep,
+        LdrRerr: _handle_rerr,
+    }
 
     # -- metrics -----------------------------------------------------------------------
 

@@ -22,10 +22,9 @@ OSPF discipline:
   the forwarding plane;
 * flooding carries a TTL and every node dedups on ``(origin, seq)``.
 
-The dirty-flag + validity-horizon SPF scheduling is transplanted verbatim
-from OLSR's incremental-routes machinery (PR 5): the periodic route tick
-skips the SPF while nothing was added, revived or replaced and no entry
-that fed the last computation can have expired yet.
+Neighbour sensing, the LSDB, the route tick and forwarding are the
+link-state skeleton OLSR shares
+(:class:`~repro.protocols.common.LinkStateProtocol`).
 
 Determinism across runtimes: the SPF iterates neighbours in **sorted
 order**, so two nodes with the same LSDB compute the same table regardless
@@ -38,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from ..sim.packet import Packet
-from .base import ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, PeriodicTimer, SeenSequences
+from .base import ProtocolConfig
+from .common import CONTROL_SIZES, LinkStateProtocol, SeenSequences
 
-__all__ = ["LsrConfig", "LsrProtocol", "LsrHello", "LsrLsa", "LsdbEntry"]
+__all__ = ["LsrConfig", "LsrProtocol", "LsrHello", "LsrLsa"]
 
 NodeId = Hashable
 
@@ -74,15 +72,6 @@ class LsrLsa:
     ttl: int = 16
 
 
-@dataclass
-class LsdbEntry:
-    """One origin's row in the link-state database."""
-
-    links: Set[NodeId]
-    sequence_number: int
-    expires_at: float
-
-
 @dataclass(frozen=True, slots=True)
 class LsrConfig(ProtocolConfig):
     """LSR intervals, holding times and flood control.
@@ -101,61 +90,38 @@ class LsrConfig(ProtocolConfig):
     hop_limit: int = 32
 
 
-class LsrProtocol(RoutingProtocol):
+class LsrProtocol(LinkStateProtocol):
     """One node's LSR instance (both runtimes)."""
 
     name = "LSR"
 
     def __init__(self, config: Optional[LsrConfig] = None) -> None:
-        super().__init__()
-        self.config = config or LsrConfig()
-        #: neighbour -> expiry time (hello soft state)
-        self.neighbors: Dict[NodeId, float] = {}
-        #: origin -> LSDB row for every *other* node heard from
-        self.lsdb: Dict[NodeId, LsdbEntry] = {}
-        self.routing_table: Dict[NodeId, NodeId] = {}
+        super().__init__(config or LsrConfig())
+        self.hop_limit = self.config.hop_limit
         #: own LSA sequence number; survives reboots (non-volatile in OSPF).
         self.lsa_sequence_number = 0
         self.seen_lsas = SeenSequences()
-        self.data_drops = 0
         #: flood-control counters the live runtime's soak gate reads.
         self.ttl_expired_drops = 0
         self.duplicate_lsa_drops = 0
         self._last_origination = -_NEVER
         self._origination_pending = False
-        # Dirty-flag + validity-horizon SPF bookkeeping (OLSR PR 5 design).
-        self._routes_dirty = True
-        self._routes_valid_until = -_NEVER
-        self._routes_computed_at = -_NEVER
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    def start(self) -> None:
-        offset = (hash(self.node_id) % 1000) / 1000.0
-        config = self.config
-        PeriodicTimer(
-            self.clock, config.hello_interval, self._emit_hello
-        ).start(first_delay=offset * config.hello_interval)
-        PeriodicTimer(self.clock, config.lsa_interval, self._refresh_lsa).start(
-            first_delay=offset * config.lsa_interval
-        )
-        PeriodicTimer(
-            self.clock, config.route_recompute_interval, self._route_maintenance
-        ).start()
 
     def on_node_down(self) -> None:
         """Crash: the LSDB and adjacency state are volatile, the seq is not."""
-        self.neighbors.clear()
-        self.lsdb.clear()
-        self.routing_table.clear()
+        super().on_node_down()
         self.seen_lsas.clear()
         self._last_origination = -_NEVER
         self._origination_pending = False
-        self._routes_dirty = True
-        self._routes_valid_until = -_NEVER
-        self._routes_computed_at = -_NEVER
 
     # -- periodic emissions ------------------------------------------------------------
+
+    def _periodic_emissions(self):
+        config = self.config
+        return (
+            (config.hello_interval, self._emit_hello),
+            (config.lsa_interval, self._originate_lsa),
+        )
 
     def _emit_hello(self, now: float) -> None:
         self.node.send_broadcast(
@@ -163,9 +129,6 @@ class LsrProtocol(RoutingProtocol):
                 self.node_id, LsrHello(origin=self.node_id), CONTROL_SIZES["hello"]
             )
         )
-
-    def _refresh_lsa(self, now: float) -> None:
-        self._originate_lsa(now)
 
     def _originate_lsa(self, now: float) -> None:
         """Flood a fresh LSA, honouring the min-origination interval.
@@ -192,53 +155,19 @@ class LsrProtocol(RoutingProtocol):
             self.make_control_packet(self.node_id, lsa, CONTROL_SIZES["tc"])
         )
 
+    def _adjacency_changed(self, now: float) -> None:
+        # Triggered origination: advertise a new or lost adjacency now
+        # rather than waiting out the refresh interval.
+        self._originate_lsa(now)
+
     def _route_maintenance(self, now: float) -> None:
         if self._origination_pending:
             self._originate_lsa(now)
-        if self._routes_dirty:
-            self._recompute_routes()
-            return
-        if now < self._routes_valid_until:
-            return
-        # Revalidate the horizon: only an entry that died since the last
-        # SPF invalidates the table (expiry inside (computed_at, now]).
-        computed_at = self._routes_computed_at
-        horizon = _NEVER
-        for expiry in self.neighbors.values():
-            if expiry <= now:
-                if expiry > computed_at:
-                    self._recompute_routes()
-                    return
-            elif expiry < horizon:
-                horizon = expiry
-        for entry in self.lsdb.values():
-            expiry = entry.expires_at
-            if expiry <= now:
-                if expiry > computed_at:
-                    self._recompute_routes()
-                    return
-            elif expiry < horizon:
-                horizon = expiry
-        self._routes_valid_until = horizon
-
-    # -- link-state database -----------------------------------------------------------
-
-    def _live_neighbors(self) -> Set[NodeId]:
-        now = self.clock.now
-        return {n for n, expiry in self.neighbors.items() if expiry > now}
-
-    def _live_lsdb(self) -> Dict[NodeId, Set[NodeId]]:
-        """origin -> advertised link set, max-aged entries excluded."""
-        now = self.clock.now
-        return {
-            origin: entry.links
-            for origin, entry in self.lsdb.items()
-            if entry.expires_at > now
-        }
+        super()._route_maintenance(now)
 
     # -- SPF ---------------------------------------------------------------------------
 
-    def _recompute_routes(self) -> None:
+    def _shortest_paths(self, now: float) -> Dict[NodeId, NodeId]:
         """Dijkstra over bidirectional links, in deterministic sorted order.
 
         Hop-count metric makes Dijkstra a BFS; the two-way check means an
@@ -248,10 +177,11 @@ class LsrProtocol(RoutingProtocol):
         depends only on the LSDB contents, never on arrival order — the
         cross-runtime parity property.
         """
-        now = self.clock.now
         live_neighbors = self._live_neighbors()
         advertised: Dict[NodeId, Set[NodeId]] = {
-            origin: set(links) for origin, links in self._live_lsdb().items()
+            origin: set(entry.links)
+            for origin, entry in self.lsdb.items()
+            if entry.expires_at > now
         }
         advertised[self.node_id] = set(live_neighbors)
 
@@ -282,71 +212,11 @@ class LsrProtocol(RoutingProtocol):
                     table[neighbor] = first_hop
                     next_frontier.append(neighbor)
             frontier = next_frontier
-        self.routing_table = table
-        valid_until = _NEVER
-        for expiry in self.neighbors.values():
-            if now < expiry < valid_until:
-                valid_until = expiry
-        for entry in self.lsdb.values():
-            if now < entry.expires_at < valid_until:
-                valid_until = entry.expires_at
-        self._routes_valid_until = valid_until
-        self._routes_computed_at = now
-        self._routes_dirty = False
+        return table
 
-    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
-        """The current first hop toward ``destination``, if reachable."""
-        return self.routing_table.get(destination)
+    # -- control messages --------------------------------------------------------------
 
-    # -- application data --------------------------------------------------------------
-
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.next_hop(packet.destination)
-        if next_hop is None:
-            self.data_drops += 1
-            return
-        self.node.send_unicast(packet, next_hop)
-
-    # -- packet handling ---------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, LsrHello):
-            self._handle_hello(payload)
-        elif isinstance(payload, LsrLsa):
-            self._handle_lsa(payload)
-
-    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.next_hop(packet.destination)
-        # Split horizon + hop limit: link-state tables can transiently loop.
-        if (
-            next_hop is None
-            or next_hop == from_node
-            or packet.hops > self.config.hop_limit
-        ):
-            self.data_drops += 1
-            return
-        self.node.send_unicast(packet.copy_for_forwarding(), next_hop)
-
-    def _handle_hello(self, hello: LsrHello) -> None:
-        now = self.clock.now
-        previous = self.neighbors.get(hello.origin)
-        came_up = previous is None or previous <= now
-        self.neighbors[hello.origin] = now + self.config.neighbor_hold_time
-        if came_up:
-            self._routes_dirty = True
-            # Triggered origination: advertise the new adjacency now rather
-            # than waiting out the refresh interval.
-            self._originate_lsa(now)
-
-    def _handle_lsa(self, lsa: LsrLsa) -> None:
+    def _handle_lsa(self, lsa: LsrLsa, from_node: NodeId) -> None:
         if lsa.origin == self.node_id:
             return
         if not self.seen_lsas.add(lsa.origin, lsa.sequence_number):
@@ -355,7 +225,6 @@ class LsrProtocol(RoutingProtocol):
         if lsa.ttl <= 0:
             self.ttl_expired_drops += 1
             return
-        now = self.clock.now
         existing = self.lsdb.get(lsa.origin)
         # OSPF discipline: install only strictly newer LSAs — unless the
         # stored one already max-aged out, in which case any live LSA
@@ -363,19 +232,10 @@ class LsrProtocol(RoutingProtocol):
         if (
             existing is None
             or lsa.sequence_number > existing.sequence_number
-            or existing.expires_at <= now
+            or existing.expires_at <= self.clock.now
         ):
-            links = set(lsa.links)
-            if (
-                existing is None
-                or existing.expires_at <= now
-                or links != existing.links
-            ):
-                self._routes_dirty = True
-            self.lsdb[lsa.origin] = LsdbEntry(
-                links=links,
-                sequence_number=lsa.sequence_number,
-                expires_at=now + self.config.lsa_max_age,
+            self._store_advertisement(
+                lsa.origin, lsa.links, lsa.sequence_number, self.config.lsa_max_age
             )
         # Flood on regardless of install: neighbours we relay for may not
         # have seen this (origin, seq) yet even when we already had it.
@@ -389,22 +249,7 @@ class LsrProtocol(RoutingProtocol):
             self.make_control_packet(self.node_id, relayed, CONTROL_SIZES["tc"])
         )
 
-    def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
-        now = self.clock.now
-        if self.neighbors.pop(next_hop, None) is not None:
-            self._routes_dirty = True
-            # The adjacency died: advertise the loss immediately.
-            self._originate_lsa(now)
-        self._recompute_routes()
-        if packet.is_data:
-            alternative = self.next_hop(packet.destination)
-            if alternative is not None and alternative != next_hop:
-                self.node.send_unicast(packet, alternative)
-            else:
-                self.data_drops += 1
-
-    # -- metrics -----------------------------------------------------------------------
-
-    def sequence_number_metric(self) -> int:
-        """LSR is not part of Fig. 7's sequence-number comparison."""
-        return 0
+    control_handlers = {
+        LsrHello: LinkStateProtocol._handle_hello,
+        LsrLsa: _handle_lsa,
+    }

@@ -21,15 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from ..sim.packet import Packet
-from .base import ProtocolConfig, RoutingProtocol
-from .common import CONTROL_SIZES, PeriodicTimer, SeenSequences
+from .base import ProtocolConfig
+from .common import CONTROL_SIZES, LinkStateProtocol, SeenSequences
 
 __all__ = ["OlsrConfig", "OlsrProtocol", "OlsrHello", "OlsrTc"]
 
 NodeId = Hashable
-
-_NEVER = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,57 +58,39 @@ class OlsrConfig(ProtocolConfig):
     route_recompute_interval: float = 1.0
 
 
-class OlsrProtocol(RoutingProtocol):
+class OlsrProtocol(LinkStateProtocol):
     """One node's OLSR instance.
 
-    The periodic shortest-path recomputation runs only when its inputs
-    could have changed: the tick skips the BFS while no neighbour or
-    topology entry was added, revived or replaced with a different
-    adjacency set (dirty flag) and no entry that fed the last computation
-    can have expired yet (validity horizon).  A skipped recomputation would
-    have rebuilt the identical table, so this changes cost, not routes;
-    recomputing every tick made an OLSR trial 9 % slower.
+    Its topology set is the skeleton's link-state database: each TC
+    origin's advertised neighbours, held for ``topology_hold_time``.
     """
 
     name = "OLSR"
+    hop_limit = 32
 
     def __init__(self, config: Optional[OlsrConfig] = None) -> None:
-        super().__init__()
-        self.config = config or OlsrConfig()
-        #: neighbour -> expiry time
-        self.neighbors: Dict[NodeId, float] = {}
-        #: originator -> (advertised neighbour set, expiry, sequence number)
-        self.topology: Dict[NodeId, Tuple[Set[NodeId], float, int]] = {}
-        self.routing_table: Dict[NodeId, NodeId] = {}
+        super().__init__(config or OlsrConfig())
         self.tc_sequence_number = 0
         self.seen_tcs = SeenSequences()
-        self.data_drops = 0
-        # Incremental-recompute bookkeeping: the table must be rebuilt when
-        # something was added/revived/replaced (dirty) or once an entry that
-        # fed the last rebuild actually expires.  `_routes_valid_until` is
-        # the earliest such expiry *as of the last rebuild* — entries
-        # refreshed since then push the true horizon later, which the route
-        # tick revalidates with a cheap expiry scan before paying for a
-        # shortest-path run.
-        self._routes_dirty = True
-        self._routes_valid_until = -_NEVER
-        self._routes_computed_at = -_NEVER
 
-    # -- lifecycle ------------------------------------------------------------------
+    def on_node_down(self) -> None:
+        """Crash: all link-state knowledge is volatile.
 
-    def start(self) -> None:
-        # Desynchronise periodic emissions across nodes with a per-node offset.
-        offset = (hash(self.node_id) % 1000) / 1000.0
+        The TC sequence number is kept monotone across the reboot so
+        neighbours' ``seen_tcs`` dedup state never silently discards the
+        rebooted node's fresh topology advertisements.
+        """
+        super().on_node_down()
+        self.seen_tcs.clear()
+
+    # -- periodic emissions ------------------------------------------------------------
+
+    def _periodic_emissions(self):
         config = self.config
-        PeriodicTimer(
-            self.clock, config.hello_interval, self._emit_hello
-        ).start(first_delay=offset * config.hello_interval)
-        PeriodicTimer(self.clock, config.tc_interval, self._emit_tc).start(
-            first_delay=offset * config.tc_interval
+        return (
+            (config.hello_interval, self._emit_hello),
+            (config.tc_interval, self._emit_tc),
         )
-        PeriodicTimer(
-            self.clock, config.route_recompute_interval, self._route_maintenance
-        ).start()
 
     def _emit_hello(self, now: float) -> None:
         hello = OlsrHello(
@@ -133,67 +112,9 @@ class OlsrProtocol(RoutingProtocol):
             self.make_control_packet(self.node_id, tc, CONTROL_SIZES["tc"])
         )
 
-    def on_node_down(self) -> None:
-        """Crash: all link-state knowledge is volatile.
-
-        The TC sequence number is kept monotone across the reboot so
-        neighbours' ``seen_tcs`` dedup state never silently discards the
-        rebooted node's fresh topology advertisements.
-        """
-        self.neighbors.clear()
-        self.topology.clear()
-        self.routing_table.clear()
-        self.seen_tcs.clear()
-        self._routes_dirty = True
-        self._routes_valid_until = -_NEVER
-        self._routes_computed_at = -_NEVER
-
-    def _route_maintenance(self, now: float) -> None:
-        if self._routes_dirty:
-            self._recompute_routes()
-            return
-        if now < self._routes_valid_until:
-            return
-        # The recorded horizon passed, but entries refreshed since the last
-        # rebuild may have pushed the true horizon later.  An entry only
-        # invalidates the table if it *died* since the rebuild — expiry
-        # inside (computed_at, now].  Scanning the expiries is an order of
-        # magnitude cheaper than the shortest-path rebuild it avoids.
-        computed_at = self._routes_computed_at
-        horizon = _NEVER
-        for expiry in self.neighbors.values():
-            if expiry <= now:
-                if expiry > computed_at:
-                    self._recompute_routes()
-                    return
-            elif expiry < horizon:
-                horizon = expiry
-        for _, expiry, _ in self.topology.values():
-            if expiry <= now:
-                if expiry > computed_at:
-                    self._recompute_routes()
-                    return
-            elif expiry < horizon:
-                horizon = expiry
-        self._routes_valid_until = horizon
-
-    # -- neighbour / topology state ----------------------------------------------------
-
-    def _live_neighbors(self) -> Set[NodeId]:
-        now = self.clock.now
-        return {n for n, expiry in self.neighbors.items() if expiry > now}
-
-    def _live_topology(self) -> Dict[NodeId, Set[NodeId]]:
-        now = self.clock.now
-        return {
-            origin: neighbors
-            for origin, (neighbors, expiry, _) in self.topology.items()
-            if expiry > now
-        }
-
     # -- routing -----------------------------------------------------------------------
 
-    def _recompute_routes(self) -> None:
+    def _shortest_paths(self, now: float) -> Dict[NodeId, NodeId]:
         """Breadth-first shortest paths over the learned topology.
 
         ``_live_neighbors`` is evaluated once and reused: a comprehension
@@ -202,13 +123,13 @@ class OlsrProtocol(RoutingProtocol):
         adjacency seed, the reverse-edge pass and the initial frontier
         changes nothing but the cost.
         """
-        now = self.clock.now
         live_neighbors = self._live_neighbors()
         adjacency: Dict[NodeId, Set[NodeId]] = {self.node_id: set(live_neighbors)}
         adjacency_setdefault = adjacency.setdefault
-        for origin, (neighbors, expiry, _) in self.topology.items():
-            if expiry <= now:
+        for origin, entry in self.lsdb.items():
+            if entry.expires_at <= now:
                 continue
+            neighbors = entry.links
             adjacency_setdefault(origin, set()).update(neighbors)
             for neighbor in neighbors:
                 adjacency_setdefault(neighbor, set()).add(origin)
@@ -236,96 +157,24 @@ class OlsrProtocol(RoutingProtocol):
                     table[neighbor] = first_hop
                     append(neighbor)
             frontier = next_frontier
-        self.routing_table = table
-        # The table stays exact until the first live entry can expire — or
-        # until a dirty-marking update lands, whichever comes first.
-        valid_until = _NEVER
-        for expiry in self.neighbors.values():
-            if now < expiry < valid_until:
-                valid_until = expiry
-        for _, expiry, _ in self.topology.values():
-            if now < expiry < valid_until:
-                valid_until = expiry
-        self._routes_valid_until = valid_until
-        self._routes_computed_at = now
-        self._routes_dirty = False
+        return table
 
-    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
-        """The current first hop toward ``destination``, if reachable."""
-        return self.routing_table.get(destination)
+    # -- control messages --------------------------------------------------------------
 
-    # -- application data --------------------------------------------------------------
-
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.next_hop(packet.destination)
-        if next_hop is None:
-            # Proactive protocol: no discovery to fall back on.
-            self.data_drops += 1
-            return
-        self.node.send_unicast(packet, next_hop)
-
-    # -- MAC callbacks -----------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, OlsrHello):
-            self._handle_hello(payload)
-        elif isinstance(payload, OlsrTc):
-            self._handle_tc(payload, packet)
-
-    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.next_hop(packet.destination)
-        # Split horizon: with stale link-state information the next hop can
-        # point straight back at the sender; forwarding would ping-pong the
-        # packet (OLSR is not loop-free at every instant), so drop instead.
-        if next_hop is None or next_hop == from_node or packet.hops > 32:
-            self.data_drops += 1
-            return
-        self.node.send_unicast(packet.copy_for_forwarding(), next_hop)
-
-    def _handle_hello(self, hello: OlsrHello) -> None:
-        now = self.clock.now
-        previous = self.neighbors.get(hello.origin)
-        if previous is None or previous <= now:
-            # An unknown or expired neighbour became live: the next route
-            # tick must rebuild.  A refresh of an already-live neighbour
-            # only pushes its expiry later, which cannot invalidate the
-            # table before the recorded validity horizon.
-            self._routes_dirty = True
-        self.neighbors[hello.origin] = now + self.config.neighbor_hold_time
-
-    def _handle_tc(self, tc: OlsrTc, packet: Packet) -> None:
+    def _handle_tc(self, tc: OlsrTc, from_node: NodeId) -> None:
         if (
             tc.origin == self.node_id
             or tc.ttl <= 0
             or not self.seen_tcs.add(tc.origin, tc.sequence_number)
         ):
             return
-        existing = self.topology.get(tc.origin)
-        if existing is None or tc.sequence_number >= existing[2]:
-            now = self.clock.now
-            advertised = set(tc.advertised_neighbors)
-            changed = (
-                existing is None
-                or existing[1] <= now
-                or advertised != existing[0]
-            )
-            if changed:
-                # New origin, revived origin, or a different adjacency set:
-                # the learned graph changed.  A same-set refresh of a live
-                # entry only extends its expiry.
-                self._routes_dirty = True
-            self.topology[tc.origin] = (
-                advertised,
-                now + self.config.topology_hold_time,
+        existing = self.lsdb.get(tc.origin)
+        if existing is None or tc.sequence_number >= existing.sequence_number:
+            self._store_advertisement(
+                tc.origin,
+                tc.advertised_neighbors,
                 tc.sequence_number,
+                self.config.topology_hold_time,
             )
         # Flood on (no MPR optimisation).
         relayed = OlsrTc(
@@ -338,19 +187,7 @@ class OlsrProtocol(RoutingProtocol):
             self.make_control_packet(self.node_id, relayed, CONTROL_SIZES["tc"])
         )
 
-    def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
-        self.neighbors.pop(next_hop, None)
-        self._routes_dirty = True
-        self._recompute_routes()
-        if packet.is_data:
-            alternative = self.next_hop(packet.destination)
-            if alternative is not None and alternative != next_hop:
-                self.node.send_unicast(packet, alternative)
-            else:
-                self.data_drops += 1
-
-    # -- metrics -----------------------------------------------------------------------
-
-    def sequence_number_metric(self) -> int:
-        """OLSR is not part of Fig. 7's sequence-number comparison."""
-        return 0
+    control_handlers = {
+        OlsrHello: LinkStateProtocol._handle_hello,
+        OlsrTc: _handle_tc,
+    }

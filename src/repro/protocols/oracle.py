@@ -36,7 +36,7 @@ class OracleProtocol(RoutingProtocol):
     def _channel(self):
         return self.node.mac._channel  # noqa: SLF001 - deliberate test-support access
 
-    def _next_hop(self, destination: NodeId) -> Optional[NodeId]:
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         """First hop of the current shortest path, or None when disconnected."""
         channel = self._channel()
         if destination == self.node_id:
@@ -65,9 +65,7 @@ class OracleProtocol(RoutingProtocol):
             return
         self._forward(packet)
 
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if not packet.is_data:
-            return
+    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
         if self.deliver_or_forward_hook(packet):
             return
         self._forward(packet.copy_for_forwarding())
@@ -78,7 +76,7 @@ class OracleProtocol(RoutingProtocol):
             self._forward(packet)
 
     def _forward(self, packet: Packet) -> None:
-        next_hop = self._next_hop(packet.destination)
+        next_hop = self.next_hop(packet.destination)
         if next_hop is None or packet.hops > 64:
             self.data_drops += 1
             return

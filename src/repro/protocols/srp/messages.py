@@ -1,7 +1,8 @@
 """SRP control messages (Section III of the paper).
 
-SRP reuses AODV's packet types — RREQ, RREP, RERR, RACK — with extensively
-modified fields.  A RREQ has a *solicitation* piece (who is looking for whom,
+SRP reuses AODV's packet types — RREQ, RREP and RERR (the paper's RACK, a
+route-reply acknowledgment, is not modelled) — with extensively modified
+fields.  A RREQ has a *solicitation* piece (who is looking for whom,
 at what ordering) and an *advertisement* piece (the requester advertising its
 own route back, so relays can build a reverse path).  The flag bits follow the
 paper:
@@ -27,7 +28,7 @@ from typing import Hashable, Optional, Tuple
 
 from ...core.ordering import Ordering
 
-__all__ = ["SrpRreq", "SrpRrep", "SrpRerr", "SrpRack", "DELETE_PERIOD"]
+__all__ = ["SrpRreq", "SrpRrep", "SrpRerr", "DELETE_PERIOD"]
 
 NodeId = Hashable
 
@@ -136,11 +137,3 @@ class SrpRerr:
 
     unreachable: Tuple[NodeId, ...]
     origin: NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class SrpRack:
-    """Route-reply acknowledgment (carries src and rreq_id per the paper)."""
-
-    source: NodeId
-    rreq_id: int

@@ -35,11 +35,11 @@ from ...core.fractions import DEFAULT_MAX_DENOMINATOR, UINT32_MAX, ProperFractio
 from ...core.neworder import new_order, new_order_for_rreq_advertisement
 from ...core.ordering import UNASSIGNED, Ordering, ordering_min
 from ...sim.packet import Packet
-from ..base import PacketBuffer, ProtocolConfig, RoutingProtocol
+from ..base import ProtocolConfig
 from ..common import (
     CONTROL_SIZES,
     ComputationState,
-    DiscoveryController,
+    OnDemandProtocol,
     PeriodicTimer,
     RreqCache,
 )
@@ -75,37 +75,23 @@ class SrpConfig(ProtocolConfig):
     maintenance_interval: float = 1.0
 
 
-class SrpProtocol(RoutingProtocol):
+class SrpProtocol(OnDemandProtocol):
     """One node's SRP instance."""
 
     name = "SRP"
 
     def __init__(self, config: Optional[SrpConfig] = None) -> None:
-        super().__init__()
-        self.config = config or SrpConfig()
+        super().__init__(config or SrpConfig())
         self.table = SrpRoutingTable(route_lifetime=self.config.route_lifetime)
         self.rreq_cache = RreqCache(max_age=DELETE_PERIOD)
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
         # Definition 7: the node's sequence number for itself is non-zero.  A
         # real deployment uses a 64-bit clock; a monotone counter is equivalent
         # for the protocol logic and makes Fig. 7's metric easy to read.
         self.initial_sequence_number = 1
         self.own_sequence_number = 1
-        self.discovery: Optional[DiscoveryController] = None
-        self.data_drops = 0
         self.path_reset_requests = 0
 
     # -- lifecycle ----------------------------------------------------------------
-
-    def attach(self, node) -> None:
-        super().attach(node)
-        self.discovery = DiscoveryController(
-            node.clock,
-            send_request=self._initiate_solicitation,
-            give_up=self._discovery_failed,
-            timeout=self.config.discovery_timeout,
-            max_attempts=self.config.max_discovery_attempts,
-        )
 
     def start(self) -> None:
         # Definition 7: O_A_A = (sn, 0/1).
@@ -135,9 +121,7 @@ class SrpProtocol(RoutingProtocol):
         """
         self.table = SrpRoutingTable(route_lifetime=self.config.route_lifetime)
         self.rreq_cache = RreqCache(max_age=DELETE_PERIOD)
-        self.buffer = PacketBuffer(max_per_destination=self.config.buffer_size)
-        if self.discovery is not None:
-            self.discovery.abandon_all()
+        super().on_node_down()
 
     def on_node_up(self) -> None:
         """Reboot: restore the node's own ordering (Definition 7)."""
@@ -163,60 +147,27 @@ class SrpProtocol(RoutingProtocol):
 
     # -- application data path ---------------------------------------------------------
 
-    def originate_data(self, packet: Packet) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.table.next_hop(packet.destination)
-        if next_hop is not None:
-            self._forward_data(packet, next_hop)
-            return
-        if not self.buffer.push(packet):
-            self.data_drops += 1
-        self.discovery.begin(packet.destination)
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
+        return self.table.next_hop(destination)
 
     def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
         self.table.refresh_successor(packet.destination, next_hop, self.clock.now)
         self.node.send_unicast(packet, next_hop)
 
-    # -- MAC callbacks -----------------------------------------------------------------
-
-    def handle_packet(self, packet: Packet, from_node: NodeId) -> None:
-        if packet.is_data:
-            self._handle_data(packet, from_node)
-            return
-        payload = packet.payload
-        if isinstance(payload, SrpRreq):
-            self._handle_rreq(payload, from_node)
-        elif isinstance(payload, SrpRrep):
-            self._handle_rrep(payload, from_node)
-        elif isinstance(payload, SrpRerr):
-            self._handle_rerr(payload, from_node)
-
-    def _handle_data(self, packet: Packet, from_node: NodeId) -> None:
-        if self.deliver_or_forward_hook(packet):
-            return
-        next_hop = self.table.next_hop(packet.destination)
-        if next_hop is None:
-            # No successor: unicast a route error to the data packet's last hop.
-            self.data_drops += 1
-            self._send_rerr([packet.destination], unicast_to=from_node)
-            return
-        self._forward_data(packet.copy_for_forwarding(), next_hop)
+    def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
+        # No successor: unicast a route error to the data packet's last hop.
+        self._send_rerr([destination], unicast_to=from_node)
 
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
         newly_invalid = self.table.remove_neighbor_everywhere(next_hop)
         if packet.is_data:
             # Packet cache behaviour: break the next hop and resend over an
             # alternative successor when one exists (SRP is multi-path).
-            alternative = self.table.next_hop(packet.destination)
+            alternative = self.next_hop(packet.destination)
             if alternative is not None:
                 self._forward_data(packet, alternative)
-            elif packet.source == self.node_id:
-                if not self.buffer.push(packet):
-                    self.data_drops += 1
-                self.discovery.begin(packet.destination)
             else:
-                self.data_drops += 1
+                self._rediscover_or_drop(packet)
         if newly_invalid:
             self._send_rerr(newly_invalid)
 
@@ -246,9 +197,7 @@ class SrpProtocol(RoutingProtocol):
 
     # -- Procedure 1: initiate solicitation --------------------------------------------
 
-    def _initiate_solicitation(
-        self, destination: NodeId, rreq_id: int, attempt: int
-    ) -> None:
+    def _send_rreq(self, destination: NodeId, rreq_id: int, attempt: int) -> None:
         entry = self.table.lookup(destination)
         if entry is not None and entry.is_assigned:
             requested = self._maybe_lie(entry.ordering)
@@ -266,8 +215,7 @@ class SrpProtocol(RoutingProtocol):
             ttl=self.config.rreq_ttl,
         )
         self.rreq_cache.activate(self.node_id, rreq_id, self.clock.now)
-        packet = self.make_control_packet(destination, rreq, CONTROL_SIZES["rreq"])
-        self.node.send_broadcast(packet)
+        self._broadcast_rreq(rreq)
 
     def _maybe_lie(self, ordering: Ordering) -> Ordering:
         """The paper's heuristic: advertise a slightly smaller fraction in the
@@ -281,9 +229,6 @@ class SrpProtocol(RoutingProtocol):
             scale = self.config.lie_scale
             fraction = ProperFraction(max(m * scale - 1, 0), n * scale - 1)
         return Ordering(ordering.sequence_number, fraction)
-
-    def _discovery_failed(self, destination: NodeId) -> None:
-        self.data_drops += self.buffer.drop_all(destination)
 
     # -- Procedure 2: relay solicitation -----------------------------------------------
 
@@ -452,10 +397,7 @@ class SrpProtocol(RoutingProtocol):
         )
         if relayed.expired:
             return
-        packet = self.make_control_packet(
-            rreq.destination, relayed, CONTROL_SIZES["rreq"]
-        )
-        self.node.send_broadcast(packet)
+        self._broadcast_rreq(relayed)
 
     # -- Procedures 3 and 4: set route and relay advertisement -------------------------
 
@@ -483,8 +425,7 @@ class SrpProtocol(RoutingProtocol):
             advertised_distance=distance,
             no_reverse_path=no_reverse_path,
         )
-        packet = self.make_control_packet(source, rrep, CONTROL_SIZES["rrep"])
-        self.node.send_unicast(packet, to_neighbor)
+        self._send_rrep(rrep, to_neighbor)
 
     def _handle_rrep(self, rrep: SrpRrep, from_node: NodeId) -> None:
         if rrep.expired:
@@ -551,18 +492,13 @@ class SrpProtocol(RoutingProtocol):
         )
         if relayed.expired:
             return
-        packet = self.make_control_packet(rrep.source, relayed, CONTROL_SIZES["rrep"])
-        self.node.send_unicast(packet, cache_entry.last_hop)
+        self._send_rrep(relayed, cache_entry.last_hop)
 
     def _route_established(
         self, destination: NodeId, ordering: Ordering, rrep: SrpRrep
     ) -> None:
         """The requester's route is up: flush buffered data, check for resets."""
-        self.discovery.complete(destination)
-        next_hop = self.table.next_hop(destination)
-        if next_hop is not None:
-            for packet in self.buffer.pop_all(destination):
-                self._forward_data(packet, next_hop)
+        self._route_found(destination)
         # Path-reset conditions at the terminus: an oversized denominator, or
         # a reply whose reverse path could not be built (N bit).
         if (
@@ -574,7 +510,7 @@ class SrpProtocol(RoutingProtocol):
     def _request_path_reset(self, destination: NodeId) -> None:
         """Send a unicast D-bit RREQ along the forward path; the destination
         answers with a larger sequence number, resetting the ordering."""
-        next_hop = self.table.next_hop(destination)
+        next_hop = self.next_hop(destination)
         if next_hop is None:
             return
         self.path_reset_requests += 1
@@ -590,6 +526,12 @@ class SrpProtocol(RoutingProtocol):
         self.rreq_cache.activate(self.node_id, rreq.rreq_id, self.clock.now)
         packet = self.make_control_packet(destination, rreq, CONTROL_SIZES["rreq"])
         self.node.send_unicast(packet, next_hop)
+
+    control_handlers = {
+        SrpRreq: _handle_rreq,
+        SrpRrep: _handle_rrep,
+        SrpRerr: _handle_rerr,
+    }
 
     # -- metrics -----------------------------------------------------------------------
 

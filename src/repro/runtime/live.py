@@ -920,11 +920,16 @@ class LoopbackNetwork:
         return self.stats.summary(), counters
 
     def routing_tables(self) -> Dict[int, Dict[NodeId, NodeId]]:
-        """Each router's current routing table (parity-test hook)."""
-        return {
-            node_id: dict(getattr(node.protocol, "routing_table", {}))
-            for node_id, node in self.nodes.items()
-        }
+        """Each router's next hop to every other router it has a route to."""
+        tables: Dict[int, Dict[NodeId, NodeId]] = {}
+        for node_id, node in self.nodes.items():
+            table = tables[node_id] = {}
+            for destination in self.nodes:
+                if destination != node_id:
+                    next_hop = node.protocol.next_hop(destination)
+                    if next_hop is not None:
+                        table[destination] = next_hop
+        return tables
 
 
 async def _loopback_soak(config: LiveRunConfig) -> LiveRunReport:

@@ -1,6 +1,8 @@
 """Tests for the shared protocol machinery (RREQ cache, discovery
 controller, flood dedup)."""
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +195,10 @@ class TestSeenSequences:
         [
             ("OLSR", "seen_tcs", "tc_sequence_number"),
             ("LSR", "seen_lsas", "lsa_sequence_number"),
+            # RREQ ids: 1, 2, 3, ... per origin, never reset by a crash.
+            ("AODV", "seen_rreqs", "discovery._next_rreq_id"),
+            ("LDR", "seen_rreqs", "discovery._next_rreq_id"),
+            ("DSR", "seen_rreqs", "discovery._next_rreq_id"),
         ],
     )
     def test_one_small_int_per_origin_after_a_trial(self, protocol, dedup, sequence):
@@ -209,6 +215,6 @@ class TestSeenSequences:
                 assert isinstance(mask, int)
                 # No bit above the origin's own counter: the mask is as
                 # wide as the floods that origin has sent, no wider.
-                assert mask.bit_length() <= getattr(protocols[origin], sequence) + 1
+                assert mask.bit_length() <= attrgetter(sequence)(protocols[origin]) + 1
             relayed += len(masks)
         assert relayed > len(protocols)

@@ -66,7 +66,7 @@ class TestLsaDiscipline:
         entry = protocol.lsdb[1]
         stored_seq = entry.sequence_number
         stale = LsrLsa(origin=1, sequence_number=stored_seq - 1, links=(), ttl=5)
-        protocol._handle_lsa(stale)
+        protocol._handle_lsa(stale, 1)
         assert protocol.lsdb[1].sequence_number == stored_seq
         assert protocol.lsdb[1].links == entry.links
 
@@ -76,7 +76,7 @@ class TestLsaDiscipline:
         net.run(until=5.0)
         protocol = net.protocol(0)
         dead = LsrLsa(origin=99, sequence_number=1, links=(1,), ttl=0)
-        protocol._handle_lsa(dead)
+        protocol._handle_lsa(dead, 1)
         assert 99 not in protocol.lsdb
         assert protocol.ttl_expired_drops == 1
 
@@ -88,7 +88,7 @@ class TestLsaDiscipline:
         # A ghost origin claims a link to node 1, but node 1 never
         # advertises the ghost back: SPF must not route through it.
         ghost = LsrLsa(origin=77, sequence_number=1, links=(1,), ttl=5)
-        protocol._handle_lsa(ghost)
+        protocol._handle_lsa(ghost, 1)
         protocol._routes_dirty = True
         protocol._recompute_routes()
         assert protocol.next_hop(77) is None

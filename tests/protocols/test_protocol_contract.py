@@ -1,0 +1,82 @@
+"""The contract every registered protocol keeps, whatever its family.
+
+Each protocol answers one route query, ``next_hop(destination)``, and
+handles only its own control messages: a payload of another protocol's
+type reaches no handler, so it sends nothing and raises nothing.
+"""
+
+import pytest
+
+from repro.core.ordering import UNASSIGNED
+from repro.protocols import PROTOCOLS, protocol_factory
+from repro.protocols.aodv import AodvRreq
+from repro.protocols.dsr import DsrRreq
+from repro.protocols.ldr import INFINITE_DISTANCE, LdrRreq
+from repro.protocols.lsr import LsrLsa
+from repro.protocols.olsr import OlsrTc
+from repro.protocols.srp import SrpRreq
+from repro.sim.packet import Packet, PacketKind
+
+from .helpers import StaticNetwork, chain_positions
+
+#: One control message per protocol that its owner must answer or relay
+#: when node 0 receives it from node 1: a request for node 0 itself, or a
+#: flood from a node beyond node 1.
+OWN_MESSAGE = {
+    "SRP": SrpRreq(
+        source=2, rreq_id=1, destination=0, requested_ordering=UNASSIGNED
+    ),
+    "LDR": LdrRreq(
+        source=2,
+        rreq_id=1,
+        destination=0,
+        destination_sequence_number=0,
+        feasible_distance=INFINITE_DISTANCE,
+        unknown=True,
+    ),
+    "AODV": AodvRreq(
+        source=2,
+        source_sequence_number=1,
+        rreq_id=1,
+        destination=0,
+        destination_sequence_number=0,
+        destination_sequence_unknown=True,
+    ),
+    "DSR": DsrRreq(source=2, rreq_id=1, destination=0, path=(2, 1)),
+    "OLSR": OlsrTc(origin=2, sequence_number=1, advertised_neighbors=(1,)),
+    "LSR": LsrLsa(origin=2, sequence_number=1, links=(1,)),
+}
+
+
+def node_zero(name):
+    """Node 0 of a started three-node chain, with its sends recorded."""
+    network = StaticNetwork(chain_positions(3), protocol_factory(name))
+    network.start()
+    node = network.nodes[0]
+    sent = []
+    node.send_unicast = lambda packet, next_hop: sent.append((packet, next_hop))
+    node.send_broadcast = lambda packet: sent.append((packet, None))
+    return node.protocol, sent
+
+
+def control_packet(payload):
+    return Packet(PacketKind.CONTROL, 1, 0, 52, 0.0, payload=payload)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+class TestProtocolContract:
+    def test_no_next_hop_to_an_unknown_destination(self, name):
+        protocol, sent = node_zero(name)
+        assert protocol.next_hop("nowhere") is None
+        assert sent == []
+
+    def test_another_protocols_control_payload_is_ignored(self, name):
+        protocol, sent = node_zero(name)
+        for other, payload in OWN_MESSAGE.items():
+            if other != name:
+                protocol.handle_packet(control_packet(payload), 1)
+        assert sent == []
+        if name in OWN_MESSAGE:
+            # The same probe in the protocol's own language does reach it.
+            protocol.handle_packet(control_packet(OWN_MESSAGE[name]), 1)
+            assert sent

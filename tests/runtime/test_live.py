@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.experiments.gate import LIVE_PROTOCOLS
 from repro.sim.packet import Packet, PacketKind
 from repro.runtime.live import (
     ExpiringSet,
@@ -12,6 +13,7 @@ from repro.runtime.live import (
     LiveNode,
     LiveRunConfig,
     LiveTransportBase,
+    LoopbackNetwork,
     adjacency_from_positions,
     plan_flows,
     run_soak,
@@ -314,20 +316,32 @@ def soak_config(**overrides) -> LiveRunConfig:
 
 
 class TestLoopbackSoak:
-    def test_lsr_daemons_deliver_on_a_line(self):
-        report = run_soak(soak_config(protocol="LSR"))
+    @pytest.mark.parametrize("protocol", LIVE_PROTOCOLS)
+    def test_daemons_deliver_on_a_line(self, protocol):
+        report = run_soak(soak_config(protocol=protocol))
         assert report.summary.data_sent > 0
         assert report.summary.delivery_ratio >= 0.9
         assert report.summary.mean_latency >= 0.0
-        assert report.violations == 0
-
-    def test_reactive_aodv_daemons_deliver_unchanged(self):
-        report = run_soak(soak_config(protocol="AODV"))
-        assert report.summary.delivery_ratio >= 0.9
-        assert report.violations == 0
-        # Reactive discovery on a warm static topology costs less control
-        # traffic than LSR's periodic flooding.
         assert report.summary.control_transmissions > 0
+        assert report.counters.ttl_violations == 0
+        assert report.counters.dedup_violations == 0
+
+    @pytest.mark.parametrize("protocol", ["AODV", "SRP"])
+    def test_routing_tables_show_on_demand_routes(self, protocol):
+        async def go():
+            network = LoopbackNetwork(soak_config(protocol=protocol))
+            network.start()
+            flows = network.schedule_traffic()
+            # Mid-traffic: every flow has started and its route is in use.
+            await network.run_for(30.0)
+            tables = network.routing_tables()
+            network.finish()
+            return network.adjacency, flows, tables
+
+        adjacency, flows, tables = asyncio.run(go())
+        source = flows[0].source
+        assert tables[source]
+        assert set(tables[source].values()) <= set(adjacency[source])
 
     def test_grid_topology_soak(self):
         report = run_soak(

@@ -141,5 +141,3 @@ class TestRuntimeConformance:
         net = build_network(scenario, protocol_factory("OLSR"))
         node = next(iter(net.nodes.values()))
         assert node.protocol.clock is node.clock
-        # Backward-compatible alias kept during the transition.
-        assert node.protocol.simulator is node.clock
