@@ -12,7 +12,7 @@ instead of restarting (results are bit-identical whatever the backend).
 Scales
 ------
 * ``--scale smoke``       a seconds-long sanity run (default for CI)
-* ``--scale benchmark``   the laptop-sized sweep used by ``pytest benchmarks/``
+* ``--scale benchmark``   the laptop-sized sweep EXPERIMENTS.md reports
 * ``--scale paper-tier``  the paper's full 5 x 8 shape at nightly-CI cost
 * ``--scale paper``       the full 100-node, 8-pause-time, 10-trial setup of
                           Section V (hours of CPU serially; use ``--jobs``)

@@ -16,8 +16,9 @@ merges stores from successive runs and tracks per-figure metrics across them.
 
 Since PR 5 the *performance* of a trial is first-class too:
 :mod:`~repro.experiments.profile` runs one instrumented trial and breaks its
-cost down by architectural layer, so optimization work starts from data (and
-``BENCH_5.json`` at the repo root records the wall-clock trajectory).
+cost down by architectural layer, so optimization work starts from data.
+End-to-end speed is measured by one benchmark, ``benchmarks/suite`` (what
+``BENCHMARK.json`` runs).
 """
 
 from .distributed import (

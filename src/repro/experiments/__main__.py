@@ -190,9 +190,9 @@ def _bounded(
     return parse
 
 
-_count = _bounded(int, 1)  #: --jobs, --trials
+_count = _bounded(int, 1)  #: --jobs, --trials, --max-ttl
 _retries = _bounded(int, 0)
-_seconds = _bounded(float, 0.0)  #: a pause time, a retry backoff
+_seconds = _bounded(float, 0.0)  #: a pause time, a retry backoff, a warmup
 _interval = _bounded(float, 0.0, inclusive=False)  #: timeouts, TTLs, polls
 
 
@@ -398,9 +398,18 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         f"(lease ttl {args.lease_ttl:g}s)."
     )
     code = _execute_and_collect(store, jobs, backend, quiet=args.quiet)
-    ran = len(backend.ran_keys)
+    # ``ran_keys`` holds completed cells only; the cells this worker ran and
+    # quarantined are the failure records stamped with its id.
+    planned = {job.content_key for job in jobs}
+    quarantined = sum(
+        1
+        for key, record in store.failure_records().items()
+        if key in planned and record.worker == worker_id
+    )
+    ran = len(backend.ran_keys) + quarantined
     print(
-        f"Worker {worker_id} ran {ran} of {len(jobs)} cells itself "
+        f"Worker {worker_id} ran {ran} of {len(jobs)} cells itself, "
+        f"{quarantined} of them quarantined "
         f"({len(jobs) - ran} cached or completed by other workers)."
     )
     return code
@@ -1013,14 +1022,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--duration",
-        type=float,
+        type=_interval,
         default=40.0,
         metavar="S",
         help="soak length in protocol seconds (default: 40)",
     )
     live.add_argument(
         "--warmup",
-        type=float,
+        type=_seconds,
         default=12.0,
         metavar="S",
         help="protocol seconds before CBR traffic starts (default: 12)",
@@ -1056,14 +1065,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--max-ttl",
-        type=int,
+        type=_count,
         default=16,
         metavar="N",
         help="hop budget enforced by the runtime (default: 16)",
     )
     live.add_argument(
         "--dedup-window",
-        type=float,
+        type=_interval,
         default=30.0,
         metavar="S",
         help="broadcast message-id dedup window in protocol seconds "

@@ -12,7 +12,7 @@ on GloMoSim.  ``EvaluationScale`` lets callers choose between the full
 ``paper`` scale (hours of CPU serially — hence the parallel, resumable sweep
 engine), the reduced ``paper-tier`` scale (the paper's full 5 x 8 shape at
 nightly-CI cost) and the ``benchmark`` / ``smoke`` scales used by the
-pytest-benchmark harness and the test-suite, which keep the same structure at
+benchmark suite, CI and the test-suite, which keep the same structure at
 laptop cost.  ``EXPERIMENTS.md`` (repo root) records the benchmark-scale
 numbers per figure/table and the ``python -m repro.experiments`` commands that
 regenerate them.

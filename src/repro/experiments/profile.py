@@ -18,8 +18,8 @@ and performance").
 
 The instrumented trial is *not* a benchmark: cProfile inflates Python call
 costs roughly 2–3x and skews toward call-heavy code.  The layer shares are
-what to read; end-to-end wall-clock numbers come from
-``benchmarks/bench_trial_profile.py``, which runs un-instrumented.
+what to read; end-to-end wall-clock numbers come from the benchmark suite
+(``python benchmarks/suite/run.py``), which runs un-instrumented.
 """
 
 from __future__ import annotations

@@ -786,6 +786,20 @@ class LiveRunConfig:
             raise ValueError("rate must be positive")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
+        if self.max_ttl < 1:
+            raise ValueError("max_ttl must be at least 1")
+        if self.dedup_window <= 0:
+            raise ValueError("dedup window must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if self.warmup < 0 or self.drain < 0:
+            raise ValueError("warmup and drain must be non-negative")
+        if self.duration - self.drain <= self.warmup:
+            raise ValueError(
+                f"duration too short: no traffic window between warmup "
+                f"({self.warmup:g} s) and drain ({self.drain:g} s) in "
+                f"{self.duration:g} s"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict (the UDP handshake ships configs this way)."""

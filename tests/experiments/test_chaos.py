@@ -436,6 +436,21 @@ class TestCliChaos:
         }
         assert final == clean_cells
 
+    def test_lone_worker_counts_its_quarantined_cells_as_its_own(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_RUN_HOOK", f"{HOOKS}:chaos_cell")
+        monkeypatch.setenv("REPRO_CHAOS_CRASH", "DSR:0:0")
+        argv = ["worker", "--store", str(tmp_path / "store"), "--scale", "smoke"]
+        argv += ["--protocols", "SRP", "DSR", "--retries", "0"]
+        argv += ["--worker-id", "solo", "--quiet"]
+        assert main(argv) == 4
+        # Alone on an empty store, so no cell was cached or a peer's.
+        assert (
+            "Worker solo ran 4 of 4 cells itself, 1 of them quarantined "
+            "(0 cached or completed by other workers)."
+        ) in capsys.readouterr().out
+
     def test_faulted_sweep_never_mixes_with_clean_store(self, tmp_path):
         out = tmp_path / "store"
         args = ["--scale", "smoke", "--protocols", "SRP", "--quiet"]

@@ -373,9 +373,10 @@ FRESH_WORKER = ["worker", "--store", "d", "--scale", "smoke"]
 
 
 class TestMistypedInputFailsClosed:
-    """A mistyped protocol name or a negative pause time is a usage error at
-    parse time: exit 2, one ``error:`` line naming the bad value, and nothing
-    written — no store directory, no profile JSON."""
+    """A mistyped protocol name or an out-of-range number is a usage error
+    (at parse time, or before any work for a bad combination such as a live
+    warmup past the duration): exit 2, one ``error:`` line naming the bad
+    value, and nothing written — no store directory, no profile JSON."""
 
     @pytest.mark.parametrize(
         "argv, bad",
@@ -407,6 +408,14 @@ class TestMistypedInputFailsClosed:
             ([*FRESH_WORKER, "--lease-ttl", "0"], "got 0"),
             ([*FRESH_WORKER, "--poll-interval", "0"], "got 0"),
             (["status", "--out", "d", "--lease-ttl", "-5"], "got -5"),
+            (["live", "--max-ttl", "0", "--out", "d"], "got 0"),
+            (["live", "--dedup-window", "0", "--out", "d"], "got 0"),
+            (["live", "--duration", "-1", "--out", "d"], "got -1"),
+            (["live", "--warmup", "-5", "--out", "d"], "got -5"),
+            (
+                ["live", "--duration", "10", "--warmup", "12", "--out", "d"],
+                "no traffic window",
+            ),
         ],
         ids=[
             "run-default-out",
@@ -430,13 +439,20 @@ class TestMistypedInputFailsClosed:
             "worker-lease-ttl-0",
             "worker-poll-interval-0",
             "status-lease-ttl-negative",
+            "live-max-ttl-0",
+            "live-dedup-window-0",
+            "live-duration-negative",
+            "live-warmup-negative",
+            "live-warmup-past-duration",
         ],
     )
     def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, bad):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exited:
-            main(argv)
-        assert exited.value.code == 2
+        try:
+            code = main(argv)
+        except SystemExit as exited:
+            code = exited.code
+        assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]

@@ -1,10 +1,9 @@
-"""The profiling subsystem: layer mapping, trial profiles, CLI, bench record."""
+"""The profiling subsystem: layer mapping, trial profiles, CLI."""
 
 import json
 
 import pytest
 
-from repro.experiments.paper import EvaluationScale
 from repro.experiments.profile import (
     KNOWN_LAYERS,
     CollectorCost,
@@ -193,154 +192,3 @@ class TestProfileCli:
         assert recorded["faults"] == "churn-partition"
         layers = {layer["layer"] for layer in recorded["layers"]}
         assert {"engine.queue", "mac.timers"} <= layers
-
-
-class TestBenchTrialRecord:
-    """benchmarks/bench_trial_profile.py: record shape and the CI check."""
-
-    @pytest.fixture(scope="class")
-    def bench(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "bench_trial_profile.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_trial_profile", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_build_and_merge_record(self, bench):
-        record = bench.build_record("smoke", ["SRP"])
-        assert record["scale"] == "smoke"
-        point = record["protocols"]["SRP"]
-        assert point["seconds"] > 0 and point["events"] > 0
-        assert set(point) == {
-            "seconds",
-            "events",
-            "events_per_second",
-            "delivery_ratio",
-        }
-        document = bench.merge_into_document(None, record)
-        assert document["records"]["smoke"] is record
-        # Merging another scale keeps the first.
-        other = dict(record, scale="paper-tier")
-        document = bench.merge_into_document(document, other)
-        assert set(document["records"]) == {"smoke", "paper-tier"}
-
-    def test_record_key_is_the_scale(self, bench):
-        assert bench.record_key({"scale": "smoke"}) == "smoke"
-        assert bench.record_key({"scale": "scaling200"}) == "scaling200"
-
-    def test_check_against_baseline(self, bench):
-        record = {
-            "scale": "smoke",
-            "protocols": {"SRP": {"seconds": 1.0}, "OLSR": {"seconds": 4.0}},
-        }
-        baseline = {
-            "records": {
-                "smoke": {
-                    "protocols": {
-                        "SRP": {"seconds": 0.9},
-                        "OLSR": {"seconds": 1.0},
-                    }
-                }
-            }
-        }
-        problems = bench.check_against_baseline(record, baseline, 1.5)
-        assert len(problems) == 1 and "OLSR" in problems[0]
-        assert bench.check_against_baseline(record, baseline, 10.0) == []
-
-    def test_check_requires_matching_scale(self, bench):
-        record = {"scale": "paper-tier", "protocols": {}}
-        problems = bench.check_against_baseline(
-            record, {"records": {"smoke": {}}}, 1.5
-        )
-        assert problems and "no record" in problems[0]
-
-    def test_cli_check_flags_regression(self, bench, tmp_path, capsys):
-        baseline = {
-            "version": 1,
-            "records": {
-                "smoke": {
-                    "scale": "smoke",
-                    "protocols": {"SRP": {"seconds": 1e-9}},
-                }
-            },
-        }
-        path = tmp_path / "BENCH_5.json"
-        path.write_text(json.dumps(baseline), encoding="utf-8")
-        code = bench.main(
-            ["--scale", "smoke", "--protocol", "SRP", "--check", str(path)]
-        )
-        assert code == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-    def test_smoke_scale_is_a_known_scale(self):
-        # The CI job pins --scale smoke; keep the name resolvable.
-        assert EvaluationScale.smoke().name == "smoke"
-
-
-class TestBenchScalingRecord:
-    """benchmarks/bench_scaling.py: record keys, update-in-place, corrupt JSON."""
-
-    @pytest.fixture(scope="class")
-    def modules(self):
-        import importlib.util
-        import sys
-        from pathlib import Path
-
-        bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-        sys.path.insert(0, str(bench_dir))
-        try:
-            loaded = {}
-            for name in ("bench_trial_profile", "bench_scaling"):
-                spec = importlib.util.spec_from_file_location(
-                    name, bench_dir / f"{name}.py"
-                )
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                loaded[name] = module
-            yield loaded["bench_scaling"], loaded["bench_trial_profile"]
-        finally:
-            sys.path.remove(str(bench_dir))
-
-    @staticmethod
-    def _summary():
-        class Summary:
-            delivery_ratio = 0.95
-
-        return Summary()
-
-    def test_serial_record_key(self, modules):
-        scaling, profile = modules
-        record = scaling._scaling_record(200, 25.0, "SRP", 1.5, 3000, self._summary())
-        assert profile.record_key(record) == "scaling200"
-        assert record["protocols"]["SRP"]["events"] == 3000
-
-    def test_remerging_updates_in_place(self, modules):
-        scaling, profile = modules
-        first = scaling._scaling_record(200, 25.0, "SRP", 2.0, 3000, self._summary())
-        document = profile.merge_into_document(None, first)
-        again = scaling._scaling_record(200, 25.0, "SRP", 1.0, 3500, self._summary())
-        document = profile.merge_into_document(document, again)
-        # One record per key — regenerating a point replaces it, never
-        # appends a duplicate row to the trajectory.
-        assert list(document["records"]) == ["scaling200"]
-        merged = document["records"]["scaling200"]
-        assert merged["protocols"]["SRP"]["events"] == 3500
-
-    def test_corrupt_json_fails_loudly(self, modules, tmp_path, capsys):
-        scaling, _ = modules
-        path = tmp_path / "BENCH_5.json"
-        path.write_text("{not json", encoding="utf-8")
-        code = scaling.main(
-            ["--nodes", "24", "--duration", "2.0", "--json", str(path)]
-        )
-        assert code == 2
-        assert "not valid JSON" in capsys.readouterr().err
-        # The corrupt file was left for the operator, not clobbered.
-        assert path.read_text(encoding="utf-8") == "{not json"

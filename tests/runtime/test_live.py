@@ -366,6 +366,26 @@ class TestLoopbackSoak:
         with pytest.raises(ValueError):
             LiveRunConfig(time_scale=0.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_ttl": 0},
+            {"dedup_window": 0.0},
+            {"duration": -1.0},
+            {"warmup": -5.0},
+            {"drain": -1.0},
+            {"duration": 10.0, "warmup": 12.0},
+            {"duration": 16.0, "warmup": 12.0},  # drain 4 closes the window
+        ],
+        ids=lambda bad: ",".join(f"{k}={v:g}" for k, v in bad.items()),
+    )
+    def test_out_of_range_numbers_fail_closed(self, bad):
+        with pytest.raises(ValueError):
+            LiveRunConfig(**bad)
+        # The UDP handshake rebuilds every router's config through from_dict.
+        with pytest.raises(ValueError):
+            LiveRunConfig.from_dict({**LiveRunConfig().to_dict(), **bad})
+
     def test_config_round_trip(self):
         config = soak_config(protocol="OLSR", routers=7)
         assert LiveRunConfig.from_dict(config.to_dict()) == config
