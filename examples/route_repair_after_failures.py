@@ -24,9 +24,8 @@ from __future__ import annotations
 import random
 
 from repro.protocols import protocol_factory
-from repro.sim import build_network
-from repro.sim.mobility import StaticMobility
-from repro.sim.space import Position
+from repro.sim import run_trial
+from repro.sim.faults import FaultSpec
 from repro.workloads import scaled_scenario
 
 PROTOCOLS = ("SRP", "LDR", "AODV")
@@ -45,26 +44,21 @@ def run_with_crashes(protocol_name: str, seed: int = 13):
         terrain_height=400.0,
         seed=seed,
     )
-    network = build_network(scenario, protocol_factory(protocol_name))
     rng = random.Random(seed)
-    crash_candidates = [nid for nid in network.nodes][4:16]
+    crash_candidates = list(range(scenario.node_count))[4:16]
     rng.shuffle(crash_candidates)
-
-    def crash_one(index=[0]):  # noqa: B006 - tiny stateful closure on purpose
-        if index[0] < len(crash_candidates):
-            victim = crash_candidates[index[0]]
-            index[0] += 1
-            network.nodes[victim].mobility = StaticMobility(
-                Position(100_000.0, 100_000.0)
-            )
-            print(f"    t={network.simulator.now:5.1f}s  {protocol_name}: "
-                  f"node {victim} crashed")
-        if network.simulator.now + CRASH_INTERVAL < DURATION:
-            network.simulator.schedule_in(CRASH_INTERVAL, crash_one)
-
-    network.simulator.schedule_in(CRASH_INTERVAL, crash_one)
-    summary = network.run()
-    return summary
+    crashes = []
+    for index, victim in enumerate(crash_candidates):
+        start = CRASH_INTERVAL * (index + 1)
+        if start >= DURATION:
+            break
+        # A node_crash powers the radio off and wipes the routing state; the
+        # reboot would fall after the trial ends, so the node stays down.
+        crashes.append(
+            FaultSpec.node_crash(node=victim, start=start, duration=DURATION)
+        )
+        print(f"    t={start:5.1f}s  {protocol_name}: node {victim} crashes")
+    return run_trial(scenario.with_faults(crashes), protocol_factory(protocol_name))
 
 
 def main() -> None:

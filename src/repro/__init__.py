@@ -3,8 +3,8 @@ Networks* (Mosko & Garcia-Luna-Aceves, ICDCS 2004).
 
 The package is organised as:
 
-* :mod:`repro.core` — Split Label Routing (SLR): dense label sets, the SRP
-  composite ordering, Algorithm 1 and the order-maintenance invariants.
+* :mod:`repro.core` — the label algebra SRP runs: proper fractions, the
+  composite ordering ``(sn, m/n)`` and Algorithm 1.
 * :mod:`repro.sim` — a discrete-event wireless network simulator (unit-disk
   radio, CSMA-style MAC, random-waypoint mobility) standing in for GloMoSim.
 * :mod:`repro.protocols` — the paper's protocol SRP plus the AODV, DSR, LDR

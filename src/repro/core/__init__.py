@@ -1,78 +1,32 @@
-"""Core Split Label Routing machinery: labels, orderings, invariants, SLR.
+"""The label algebra SRP runs: proper fractions, orderings, Algorithm 1.
 
-This package contains the paper's primary contribution, independent of any
-simulator or packet format:
+This package holds the paper's Sections II-III label machinery, independent of
+any simulator or packet format, and nothing the protocol does not use:
 
 * :mod:`repro.core.fractions` — proper-fraction arithmetic (mediant,
   next-element, 32-bit overflow behaviour).
-* :mod:`repro.core.labels` — dense ordinal label sets (bounded/unbounded
-  fractions, lexicographic strings).
 * :mod:`repro.core.ordering` — the SRP composite ordering ``(sn, m/n)`` with
   the Ordering Criteria of Definition 5.
-* :mod:`repro.core.invariants` — Definition 1 (maintain order), topological
-  order / loop-freedom checks (Theorem 3).
 * :mod:`repro.core.neworder` — Algorithm 1.
-* :mod:`repro.core.slr` — the abstract SLR route computation of Section II.
-* :mod:`repro.core.farey` — Farey/Stern–Brocot interpolation (the paper's
-  future-work direction on reduced fractions).
+
+Section II's worked examples and Theorem 3 are asserted on this code as SRP
+runs it (Example 1 and Theorem 3 in the simulator, Example 2 through
+:func:`new_order`); the successor-graph cycle search lives with
+:mod:`repro.sim.monitor`.
 """
 
-from .fractions import (
-    DEFAULT_MAX_DENOMINATOR,
-    UINT32_MAX,
-    FractionOverflowError,
-    ProperFraction,
-    fibonacci_split_bound,
-    max_split_depth,
-    mediant,
-    next_element,
-)
-from .labels import (
-    BoundedFractionLabelSet,
-    DenseLabelSet,
-    LabelSplitError,
-    LexicographicLabelSet,
-    UnboundedFractionLabelSet,
-)
-from .neworder import NewOrderResult, new_order, new_order_for_rreq_advertisement
+from .fractions import DEFAULT_MAX_DENOMINATOR, UINT32_MAX, ProperFraction
+from .neworder import new_order, new_order_for_rreq_advertisement
 from .ordering import UNASSIGNED, Ordering, ordering_max, ordering_min
-from .invariants import (
-    OrderViolation,
-    check_maintains_order,
-    maintains_order,
-    ordering_maintains_order,
-    successor_graph_is_loop_free,
-)
-from .slr import RouteComputationResult, SlrNetwork, SlrNodeState, SlrRouteComputation
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
     "UINT32_MAX",
-    "FractionOverflowError",
     "ProperFraction",
-    "fibonacci_split_bound",
-    "max_split_depth",
-    "mediant",
-    "next_element",
-    "BoundedFractionLabelSet",
-    "DenseLabelSet",
-    "LabelSplitError",
-    "LexicographicLabelSet",
-    "UnboundedFractionLabelSet",
-    "NewOrderResult",
     "new_order",
     "new_order_for_rreq_advertisement",
     "UNASSIGNED",
     "Ordering",
     "ordering_max",
     "ordering_min",
-    "OrderViolation",
-    "check_maintains_order",
-    "maintains_order",
-    "ordering_maintains_order",
-    "successor_graph_is_loop_free",
-    "RouteComputationResult",
-    "SlrNetwork",
-    "SlrNodeState",
-    "SlrRouteComputation",
 ]

@@ -14,27 +14,21 @@ SRP stores numerator and denominator in 32-bit unsigned integers, so the number
 of consecutive mediant splits between a fixed pair is bounded (the denominators
 grow at least as fast as the Fibonacci sequence; the paper quotes a lower bound
 of 45 splits).  This module provides the bounded fraction type with explicit
-overflow detection, exactly as the protocol needs, plus helpers used by tests
-and by the unbounded SLR label sets.
+overflow detection, exactly as the protocol needs, and the split-depth bounds
+that state the paper's "at least 45" claim against it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 __all__ = [
     "UINT32_MAX",
     "DEFAULT_MAX_DENOMINATOR",
     "FractionOverflowError",
     "ProperFraction",
-    "ZERO",
-    "ONE",
-    "mediant",
-    "next_element",
-    "mediant_chain",
     "max_split_depth",
     "fibonacci_split_bound",
 ]
@@ -67,7 +61,6 @@ class ProperFraction:
     The fraction is *not* automatically reduced: the paper explicitly keeps
     the raw mediant terms (fraction reduction is listed as future work), and
     reduction would change the overflow behaviour the protocol depends on.
-    Call :meth:`reduced` for a canonical form when needed.
     """
 
     numerator: int
@@ -97,11 +90,6 @@ class ProperFraction:
     def one(cls) -> "ProperFraction":
         """The unassigned label ``1/1`` — the greatest element."""
         return cls(1, 1)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "ProperFraction":
-        """Build from an exact :class:`fractions.Fraction` in ``[0, 1]``."""
-        return cls(value.numerator, value.denominator)
 
     # -- ordering ----------------------------------------------------------
 
@@ -139,27 +127,11 @@ class ProperFraction:
         """Exact value as a :class:`fractions.Fraction` (always reduced)."""
         return Fraction(self.numerator, self.denominator)
 
-    def as_float(self) -> float:
-        """Approximate value; for display and plotting only."""
-        return self.numerator / self.denominator
-
     def as_tuple(self) -> Tuple[int, int]:
         """The raw ``(numerator, denominator)`` pair as stored on the wire."""
         return (self.numerator, self.denominator)
 
-    def reduced(self) -> "ProperFraction":
-        """Return the equivalent fraction in lowest terms."""
-        g = math.gcd(self.numerator, self.denominator)
-        if g <= 1:
-            return self
-        return ProperFraction(self.numerator // g, self.denominator // g)
-
     # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        """True for the destination label ``0/1`` (or any equal fraction)."""
-        return self.numerator == 0
 
     @property
     def is_one(self) -> bool:
@@ -193,10 +165,6 @@ class ProperFraction:
             )
         return ProperFraction(num, den)
 
-    def next_element(self, *, limit: int | None = UINT32_MAX) -> "ProperFraction":
-        """The next-element ``(m+1)/(n+1)`` (Eq. 2), the mediant with ``1/1``."""
-        return self.mediant_with(ProperFraction(1, 1), limit=limit)
-
     def would_overflow_with(
         self, other: "ProperFraction", limit: int = UINT32_MAX
     ) -> bool:
@@ -215,52 +183,6 @@ class ProperFraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-#: Module-level singletons for the two distinguished labels.
-ZERO = ProperFraction(0, 1)
-ONE = ProperFraction(1, 1)
-
-
-def mediant(
-    low: ProperFraction, high: ProperFraction, *, limit: int | None = UINT32_MAX
-) -> ProperFraction:
-    """Functional form of :meth:`ProperFraction.mediant_with`.
-
-    The arguments need not be ordered; the mediant is symmetric.  When they are
-    ordered (``low < high``) the result lies strictly between them, which is
-    the property Eq. 1 relies on.
-    """
-    return low.mediant_with(high, limit=limit)
-
-
-def next_element(
-    value: ProperFraction, *, limit: int | None = UINT32_MAX
-) -> ProperFraction:
-    """Functional form of :meth:`ProperFraction.next_element` (Eq. 2)."""
-    return value.next_element(limit=limit)
-
-
-def mediant_chain(
-    low: ProperFraction,
-    high: ProperFraction,
-    count: int,
-    *,
-    limit: int | None = None,
-) -> Iterator[ProperFraction]:
-    """Yield ``count`` successive mediants splitting toward ``low``.
-
-    Each step replaces ``high`` with the mediant of the pair, mirroring what
-    happens along a reply path where every hop splits the advertised label and
-    the cached predecessor minimum.  Useful in tests and in the overflow-depth
-    analysis.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    current_high = high
-    for _ in range(count):
-        current_high = low.mediant_with(current_high, limit=limit)
-        yield current_high
-
-
 def max_split_depth(
     low: ProperFraction, high: ProperFraction, *, limit: int = UINT32_MAX
 ) -> int:
@@ -268,7 +190,7 @@ def max_split_depth(
 
     This measures the worst-case repeated split against a fixed lower bound,
     the pattern that grows denominators fastest (Fibonacci-like).  The paper's
-    "at least 45" bound corresponds to ``max_split_depth(ZERO, ONE)`` with the
+    "at least 45" bound corresponds to ``max_split_depth(0/1, 1/1)`` with the
     32-bit limit being >= 45.
     """
     depth = 0
@@ -295,7 +217,3 @@ def fibonacci_split_bound(limit: int = UINT32_MAX) -> int:
         k += 1
     return k
 
-
-def sort_fractions(values: Iterable[ProperFraction]) -> list[ProperFraction]:
-    """Sort fractions by exact value (stable); convenience for reports/tests."""
-    return sorted(values, key=lambda f: f.as_fraction())

@@ -19,7 +19,6 @@ itself ``(sn, 0/1)`` with a non-zero sequence number (Definition 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .fractions import UINT32_MAX, ProperFraction
 
@@ -106,14 +105,6 @@ class Ordering:
             return other.fraction < self.fraction
         return False
 
-    def preceded_by(self, other: "Ordering") -> bool:
-        """Convenience: ``other ≺ self``."""
-        return other.precedes(self)
-
-    def feasible_successor(self, other: "Ordering") -> bool:
-        """Alias for :meth:`precedes`, matching the paper's reading of OC."""
-        return self.precedes(other)
-
     # -- Definition 6: ordering addition ------------------------------------
 
     def plus_fraction(
@@ -136,27 +127,6 @@ class Ordering:
         """``O + 1/1`` — the next-element used in Algorithm 1 Case II."""
         return self.plus_fraction(ProperFraction.one(), limit=limit)
 
-    def split_with(
-        self, other: "Ordering", *, limit: int | None = UINT32_MAX
-    ) -> "Ordering":
-        """Mediant-split the fractions of two same-sequence-number orderings.
-
-        This is the core "dense set" insertion: given a feasible advertisement
-        ``other`` and this cached predecessor minimum, the relay takes the
-        mediant so the new label lies strictly between them (Algorithm 1 Cases
-        III and V).  Raises :class:`ValueError` when the sequence numbers
-        differ and :class:`FractionOverflowError` on 32-bit overflow.
-        """
-        if self.sequence_number != other.sequence_number:
-            raise ValueError(
-                "mediant split requires equal sequence numbers: "
-                f"{self.sequence_number} != {other.sequence_number}"
-            )
-        return Ordering(
-            self.sequence_number,
-            self.fraction.mediant_with(other.fraction, limit=limit),
-        )
-
     def would_overflow_with(
         self, other: "Ordering", limit: int = UINT32_MAX
     ) -> bool:
@@ -164,10 +134,6 @@ class Ordering:
         return self.fraction.would_overflow_with(other.fraction, limit)
 
     # -- presentation --------------------------------------------------------
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        """Wire representation ``(sn, m, n)``."""
-        return (self.sequence_number, *self.fraction.as_tuple())
 
     def __repr__(self) -> str:
         return f"Ordering(sn={self.sequence_number}, F={self.fraction})"

@@ -61,6 +61,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -241,6 +242,9 @@ class LiveCounters:
       had been seen before the dedup window expired it, i.e. a duplicate
       outlived the ``ExpiringSet`` and slipped through (window too small
       for the network's actual flood latency).
+
+    ``rejected_datagrams`` counts UDP datagrams dropped unread: sent from an
+    address outside the router's address book, or not a decodable frame.
     """
 
     unicast_sent: int = 0
@@ -251,6 +255,7 @@ class LiveCounters:
     ttl_violations: int = 0
     dedup_violations: int = 0
     undeliverable: int = 0
+    rejected_datagrams: int = 0
 
     @property
     def violations(self) -> int:
@@ -585,15 +590,26 @@ class LoopbackHub(LiveTransportBase):
 
 
 class _UdpReceiver(asyncio.DatagramProtocol):
-    """Datagram callbacks -> the node's receive path."""
+    """Datagram callbacks -> the node's receive path.
 
-    def __init__(self, node: LiveNode) -> None:
+    Unpickling runs code chosen by the sender, so only datagrams from the
+    routers of this soak (``peers``, their ``(host, port)`` addresses) are
+    decoded; anything else, and anything that does not decode to a frame,
+    is dropped and counted in ``rejected_datagrams``.
+    """
+
+    def __init__(self, node: LiveNode, peers: Set[Tuple[str, int]]) -> None:
         self._node = node
+        self._peers = peers
 
     def datagram_received(self, data: bytes, addr) -> None:
+        if tuple(addr) not in self._peers:
+            self._node.counters.rejected_datagrams += 1
+            return
         try:
             origin, was_broadcast, packet = pickle.loads(data)
-        except Exception:  # pragma: no cover - corrupt datagram
+        except Exception:
+            self._node.counters.rejected_datagrams += 1
             return
         self._node.receive(packet, origin, was_broadcast)
 
@@ -617,6 +633,7 @@ class UdpTransport(LiveTransportBase):
         self.node_id = node_id
         self._adjacency = adjacency
         self._book = dict(address_book)
+        self._peers = {tuple(address) for address in self._book.values()}
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._node: Optional[LiveNode] = None
 
@@ -625,7 +642,7 @@ class UdpTransport(LiveTransportBase):
         self._node = node
         loop = asyncio.get_running_loop()
         self._transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpReceiver(node), sock=sock
+            lambda: _UdpReceiver(node, self._peers), sock=sock
         )
 
     def close(self) -> None:

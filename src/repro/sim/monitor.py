@@ -15,13 +15,68 @@ that AODV-style baselines *can* transiently violate what SRP guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
-from ..core.invariants import SuccessorGraph, build_successor_graph, find_cycle
-
-__all__ = ["LoopFreedomMonitor", "LoopViolation"]
+__all__ = [
+    "LoopFreedomMonitor",
+    "LoopViolation",
+    "build_successor_graph",
+    "find_cycle",
+]
 
 NodeId = Hashable
+
+#: A directed graph as ``{node: its successors}``, every node a key.
+SuccessorGraph = Dict[NodeId, Tuple[NodeId, ...]]
+
+
+def build_successor_graph(
+    successors: Mapping[NodeId, Iterable[NodeId]],
+) -> SuccessorGraph:
+    """Assemble a digraph from a node -> successor-set mapping.
+
+    Every key becomes a vertex even if it currently has no successors, and
+    so does every successor named only as one.
+    """
+    graph: SuccessorGraph = {
+        node: tuple(dict.fromkeys(nexthops)) for node, nexthops in successors.items()
+    }
+    for nexthops in list(graph.values()):
+        for nexthop in nexthops:
+            graph.setdefault(nexthop, ())
+    return graph
+
+
+def find_cycle(graph: SuccessorGraph) -> List[Tuple[NodeId, NodeId]]:
+    """The edges of one directed cycle of ``graph``; ``[]`` when it has none.
+
+    Iterative depth-first search: an edge into a node that is still on the
+    current search path closes a cycle.  ``graph`` must name every node as a
+    key (:func:`build_successor_graph` guarantees it).
+    """
+    finished: Set[NodeId] = set()
+    for root in graph:
+        if root in finished:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(graph[root])]
+        while pending:
+            for successor in pending[-1]:
+                if successor in on_path:
+                    cycle = path[path.index(successor) :] + [successor]
+                    return list(zip(cycle, cycle[1:]))
+                if successor not in finished:
+                    path.append(successor)
+                    on_path.add(successor)
+                    pending.append(iter(graph[successor]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.remove(node)
+                finished.add(node)
+    return []
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,24 +1,20 @@
 """Unit and property tests for the proper-fraction arithmetic (Eqs. 1 and 2)."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.fractions import (
     DEFAULT_MAX_DENOMINATOR,
-    ONE,
     UINT32_MAX,
-    ZERO,
     FractionOverflowError,
     ProperFraction,
     fibonacci_split_bound,
     max_split_depth,
-    mediant,
-    mediant_chain,
-    next_element,
-    sort_fractions,
 )
+from repro.core.ordering import Ordering
+
+ZERO = ProperFraction.zero()
+ONE = ProperFraction.one()
 
 
 def proper_fractions(max_value: int = 10_000):
@@ -31,9 +27,9 @@ def proper_fractions(max_value: int = 10_000):
 
 
 class TestConstruction:
-    def test_zero_and_one_singletons(self):
-        assert ZERO == ProperFraction(0, 1)
-        assert ONE == ProperFraction(1, 1)
+    def test_zero_and_one_constructors(self):
+        assert ZERO.as_tuple() == (0, 1)
+        assert ONE.as_tuple() == (1, 1)
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -51,19 +47,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProperFraction(3, 2)
 
-    def test_from_fraction(self):
-        assert ProperFraction.from_fraction(Fraction(2, 4)) == ProperFraction(1, 2)
-
     def test_as_tuple_preserves_raw_terms(self):
         assert ProperFraction(2, 4).as_tuple() == (2, 4)
-
-    def test_reduced(self):
-        assert ProperFraction(4, 8).reduced() == ProperFraction(1, 2)
-        assert ProperFraction(4, 8).reduced().as_tuple() == (1, 2)
-
-    def test_reduced_is_identity_when_already_reduced(self):
-        value = ProperFraction(3, 7)
-        assert value.reduced() is value
 
 
 class TestOrdering:
@@ -95,22 +80,22 @@ class TestOrdering:
     def test_comparison_matches_exact_fractions(self, a, b):
         assert (a < b) == (a.as_fraction() < b.as_fraction())
 
-    def test_sort_fractions(self):
-        values = [ProperFraction(2, 3), ZERO, ProperFraction(1, 2), ONE]
-        assert sort_fractions(values) == [
-            ZERO,
-            ProperFraction(1, 2),
-            ProperFraction(2, 3),
-            ONE,
-        ]
+    def test_comparison_is_exact_where_floats_tie(self):
+        """Definition 4 compares by cross-multiplication: two labels whose
+        floating-point values are both 1.0 still order correctly."""
+        low = ProperFraction(2**53, 2**53 + 1)
+        high = ProperFraction(2**53 + 1, 2**53 + 2)
+        assert low.numerator / low.denominator == high.numerator / high.denominator
+        assert low < high
+        assert low != high
+
+    @given(proper_fractions(), proper_fractions())
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestPredicates:
-    def test_is_zero(self):
-        assert ZERO.is_zero
-        assert ProperFraction(0, 5).is_zero
-        assert not ProperFraction(1, 5).is_zero
-
     def test_is_one(self):
         assert ONE.is_one
         assert ProperFraction(4, 4).is_one
@@ -129,18 +114,25 @@ class TestPredicates:
 class TestMediant:
     def test_eq1_mediant_lies_strictly_between(self):
         low, high = ProperFraction(1, 2), ProperFraction(2, 3)
-        mid = mediant(low, high)
+        mid = low.mediant_with(high)
         assert low < mid < high
         assert mid == ProperFraction(3, 5)
 
     def test_mediant_of_bounds_is_one_half(self):
-        assert mediant(ZERO, ONE) == ProperFraction(1, 2)
+        assert ZERO.mediant_with(ONE) == ProperFraction(1, 2)
 
     @given(proper_fractions(), proper_fractions())
     def test_eq1_property(self, a, b):
         if a < b:
             mid = a.mediant_with(b, limit=None)
             assert a < mid < b
+
+    @given(proper_fractions(), proper_fractions())
+    def test_mediant_is_symmetric(self, a, b):
+        assert (
+            a.mediant_with(b, limit=None).as_tuple()
+            == b.mediant_with(a, limit=None).as_tuple()
+        )
 
     def test_mediant_overflow_raises(self):
         huge = ProperFraction(UINT32_MAX - 1, UINT32_MAX)
@@ -157,53 +149,121 @@ class TestMediant:
         assert huge.would_overflow_with(ProperFraction(1, 2))
         assert not ProperFraction(1, 2).would_overflow_with(ProperFraction(1, 3))
 
+    @given(
+        proper_fractions(),
+        proper_fractions(),
+        st.integers(min_value=2, max_value=20_000),
+    )
+    def test_would_overflow_with_predicts_mediant_with(self, a, b, limit):
+        """Procedure 2's T-bit check and the split agree on every pair."""
+        if a.would_overflow_with(b, limit):
+            with pytest.raises(FractionOverflowError):
+                a.mediant_with(b, limit=limit)
+        else:
+            assert a.mediant_with(b, limit=limit).fits(limit)
+
+
+class TestDensity:
+    """Section II asks that the label set be dense: between two labels
+    ``a < b`` there is always a third.  SRP's split is the mediant (Eq. 1)."""
+
+    def test_split_strictly_between(self):
+        mid = ZERO.mediant_with(ONE)
+        assert ZERO < mid < ONE
+
+    def test_split_requires_strict_order(self):
+        """Eq. 1 holds for ``a < b`` only: the mediant of two terms of one
+        value is that value, so there is nothing between them to take."""
+        half = ProperFraction(1, 2)
+        assert half.mediant_with(ProperFraction(2, 4)) == half
+
+    @pytest.mark.parametrize("toward", ["low", "high", "alternating"])
+    def test_repeated_splits_stay_ordered(self, toward):
+        """Thirty splits toward either bound, or alternating between them,
+        each land strictly inside the interval they split."""
+        low, high = ZERO, ONE
+        for step in range(30):
+            mid = low.mediant_with(high)
+            assert low < mid < high
+            if toward == "low" or (toward == "alternating" and step % 2 == 0):
+                high = mid
+            else:
+                low = mid
+
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_random_split_walk_stays_ordered(self, directions):
+        """Narrowing either bound at random never yields an out-of-order label."""
+        low, high = ZERO, ONE
+        for go_low in directions:
+            mid = low.mediant_with(high, limit=None)
+            assert low < mid < high
+            if go_low:
+                high = mid
+            else:
+                low = mid
+
+
+class TestBoundedSplits:
+    """SRP's fractions are bounded (32-bit fields, or
+    ``SrpConfig.fraction_limit``): a split whose terms would pass the limit
+    raises instead of wrapping around."""
+
+    def test_split_below_limit_matches_mediant(self):
+        split = ProperFraction(1, 2).mediant_with(ProperFraction(2, 3), limit=100)
+        assert split.as_tuple() == (3, 5)
+
+    def test_split_overflow_raises(self):
+        with pytest.raises(FractionOverflowError):
+            ProperFraction(5, 6).mediant_with(ProperFraction(6, 7), limit=10)
+
+    def test_next_element_overflow_raises(self):
+        with pytest.raises(FractionOverflowError):
+            Ordering(1, ProperFraction(9, 10)).next_element(limit=10)
+
+    def test_limit_is_inclusive(self):
+        assert ZERO.mediant_with(ProperFraction(4, 9), limit=10).as_tuple() == (4, 10)
+        with pytest.raises(FractionOverflowError):
+            ZERO.mediant_with(ProperFraction(4, 9), limit=9)
+
 
 class TestNextElement:
+    """Eq. 2 on the type SRP calls it on: ``O + 1/1`` keeps the sn."""
+
     def test_eq2_next_element(self):
-        assert next_element(ZERO) == ProperFraction(1, 2)
-        assert next_element(ProperFraction(1, 2)) == ProperFraction(2, 3)
-        assert next_element(ProperFraction(2, 3)) == ProperFraction(3, 4)
+        labels = [Ordering(1, ZERO)]
+        for _ in range(2):
+            labels.append(labels[-1].next_element())
+        assert [o.fraction.as_tuple() for o in labels] == [(0, 1), (1, 2), (2, 3)]
 
     def test_next_element_is_mediant_with_one(self):
         value = ProperFraction(3, 7)
-        assert value.next_element() == value.mediant_with(ONE)
+        assert Ordering(2, value).next_element() == Ordering(2, value.mediant_with(ONE))
 
     @given(proper_fractions())
     def test_next_element_strictly_greater_but_below_one(self, value):
         if value.is_one:
             return
-        nxt = value.next_element(limit=None)
+        nxt = Ordering(1, value).next_element(limit=None).fraction
         assert value < nxt < ONE
 
-
-class TestExample1Chain:
-    """The label chain of the paper's Example 1 (Fig. 1)."""
-
     def test_repeated_next_element_builds_example1_labels(self):
-        labels = [ZERO]
+        """Example 1's labels, T outward: each hop takes the next element of
+        its successor's label, so the node k hops out holds k/(k+1)."""
+        labels = [Ordering.destination(1)]
         for _ in range(5):
             labels.append(labels[-1].next_element())
-        assert [f.as_tuple() for f in labels] == [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (5, 6),
+        assert [o.fraction.as_tuple() for o in labels] == [
+            (0, 1),  # T
+            (1, 2),  # A
+            (2, 3),  # B
+            (3, 4),  # C
+            (4, 5),  # D
+            (5, 6),  # E
         ]
+        assert {o.sequence_number for o in labels} == {1}
 
 
 class TestSplitDepth:
-    def test_mediant_chain_yields_requested_count(self):
-        chain = list(mediant_chain(ZERO, ONE, 5))
-        assert len(chain) == 5
-        # Splitting toward 0/1 each time: 1/2, 1/3, 1/4, 1/5, 1/6.
-        assert [f.as_tuple() for f in chain] == [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]
-
-    def test_mediant_chain_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            list(mediant_chain(ZERO, ONE, -1))
-
     def test_paper_bound_at_least_45_splits(self):
         """The paper: at least 45 splits fit in 32-bit fields."""
         assert fibonacci_split_bound(UINT32_MAX) >= 45
@@ -212,19 +272,21 @@ class TestSplitDepth:
         # Denominators 2,3,5,8,13 fit under 13 -> 5 splits.
         assert fibonacci_split_bound(13) == 5
 
-    def test_max_split_depth_small_limit(self):
-        depth = max_split_depth(ZERO, ONE, limit=16)
+    @pytest.mark.parametrize("limit", [2, 16, 1000, 2**16])
+    def test_max_split_depth_small_limit(self, limit):
         # Splitting 0/1 against the moving upper bound gives denominators
-        # 2, 3, 4, ... so 15 splits fit under 16 (denominator 16 is allowed,
-        # the next one, 17, is not).
-        assert depth == 15
+        # 2, 3, 4, ... so limit - 1 splits fit (denominator == limit is
+        # allowed, the next one is not).
+        assert max_split_depth(ZERO, ONE, limit=limit) == limit - 1
 
-    def test_fibonacci_chain_matches_analytic_bound(self):
+    @pytest.mark.parametrize(
+        "limit", [2, 3, 5, 8, 13, 21, 1000, 2**16, UINT32_MAX]
+    )
+    def test_fibonacci_chain_matches_analytic_bound(self, limit):
         """Always splitting the two *most recent* labels makes denominators
         grow like the Fibonacci sequence — the fastest possible — and the
         number of such splits that fit under a limit matches the analytic
         bound used to derive the paper's "at least 45" figure."""
-        limit = 1000
         a, b = ZERO, ONE
         depth = 0
         while not a.would_overflow_with(b, limit):

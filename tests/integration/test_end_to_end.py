@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.ordering import UNASSIGNED
 from repro.protocols import protocol_factory
+from repro.sim.faults import FaultSpec
 from repro.sim.network import build_network, run_trial
 from repro.workloads.scenario import scaled_scenario
 
@@ -146,24 +147,20 @@ class TestMobilityEffects:
 
 class TestFailureInjection:
     def test_half_the_relays_failing_mid_trial_does_not_break_invariants(self):
-        """Crash several nodes mid-trial (silence their radios by moving them
-        far away); the surviving SRP nodes keep loop-free state and keep
-        delivering what is physically deliverable."""
-        from repro.sim.mobility import StaticMobility
-        from repro.sim.space import Position
-
-        network = build_network(small_scenario(seed=4), protocol_factory("SRP"))
-        crashed = list(network.nodes)[5:10]
-
-        def crash():
-            for node_id in crashed:
-                network.nodes[node_id].mobility = StaticMobility(
-                    Position(50_000.0, 50_000.0)
-                )
-
-        network.simulator.schedule_at(10.0, crash)
+        """Crash several nodes mid-trial for the rest of the run; the
+        surviving SRP nodes keep loop-free state and keep delivering what is
+        physically deliverable."""
+        crashes = [
+            FaultSpec.node_crash(node=node_id, start=10.0, duration=SMALL["duration"])
+            for node_id in range(5, 10)
+        ]
+        scenario = small_scenario(seed=4).with_faults(crashes)
+        network = build_network(scenario, protocol_factory("SRP"))
         summary = network.run()
         assert summary.data_sent > 0
+        assert summary.delivery_ratio < run_trial(
+            small_scenario(seed=4), protocol_factory("SRP")
+        ).delivery_ratio
         # Loop freedom must survive the crashes.
         for destination in range(network.scenario.node_count):
             graph = nx.DiGraph()

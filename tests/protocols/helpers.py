@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Tuple
 
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.mac import Mac
 from repro.sim.mobility import StaticMobility
+from repro.sim.monitor import build_successor_graph, find_cycle
 from repro.sim.node import Node
 from repro.sim.phy import PhyConfig
 from repro.sim.space import Position
@@ -103,3 +104,66 @@ def grid_positions(
         for column in range(columns):
             positions[row * columns + column] = (column * spacing, row * spacing)
     return positions
+
+
+def srp_route_violations(nodes: Mapping[NodeId, Node]) -> List[str]:
+    """Theorem 3 on the SRP routing state of ``nodes`` at this instant.
+
+    Per destination: the successor graph has no cycle; every successor edge
+    satisfies Eq. 5 (``entry.ordering ≺ successor.ordering``, the successor is
+    strictly closer); and no node holds a sequence number the destination has
+    not issued itself (only a destination raises its own).
+    """
+    violations = []
+    destinations = {
+        destination
+        for node in nodes.values()
+        for destination in node.protocol.table.destinations()
+    }
+    for destination in sorted(destinations):
+        issued = nodes[destination].protocol.own_sequence_number
+        successors = {}
+        for node_id, node in nodes.items():
+            entry = node.protocol.table.lookup(destination)
+            if entry is None:
+                continue
+            successors[node_id] = entry.successors
+            if entry.ordering.sequence_number > issued:
+                violations.append(
+                    f"{node_id} holds {entry.ordering} for {destination}, "
+                    f"which has only issued sn {issued}"
+                )
+            for successor in entry.successors.values():
+                if not entry.ordering.precedes(successor.ordering):
+                    violations.append(
+                        f"Eq. 5 broken toward {destination}: {node_id} "
+                        f"{entry.ordering} -> {successor.neighbor} "
+                        f"{successor.ordering}"
+                    )
+        cycle = find_cycle(build_successor_graph(successors))
+        if cycle:
+            violations.append(f"successor cycle toward {destination}: {cycle}")
+    return violations
+
+
+def audit_srp_routes(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, Node],
+    *,
+    until: float,
+    interval: float = 0.25,
+) -> List[List[str]]:
+    """Check :func:`srp_route_violations` every ``interval`` s up to ``until``.
+
+    Returns the list the checks append to as the simulation runs: one list
+    of violations per check, the first one at the current time.
+    """
+    checks: List[List[str]] = []
+
+    def check() -> None:
+        checks.append(srp_route_violations(nodes))
+        if simulator.now + interval <= until:
+            simulator.schedule_in(interval, check)
+
+    simulator.schedule_in(0.0, check)
+    return checks

@@ -1,11 +1,30 @@
-"""Tests for the SRP protocol: procedures, table behaviour and end-to-end routing."""
+"""Tests for the SRP protocol: procedures, table behaviour, end-to-end routing,
+and the paper's Example 1 and Theorem 3 asserted on the running protocol."""
+
+import math
+import random
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.fractions import ProperFraction
 from repro.core.ordering import UNASSIGNED, Ordering
+from repro.protocols import protocol_factory
 from repro.protocols.srp import SrpConfig, SrpProtocol, SrpRreq
 from repro.protocols.srp.table import SrpRoutingTable
+from repro.sim.mobility import StaticMobility
+from repro.sim.network import build_network
+from repro.sim.space import Position
+from repro.workloads.scenario import scaled_scenario
 
-from .helpers import StaticNetwork, chain_positions
+from .helpers import (
+    StaticNetwork,
+    audit_srp_routes,
+    chain_positions,
+    grid_positions,
+    srp_route_violations,
+)
 
 
 def srp_factory(config=None):
@@ -28,12 +47,15 @@ class TestRoutingTable:
 
     def test_add_and_remove_successor(self):
         table = SrpRoutingTable()
+        table.set_own_ordering("T", Ordering(1, ProperFraction(1, 2)), 2.0)
         table.add_successor("T", "B", Ordering(1, ProperFraction(1, 3)), 2.0, now=0.0)
         assert table.entry("T").is_active
         assert table.next_hop("T") == "B"
         became_invalid = table.remove_successor("T", "B")
         assert became_invalid
         assert table.next_hop("T") is None
+        # Definition 3: the ordering outlives the successor set.
+        assert table.entry("T").ordering == Ordering(1, ProperFraction(1, 2))
 
     def test_best_successor_is_min_distance(self):
         table = SrpRoutingTable()
@@ -91,7 +113,7 @@ class TestProtocolUnits:
         protocol, _ = self._attached_protocol()
         own = protocol.own_ordering(protocol.node_id)
         assert own.sequence_number == 1
-        assert own.fraction.is_zero
+        assert own.fraction == ProperFraction.zero()
 
     def test_sdc_requires_active_route(self):
         protocol, _ = self._attached_protocol()
@@ -259,6 +281,218 @@ class TestEndToEndRouting:
             network.send_data(source, 5)
         network.run(until=8.0)
         assert network.summary().data_delivered == 5
+
+
+class TestExample1:
+    """Fig. 1: E requests a route to T over the chain E-D-C-B-A-T, here nodes
+    0-5 of a static chain 200 m apart."""
+
+    def test_chain_labels_and_successors_match_the_paper(self):
+        network = build_chain(6)
+        network.send_data(0, 5)
+        network.run(until=5.0)
+        orderings = [network.protocol(i).own_ordering(5) for i in range(6)]
+        assert [o.sequence_number for o in orderings] == [1] * 6
+        assert [o.fraction.as_tuple() for o in orderings] == [
+            (5, 6),  # E
+            (4, 5),  # D
+            (3, 4),  # C
+            (2, 3),  # B
+            (1, 2),  # A
+            (0, 1),  # T
+        ]
+        successors = [
+            sorted(network.protocol(i).table.entry(5).successors) for i in range(5)
+        ]
+        assert successors == [[1], [2], [3], [4], [5]]
+
+    def test_every_node_gains_a_successor_path(self):
+        network = build_chain(6)
+        network.send_data(0, 5)
+        network.run(until=5.0)
+        for start in range(5):
+            hops = [start]
+            while hops[-1] != 5 and len(hops) < 7:
+                hops.append(network.protocol(hops[-1]).table.next_hop(5))
+            assert hops == list(range(start, 6))
+        assert network.summary().data_delivered == 1
+
+    def test_invariants_hold_after_computation(self):
+        network = build_chain(6)
+        network.send_data(0, 5)
+        network.run(until=5.0)
+        assert srp_route_violations(network.nodes) == []
+
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_each_hop_takes_the_next_element(self, length):
+        """Example 1 at any chain length: the node k hops from T holds
+        ``(1, k/(k+1))``, the k-th next element of T's ``(1, 0/1)``."""
+        network = build_chain(length)
+        destination = length - 1
+        network.send_data(0, destination)
+        network.run(until=5.0)
+        assert [
+            network.protocol(i).own_ordering(destination) for i in range(length)
+        ] == [Ordering(1, ProperFraction(k, k + 1)) for k in reversed(range(length))]
+        assert network.summary().data_delivered == 1
+
+
+def silence_a_relay(network, rng) -> None:
+    """Move one node that another node forwards through out of everyone's
+    radio range for the rest of the run."""
+    relays = sorted(
+        {
+            successor
+            for node in network.nodes.values()
+            for destination in node.protocol.table.destinations()
+            for successor in node.protocol.table.lookup(destination).successors
+            if successor != destination
+        }
+    )
+    if relays:
+        relay = network.nodes[rng.choice(relays)]
+        relay.mobility = StaticMobility(Position(10_000.0, 10_000.0))
+
+
+def ring_positions(count: int, spacing: float = 200.0):
+    """``count`` nodes on a circle, neighbours ``spacing`` metres apart."""
+    radius = spacing / (2 * math.sin(math.pi / count))
+    return {
+        i: (
+            radius * math.cos(2 * math.pi * i / count),
+            radius * math.sin(2 * math.pi * i / count),
+        )
+        for i in range(count)
+    }
+
+
+#: Static topologies for a 250 m radio range; the comments give the links.
+NAMED_TOPOLOGIES = {
+    "chain": chain_positions(6),
+    "ring": ring_positions(8),  # each node to its two ring neighbours
+    "grid": grid_positions(3, 3),  # 4-neighbour grid, diagonals 283 m
+    "ladder": grid_positions(2, 4),
+    "star": {0: (0, 0), 1: (200, 0), 2: (0, 200), 3: (-200, 0), 4: (0, -200)},
+    "diamond": {0: (0, 0), 1: (150, 150), 2: (150, -150), 3: (300, 0)},
+    "tree": {  # 0-1, 1-2, 1-3, 3-4, 2-5
+        0: (0, 0),
+        1: (200, 0),
+        2: (400, 0),
+        3: (200, 200),
+        4: (200, 400),
+        5: (600, 0),
+    },
+    "clique": ring_positions(5, spacing=90.0),  # everyone hears everyone
+}
+
+
+def mobile_srp_trial(config, seed):
+    """A 30 s mobile SRP trial (16 nodes, pause 0, 900 m x 300 m) audited
+    every 0.25 s; returns its summary and the checks."""
+    scenario = scaled_scenario(
+        node_count=16,
+        pause_time=0.0,
+        duration=30.0,
+        seed=seed,
+        terrain_width=900.0,
+        terrain_height=300.0,
+    )
+    network = build_network(scenario, protocol_factory("SRP", config))
+    checks = audit_srp_routes(network.simulator, network.nodes, until=30.0)
+    return network.run(), checks
+
+
+#: The run-out configuration: 8-bit fraction fields, resets asked at 2**7.
+SMALL_FRACTIONS = {"fraction_limit": 2**8, "max_denominator": 2**7}
+
+
+class TestTheorem3:
+    """Theorem 3 on the shipped protocol: at every 0.25 s check of a run, for
+    every destination, the successor graph is acyclic and every successor edge
+    satisfies Eq. 5 — through discovery, and after a relay goes silent."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=5, max_value=9), st.randoms(use_true_random=False))
+    def test_random_static_topologies_stay_loop_free(self, node_count, rng):
+        positions = {
+            node_id: (rng.uniform(0.0, 700.0), rng.uniform(0.0, 500.0))
+            for node_id in range(node_count)
+        }
+        network = StaticNetwork(positions, srp_factory(), seed=rng.randrange(1000))
+        network.start()
+        for i in range(8):
+            source, destination = rng.sample(range(node_count), 2)
+            network.simulator.schedule_at(
+                0.5 * i, partial(network.send_data, source, destination)
+            )
+        network.simulator.schedule_at(2.2, partial(silence_a_relay, network, rng))
+        checks = audit_srp_routes(network.simulator, network.nodes, until=6.0)
+        network.run(until=6.0)
+        assert len(checks) == 25
+        assert [violations for violations in checks if violations] == []
+
+    @pytest.mark.parametrize("silence", [False, True], ids=["steady", "relay-silenced"])
+    @pytest.mark.parametrize("topology", sorted(NAMED_TOPOLOGIES))
+    def test_named_topologies_stay_loop_free(self, topology, silence):
+        """The same checks on hand-built topologies, among them a ring and a
+        grid, where distance-vector routing can count to infinity."""
+        positions = NAMED_TOPOLOGIES[topology]
+        rng = random.Random(topology)
+        network = StaticNetwork(positions, srp_factory())
+        network.start()
+        for i in range(8):
+            source, destination = rng.sample(sorted(positions), 2)
+            network.simulator.schedule_at(
+                0.5 * i, partial(network.send_data, source, destination)
+            )
+        if silence:
+            network.simulator.schedule_at(2.2, partial(silence_a_relay, network, rng))
+        checks = audit_srp_routes(network.simulator, network.nodes, until=6.0)
+        network.run(until=6.0)
+        summary = network.summary()
+        assert len(checks) == 25
+        assert [violations for violations in checks if violations] == []
+        assert summary.data_delivered > 0
+        if not silence:
+            assert summary.data_delivered == 8
+            assert summary.average_sequence_number == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5, 6])
+    def test_mobile_trials_stay_loop_free(self, seed):
+        """And in the simulator's mobile trials, default configuration."""
+        summary, checks = mobile_srp_trial(None, seed)
+        assert len(checks) == 121
+        assert [violations for violations in checks if violations] == []
+        assert summary.data_delivered > 0
+
+
+class TestLabelsRunOut:
+    """Fig. 7's "SRP ≡ 0" on the path the sweeps never run: with 8-bit
+    fractions the mediant splits overflow, relays set the reset-required (T)
+    bit, and a destination must raise its own sequence number."""
+
+    def test_a_destination_resets_and_no_loop_ever_forms(self):
+        summary, checks = mobile_srp_trial(SMALL_FRACTIONS, seed=3)
+        assert summary.average_sequence_number > 0.0, "no destination reset"
+        # Only destinations raise their own sequence number: every check also
+        # found no node holding an sn its destination had not issued.
+        assert len(checks) == 121
+        assert [violations for violations in checks if violations] == []
+        assert summary.delivery_ratio > 0.9
+
+    def test_default_fractions_never_reset_on_the_same_scenario(self):
+        summary, checks = mobile_srp_trial(None, seed=3)
+        assert summary.average_sequence_number == 0.0
+        assert [violations for violations in checks if violations] == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5, 6])
+    def test_small_fractions_stay_loop_free_on_other_seeds(self, seed):
+        """Whether or not a destination has to reset, 8-bit fractions never
+        cost the successor graphs their order."""
+        summary, checks = mobile_srp_trial(SMALL_FRACTIONS, seed)
+        assert len(checks) == 121
+        assert [violations for violations in checks if violations] == []
+        assert summary.data_delivered > 0
 
 
 class TestRouteRepair:

@@ -1,6 +1,8 @@
 """The live runtime: clock scaling, flood control, and full soaks."""
 
 import asyncio
+import pickle
+import socket
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.runtime.live import (
     LiveRunConfig,
     LiveTransportBase,
     LoopbackNetwork,
+    UdpTransport,
     adjacency_from_positions,
     plan_flows,
     run_soak,
@@ -411,3 +414,58 @@ class TestUdpSoak:
         assert report.summary.delivery_ratio >= 0.9
         assert report.summary.mean_latency >= 0.0
         assert report.violations == 0
+        assert report.counters.rejected_datagrams == 0
+
+
+#: Set by :func:`_plant` if a received pickle is ever loaded.
+TAMPERED = []
+
+
+def _plant():
+    """What a hostile pickle runs the moment it is loaded."""
+    TAMPERED.append(True)
+    return (1, False, data_packet(source=1))
+
+
+class _HostilePayload:
+    def __reduce__(self):
+        return (_plant, ())
+
+
+def _bound_udp_socket() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.setblocking(False)
+    return sock
+
+
+class TestUdpReceiver:
+    def test_datagrams_from_outside_the_address_book_are_never_unpickled(self):
+        router, peer, stranger = (_bound_udp_socket() for _ in range(3))
+        node = make_node()
+
+        async def go():
+            # The handshake may deliver the book's addresses as lists.
+            book = {0: list(router.getsockname()), 1: list(peer.getsockname())}
+            transport = UdpTransport(0, {0: (1,), 1: (0,)}, book)
+            await transport.open(node, router)
+            target = router.getsockname()
+            stranger.sendto(pickle.dumps(_HostilePayload()), target)
+            peer.sendto(b"not a frame", target)
+            peer.sendto(pickle.dumps((1, False, data_packet(source=1))), target)
+            # The peer's frame went last; once it is in, the others were read.
+            for _ in range(200):
+                if node.protocol.packets:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.02)
+            transport.close()
+
+        try:
+            asyncio.run(go())
+        finally:
+            peer.close()
+            stranger.close()
+        assert TAMPERED == []
+        assert node.counters.rejected_datagrams == 2
+        assert [packet.source for packet, _ in node.protocol.packets] == [1]

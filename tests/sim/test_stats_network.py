@@ -1,9 +1,11 @@
 """Tests for trial statistics, network assembly and the loop-freedom monitor."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.protocols import protocol_factory
-from repro.sim.monitor import LoopFreedomMonitor
+from repro.sim.monitor import LoopFreedomMonitor, build_successor_graph, find_cycle
 from repro.sim.network import build_network, run_trial
 from repro.sim.stats import TrialStats
 from repro.workloads.scenario import scaled_scenario
@@ -134,5 +136,76 @@ class TestLoopFreedomMonitor:
     def test_successor_graph_snapshot(self):
         monitor = LoopFreedomMonitor()
         monitor.record_successors(0.0, "T", "A", ["T"])
-        graph = monitor.successor_graph("T")
-        assert set(graph.edges) == {("A", "T")}
+        assert monitor.successor_graph("T") == {"A": ("T",), "T": ()}
+
+
+class TestFindCycle:
+    """The monitor's own DFS against networkx, which it replaced in ``src/``."""
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=7),
+            st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+            max_size=8,
+        )
+    )
+    def test_agrees_with_networkx_on_random_digraphs(self, successors):
+        graph = build_successor_graph(successors)
+        oracle = nx.DiGraph([(tail, head) for tail in graph for head in graph[tail]])
+        oracle.add_nodes_from(graph)
+        cycle = find_cycle(graph)
+        assert bool(cycle) == (not nx.is_directed_acyclic_graph(oracle))
+        assert bool(find_cycle(oracle)) == bool(cycle)  # takes either graph type
+        if cycle:
+            assert all(oracle.has_edge(*edge) for edge in cycle)
+            assert [tail for tail, _ in cycle[1:]] == [head for _, head in cycle[:-1]]
+            assert cycle[-1][1] == cycle[0][0]
+
+    @pytest.mark.parametrize(
+        "successors, cyclic",
+        [
+            pytest.param({}, False, id="empty"),
+            pytest.param({"A": []}, False, id="isolated-node"),
+            pytest.param({"A": ["B"]}, False, id="successor-named-only-as-one"),
+            pytest.param({"A": ["B"], "B": ["A"]}, True, id="two-cycle"),
+            pytest.param(
+                {"S": ["A", "B"], "A": ["T"], "B": ["T"]}, False, id="diamond"
+            ),
+            pytest.param({"A": ["B"], "B": ["C"], "C": ["A"]}, True, id="triangle"),
+            pytest.param(
+                {"A": ["B"], "C": ["D"], "D": ["C"]}, True, id="second-component"
+            ),
+            pytest.param(
+                {"A": ["B", "C"], "B": ["C"], "C": []}, False, id="shortcut-edge"
+            ),
+        ],
+    )
+    def test_known_graphs(self, successors, cyclic):
+        cycle = find_cycle(build_successor_graph(successors))
+        assert bool(cycle) is cyclic
+        # A reported cycle is closed and made of the graph's own edges.
+        assert all(head in successors.get(tail, ()) for tail, head in cycle)
+        if cycle:
+            assert cycle[-1][1] == cycle[0][0]
+
+    def test_build_successor_graph_includes_isolated_nodes(self):
+        assert build_successor_graph({"A": ["B", "B"], "C": []}) == {
+            "A": ("B",),
+            "C": (),
+            "B": (),
+        }
+
+    def test_self_loop_is_a_cycle(self):
+        assert find_cycle(build_successor_graph({"A": ["A"]})) == [("A", "A")]
+
+    def test_cycle_behind_a_shared_acyclic_prefix(self):
+        graph = build_successor_graph(
+            {"S": ["A", "B"], "A": ["T"], "B": ["C"], "C": ["D"], "D": ["B"]}
+        )
+        assert sorted(find_cycle(graph)) == [("B", "C"), ("C", "D"), ("D", "B")]
+
+    def test_long_chains_need_no_recursion(self):
+        chain = {node: [node + 1] for node in range(20_000)}
+        assert find_cycle(build_successor_graph(chain)) == []
+        chain[20_000] = [0]
+        assert len(find_cycle(build_successor_graph(chain))) == 20_001

@@ -17,10 +17,15 @@ walking the AST of every module rather than by convention.  This is the
 enforcement half of the rule that node/protocol statistics paths read time
 only through the runtime ``clock`` accessor.
 
-The second half keeps what PR 19 bought.  A sweep is many short processes (CLI
-steps, pool workers, fleet workers) and each pays the package import, so
-``src/repro`` imports nothing outside the standard library — scipy and
-networkx are test oracles, numpy is unused.  Held three ways: an AST rule over
+A third rule keeps ``repro.core`` to the one label algebra SRP runs: every
+module there imports only the standard library and ``repro.core``, and is
+reached from ``repro.protocols.srp``'s imports, so a second, unshipped
+implementation cannot grow back beside it.
+
+The last part keeps the runtime cheap to start.  A sweep is many short
+processes (CLI steps, pool workers, fleet workers) and each pays the package
+import, so ``src/repro`` imports nothing outside the standard library — scipy
+and networkx are test oracles, numpy is unused.  Held three ways: an AST rule over
 every import statement, the CLI pipeline under ``python -S`` (no site-packages
 at all), and ``sys.modules`` after the library has done real work in an
 interpreter that *could* have imported them.
@@ -28,6 +33,7 @@ interpreter that *could* have imported them.
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +121,92 @@ def test_sim_node_reads_time_through_the_clock_accessor():
     source = (SRC / "sim" / "node.py").read_text(encoding="utf-8")
     assert "self.simulator.now" not in source
     assert "self.clock.now" in source
+
+
+# -- repro.core is what SRP runs --------------------------------------------------
+
+
+def _module_imports(path: Path, root: Path):
+    """Absolute module names ``path`` imports, at any depth.
+
+    ``from M import n`` yields both ``M`` and ``M.n``: ``n`` may be a
+    submodule.  ``root`` is the directory that holds the ``repro`` package.
+    """
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    package_parts = parts[:-1]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute_module(node, package_parts)
+            found.append(module)
+            found.extend(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _core_violations(root: Path):
+    """Every way ``root/repro/core`` strays from the algebra SRP imports."""
+    paths = {
+        ".".join(path.relative_to(root).with_suffix("").parts): path
+        for path in sorted((root / "repro" / "core").glob("*.py"))
+    }
+    violations = [
+        f"{name.removesuffix('.__init__')} imports {imported}"
+        for name, path in paths.items()
+        for imported in _module_imports(path, root)
+        if imported.split(".")[0] not in sys.stdlib_module_names
+        and imported.split(".")[:2] != ["repro", "core"]
+    ]
+    pending = [
+        imported
+        for path in sorted((root / "repro" / "protocols" / "srp").glob("*.py"))
+        for imported in _module_imports(path, root)
+    ]
+    reached = set()
+    while pending:
+        imported = pending.pop()
+        if imported in paths and imported not in reached:
+            reached.add(imported)
+            pending.extend(_module_imports(paths[imported], root))
+    violations.extend(
+        f"{name} is not reached from repro.protocols.srp"
+        for name in paths
+        if name not in reached and not name.endswith(".__init__")
+    )
+    return violations
+
+
+def test_core_is_the_label_algebra_srp_imports():
+    assert _core_violations(SRC.parent) == []
+    # The package surface is exactly the names SRP takes from it.
+    init = ast.parse((SRC / "core" / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    )
+    taken = {
+        imported.rsplit(".", 1)[1]
+        for path in (SRC / "protocols" / "srp").glob("*.py")
+        for imported in _module_imports(path, SRC.parent)
+        if imported.startswith("repro.core.") and imported.count(".") == 3
+    }
+    assert set(exported) == taken
+
+
+def test_the_core_checker_sees_a_planted_module(tmp_path):
+    for package in ("core", "protocols/srp"):
+        shutil.copytree(SRC / package, tmp_path / "repro" / package)
+    (tmp_path / "repro" / "core" / "orphan.py").write_text(
+        "import json\nfrom ..sim import stats\nfrom .ordering import Ordering\n",
+        encoding="utf-8",
+    )
+    assert _core_violations(tmp_path) == [
+        "repro.core.orphan imports repro.sim",
+        "repro.core.orphan imports repro.sim.stats",
+        "repro.core.orphan is not reached from repro.protocols.srp",
+    ]
 
 
 # -- standard library only ---------------------------------------------------------
