@@ -12,17 +12,17 @@ numbers climb quickly.
 The implementation follows RFC 3561 in structure (RREQ/RREP/RERR, reverse-path
 state, expanding sequence numbers) with simplifications that do not affect the
 reproduced metrics: no gratuitous RREPs, no local repair, hop-count metric
-only.
+only.  The route table is :class:`~repro.protocols.common.DistanceVectorProtocol`'s,
+a route's hop count its ``distance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from ..sim.packet import Packet
-from .base import ProtocolConfig
-from .common import CONTROL_SIZES, OnDemandProtocol, PeriodicTimer
+from .common import CONTROL_SIZES, DistanceVectorConfig, DistanceVectorProtocol
 
 __all__ = ["AodvConfig", "AodvProtocol", "AodvRreq", "AodvRrep", "AodvRerr"]
 
@@ -67,75 +67,18 @@ class AodvRerr:
     unreachable: Tuple[Tuple[NodeId, int], ...]
 
 
-@dataclass
-class AodvRouteEntry:
-    """One destination's forwarding state."""
-
-    destination: NodeId
-    sequence_number: int = 0
-    sequence_valid: bool = False
-    hop_count: int = 0
-    next_hop: Optional[NodeId] = None
-    expires_at: float = 0.0
-    valid: bool = False
-
-
 @dataclass(frozen=True, slots=True)
-class AodvConfig(ProtocolConfig):
+class AodvConfig(DistanceVectorConfig):
     """AODV timers and limits."""
 
-    route_lifetime: float = 10.0
-    discovery_timeout: float = 1.0
-    max_discovery_attempts: int = 3
-    buffer_size: int = 64
-    rreq_ttl: int = 64
-    maintenance_interval: float = 1.0
 
-
-class AodvProtocol(OnDemandProtocol):
+class AodvProtocol(DistanceVectorProtocol):
     """One node's AODV instance."""
 
     name = "AODV"
 
     def __init__(self, config: Optional[AodvConfig] = None) -> None:
         super().__init__(config or AodvConfig())
-        self.routes: Dict[NodeId, AodvRouteEntry] = {}
-        self.own_sequence_number = 0
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def start(self) -> None:
-        PeriodicTimer(
-            self.clock, self.config.maintenance_interval, self._maintenance
-        ).start()
-
-    def _maintenance(self, now: float) -> None:
-        """Aggregated per-entry route timeouts: one scan per interval."""
-        for entry in self.routes.values():
-            if entry.valid and entry.expires_at <= now:
-                entry.valid = False
-
-    def on_node_down(self) -> None:
-        """Crash: routes are volatile too.
-
-        The node's own sequence number is durable (RFC 3561 §6.1 requires it
-        to survive reboots to keep loop freedom), so it is kept.
-        """
-        self.routes.clear()
-        super().on_node_down()
-
-    # -- table helpers ------------------------------------------------------------
-
-    def _entry(self, destination: NodeId) -> AodvRouteEntry:
-        if destination not in self.routes:
-            self.routes[destination] = AodvRouteEntry(destination)
-        return self.routes[destination]
-
-    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
-        entry = self.routes.get(destination)
-        if entry and entry.valid and entry.expires_at > self.clock.now:
-            return entry.next_hop
-        return None
 
     def _update_route(
         self,
@@ -143,36 +86,24 @@ class AodvProtocol(OnDemandProtocol):
         next_hop: NodeId,
         sequence_number: int,
         hop_count: int,
-        *,
-        sequence_valid: bool = True,
     ) -> bool:
-        """Install a route when it is fresher or equally fresh and shorter."""
-        entry = self._entry(destination)
-        fresher = (
-            not entry.sequence_valid
-            or sequence_number > entry.sequence_number
+        """Install a route when it is fresher or equally fresh and shorter.
+
+        A destination without an entry takes any route.
+        """
+        entry = self.routes.get(destination)
+        if entry is not None and not (
+            sequence_number > entry.sequence_number
             or (
                 sequence_number == entry.sequence_number
-                and (not entry.valid or hop_count < entry.hop_count)
+                and (not entry.valid or hop_count < entry.distance)
             )
-        )
-        if not fresher:
+        ):
             return False
-        entry.sequence_number = sequence_number
-        entry.sequence_valid = sequence_valid
-        entry.hop_count = hop_count
-        entry.next_hop = next_hop
-        entry.valid = True
-        entry.expires_at = self.clock.now + self.config.route_lifetime
+        self._install(self._entry(destination), next_hop, sequence_number, hop_count)
         return True
 
     # -- data path -------------------------------------------------------------------
-
-    def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
-        entry = self.routes.get(packet.destination)
-        if entry and entry.valid:
-            entry.expires_at = self.clock.now + self.config.route_lifetime
-        self.node.send_unicast(packet, next_hop)
 
     def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
         entry = self.routes.get(destination)
@@ -184,19 +115,14 @@ class AodvProtocol(OnDemandProtocol):
         )
 
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
-        lost: List[Tuple[NodeId, int]] = []
-        for destination, entry in self.routes.items():
-            if entry.valid and entry.next_hop == next_hop:
-                entry.valid = False
-                entry.sequence_number += 1  # AODV inflates the lost route's sn.
-                lost.append((destination, entry.sequence_number))
+        lost = self._invalidate_routes_via(next_hop)
+        for entry in lost:
+            entry.sequence_number += 1  # AODV inflates the lost route's sn.
+        unreachable = tuple((e.destination, e.sequence_number) for e in lost)
         if packet.is_data:
             self._rediscover_or_drop(packet)
-        if lost:
-            rerr = AodvRerr(unreachable=tuple(lost))
-            self.node.send_broadcast(
-                self.make_control_packet(self.node_id, rerr, CONTROL_SIZES["rerr"])
-            )
+        if unreachable:
+            self._broadcast_rerr(AodvRerr(unreachable))
 
     # -- route discovery ---------------------------------------------------------------
 
@@ -212,17 +138,13 @@ class AodvProtocol(OnDemandProtocol):
                 rreq_id=rreq_id,
                 destination=destination,
                 destination_sequence_number=entry.sequence_number if entry else 0,
-                destination_sequence_unknown=entry is None or not entry.sequence_valid,
+                destination_sequence_unknown=entry is None,
                 ttl=self.config.rreq_ttl,
             )
         )
 
     def _handle_rreq(self, rreq: AodvRreq, from_node: NodeId) -> None:
-        if (
-            rreq.source == self.node_id
-            or rreq.ttl <= 0
-            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
-        ):
+        if not self._first_sight(rreq):
             return
         # Reverse route toward the originator.
         self._update_route(
@@ -251,7 +173,6 @@ class AodvProtocol(OnDemandProtocol):
         can_answer = (
             entry is not None
             and entry.valid
-            and entry.sequence_valid
             and (
                 rreq.destination_sequence_unknown
                 or entry.sequence_number >= rreq.destination_sequence_number
@@ -262,7 +183,7 @@ class AodvProtocol(OnDemandProtocol):
                 source=rreq.source,
                 destination=rreq.destination,
                 destination_sequence_number=entry.sequence_number,
-                hop_count=entry.hop_count,
+                hop_count=entry.distance,
                 lifetime=self.config.route_lifetime,
             )
             self._send_rrep(rrep, from_node)
@@ -301,20 +222,10 @@ class AodvProtocol(OnDemandProtocol):
                 entry.sequence_number = sequence
                 invalidated.append((destination, sequence))
         if invalidated:
-            self.node.send_broadcast(
-                self.make_control_packet(
-                    self.node_id, AodvRerr(tuple(invalidated)), CONTROL_SIZES["rerr"]
-                )
-            )
+            self._broadcast_rerr(AodvRerr(tuple(invalidated)))
 
     control_handlers = {
         AodvRreq: _handle_rreq,
         AodvRrep: _handle_rrep,
         AodvRerr: _handle_rerr,
     }
-
-    # -- metrics -----------------------------------------------------------------------
-
-    def sequence_number_metric(self) -> int:
-        """Fig. 7: AODV's own sequence number grows with every discovery."""
-        return self.own_sequence_number

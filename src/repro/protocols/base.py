@@ -16,17 +16,16 @@ points:
   (the paper's "link-layer unicast loss detection").  Transports without
   delivery feedback (UDP) simply never call it.
 
-Every protocol also answers one route query,
-:meth:`RoutingProtocol.next_hop`, which the live runtime's routing-table dump
-reads.
+Code outside ``repro.protocols`` reads route state only through two route
+queries: :meth:`RoutingProtocol.next_hop` (the live routing-table dump) and
+:meth:`RoutingProtocol.successors` (the loop monitor; SRP's successor set,
+the singleton of ``next_hop`` elsewhere).
 
 ``handle_packet`` is implemented once, here: data goes to the protocol's
 ``_handle_data`` and a control payload to the handler its class lists in
 :attr:`RoutingProtocol.control_handlers` (payloads of any other type — another
-protocol's messages — are ignored).  The two protocol families share more
-than that; their skeletons live in :mod:`repro.protocols.common`
-(:class:`~repro.protocols.common.OnDemandProtocol` for SRP, LDR, AODV and DSR,
-:class:`~repro.protocols.common.LinkStateProtocol` for OLSR and LSR).
+protocol's messages — are ignored).  The families share more than that; their
+skeletons live in :mod:`repro.protocols.common`.
 
 Protocols see their environment only through the
 :class:`~repro.runtime.base.Runtime` seam (clock, sends, identity, RNG), so
@@ -48,6 +47,7 @@ from typing import (
     ClassVar,
     Deque,
     Dict,
+    FrozenSet,
     Hashable,
     List,
     Mapping,
@@ -197,6 +197,14 @@ class RoutingProtocol(abc.ABC):
     @abc.abstractmethod
     def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         """The neighbour data for ``destination`` goes to now; ``None`` if none."""
+
+    def successors(self, destination: NodeId) -> FrozenSet[NodeId]:
+        """Every neighbour this node may forward ``destination``'s data to now.
+
+        A single-path protocol has at most one: its :meth:`next_hop`.
+        """
+        next_hop = self.next_hop(destination)
+        return frozenset() if next_hop is None else frozenset((next_hop,))
 
     # -- statistics hooks --------------------------------------------------------------
 

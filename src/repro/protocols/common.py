@@ -1,4 +1,4 @@
-"""Machinery shared by the routing protocols: two skeletons and their parts.
+"""Machinery shared by the routing protocols: three skeletons and their parts.
 
 **The on-demand skeleton** (:class:`OnDemandProtocol`) is the outer shape
 SRP, LDR, AODV and DSR share.  Data with a route is forwarded; data without
@@ -12,6 +12,10 @@ the RREQ dedup (:class:`SeenSequences`).  LDR and SRP add a
 **route-request cache** (:class:`RreqCache`) with the passive / engaged /
 active states of one ``(source, rreq_id)`` computation, its reverse-path
 last hop and any per-computation ordering.
+
+**The distance-vector skeleton** (:class:`DistanceVectorProtocol`) adds the
+one table LDR and AODV share, a :class:`RouteEntry` per destination, with its
+expiry tick, route refresh, link-break invalidation and route-error broadcast.
 
 **The link-state skeleton** (:class:`LinkStateProtocol`) is what OLSR and
 LSR share: hello soft state for neighbours, a link-state database
@@ -38,13 +42,14 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    List,
     Optional,
     Set,
     Tuple,
 )
 
 from ..sim.packet import Packet
-from .base import PacketBuffer, RoutingProtocol
+from .base import PacketBuffer, ProtocolConfig, RoutingProtocol
 
 __all__ = [
     "ComputationState",
@@ -56,13 +61,21 @@ __all__ = [
     "SeenSequences",
     "LsdbEntry",
     "OnDemandProtocol",
+    "DistanceVectorConfig",
+    "DistanceVectorProtocol",
+    "RouteEntry",
     "LinkStateProtocol",
     "CONTROL_SIZES",
+    "INFINITE_DISTANCE",
 ]
 
 NodeId = Hashable
 
 _NEVER = float("inf")
+
+#: Distance of a route a node never had (for LDR's feasible distance: anything
+#: is in order).
+INFINITE_DISTANCE = float("inf")
 
 #: Nominal control-packet sizes in bytes (IP + UDP + protocol header), used
 #: only for transmission-time computation.
@@ -432,6 +445,14 @@ class OnDemandProtocol(RoutingProtocol):
 
     # -- control helpers -------------------------------------------------------------
 
+    def _first_sight(self, rreq) -> bool:
+        """True (and recorded) for a live foreign RREQ this node has not handled."""
+        return (
+            rreq.source != self.node_id
+            and rreq.ttl > 0
+            and self.seen_rreqs.add(rreq.source, rreq.rreq_id)
+        )
+
     def _broadcast_rreq(self, rreq) -> None:
         self.node.send_broadcast(
             self.make_control_packet(rreq.destination, rreq, CONTROL_SIZES["rreq"])
@@ -456,6 +477,115 @@ class OnDemandProtocol(RoutingProtocol):
 
     def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
         """Tell ``from_node`` this node has no route to ``destination``."""
+
+
+@dataclass(frozen=True, slots=True)
+class DistanceVectorConfig(ProtocolConfig):
+    """The timers and limits AODV and LDR share (each names its own subclass)."""
+
+    route_lifetime: float = 10.0
+    discovery_timeout: float = 1.0
+    max_discovery_attempts: int = 3
+    buffer_size: int = 64
+    rreq_ttl: int = 64
+    maintenance_interval: float = 1.0
+
+
+@dataclass(slots=True)
+class RouteEntry:
+    """One destination's row in a distance-vector table."""
+
+    destination: NodeId
+    sequence_number: int = 0
+    distance: float = INFINITE_DISTANCE
+    next_hop: Optional[NodeId] = None
+    valid: bool = False
+    expires_at: float = 0.0
+    #: LDR only: the smallest distance accepted under ``sequence_number``.
+    feasible_distance: float = INFINITE_DISTANCE
+
+
+class DistanceVectorProtocol(OnDemandProtocol):
+    """One next hop per destination under sequence numbers: LDR and AODV.
+
+    Owns the table (:attr:`routes`) and everything that only reads or ages
+    it.  A protocol built on it supplies its messages, its accept rule
+    (installing with :meth:`_install`) and its reply conditions.
+    """
+
+    def __init__(self, config: DistanceVectorConfig) -> None:
+        super().__init__(config)
+        self.routes: Dict[NodeId, RouteEntry] = {}
+        self.own_sequence_number = 0
+
+    def start(self) -> None:
+        PeriodicTimer(
+            self.clock, self.config.maintenance_interval, self._maintenance
+        ).start()
+
+    def _maintenance(self, now: float) -> None:
+        """Aggregated per-entry route timeouts: one scan per interval."""
+        for entry in self.routes.values():
+            if entry.valid and entry.expires_at <= now:
+                entry.valid = False
+
+    def on_node_down(self) -> None:
+        """Crash: routes are volatile; the own sequence number is durable
+        (RFC 3561 §6.1, which LDR inherits, for loop freedom)."""
+        self.routes.clear()
+        super().on_node_down()
+
+    # -- the table -------------------------------------------------------------------
+
+    def _entry(self, destination: NodeId) -> RouteEntry:
+        if destination not in self.routes:
+            self.routes[destination] = RouteEntry(destination)
+        return self.routes[destination]
+
+    def _install(
+        self,
+        entry: RouteEntry,
+        next_hop: NodeId,
+        sequence_number: int,
+        distance: float,
+    ) -> None:
+        """Make ``entry`` a valid route through ``next_hop`` for a lifetime."""
+        entry.sequence_number = sequence_number
+        entry.distance = distance
+        entry.next_hop = next_hop
+        entry.valid = True
+        entry.expires_at = self.clock.now + self.config.route_lifetime
+
+    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
+        entry = self.routes.get(destination)
+        if entry and entry.valid and entry.expires_at > self.clock.now:
+            return entry.next_hop
+        return None
+
+    def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
+        entry = self.routes.get(packet.destination)
+        if entry is not None and entry.valid:
+            entry.expires_at = self.clock.now + self.config.route_lifetime
+        self.node.send_unicast(packet, next_hop)
+
+    def _invalidate_routes_via(self, neighbor: NodeId) -> List[RouteEntry]:
+        """Invalidate every valid route via ``neighbor``; returns those entries."""
+        lost = []
+        for entry in self.routes.values():
+            if entry.valid and entry.next_hop == neighbor:
+                entry.valid = False
+                lost.append(entry)
+        return lost
+
+    def _broadcast_rerr(self, rerr) -> None:
+        """Tell every neighbour about routes this node just lost."""
+        self.node.send_broadcast(
+            self.make_control_packet(self.node_id, rerr, CONTROL_SIZES["rerr"])
+        )
+
+    def sequence_number_metric(self) -> int:
+        """Fig. 7: how far the node's own sequence number grew."""
+        return self.own_sequence_number
 
 
 @dataclass(slots=True)

@@ -221,12 +221,7 @@ class DsrProtocol(OnDemandProtocol):
         )
 
     def _handle_rreq(self, rreq: DsrRreq, from_node: NodeId) -> None:
-        if (
-            rreq.source == self.node_id
-            or rreq.ttl <= 0
-            or self.node_id in rreq.path
-            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
-        ):
+        if self.node_id in rreq.path or not self._first_sight(rreq):
             return
         # Overhearing the accumulated path populates the route cache.
         self.cache_route(tuple(reversed(rreq.path + (self.node_id,))))

@@ -13,7 +13,8 @@ but far more slowly than AODV's (Fig. 7), because most repairs succeed with
 feasible-distance ordering alone.
 
 SRP generalises exactly this scheme by making the "distance" a dense fraction
-that can always be split locally, removing the need for most resets.
+that can always be split locally, removing the need for most resets.  The
+route table is :class:`~repro.protocols.common.DistanceVectorProtocol`'s.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ from dataclasses import dataclass, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..sim.packet import Packet
-from .base import ProtocolConfig
-from .common import CONTROL_SIZES, OnDemandProtocol, PeriodicTimer
+from .common import (
+    CONTROL_SIZES,
+    INFINITE_DISTANCE,
+    DistanceVectorConfig,
+    DistanceVectorProtocol,
+    RouteEntry,
+)
 
 __all__ = ["LdrConfig", "LdrProtocol", "LdrRreq", "LdrRrep", "LdrRerr"]
 
 NodeId = Hashable
-
-#: Feasible distance of a node that never had a route (anything is in order).
-INFINITE_DISTANCE = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,78 +80,29 @@ class LdrRerr:
     unreachable: Tuple[NodeId, ...]
 
 
-@dataclass
-class LdrRouteEntry:
-    """Per-destination LDR state."""
-
-    destination: NodeId
-    sequence_number: int = 0
-    #: Non-increasing within a sequence number; reset when the sn increases.
-    feasible_distance: float = INFINITE_DISTANCE
-    distance: float = INFINITE_DISTANCE
-    next_hop: Optional[NodeId] = None
-    valid: bool = False
-    expires_at: float = 0.0
-
-
 @dataclass(frozen=True, slots=True)
-class LdrConfig(ProtocolConfig):
+class LdrConfig(DistanceVectorConfig):
     """LDR timers and limits."""
 
-    route_lifetime: float = 10.0
-    discovery_timeout: float = 1.0
-    max_discovery_attempts: int = 3
-    buffer_size: int = 64
-    rreq_ttl: int = 64
-    maintenance_interval: float = 1.0
 
-
-class LdrProtocol(OnDemandProtocol):
+class LdrProtocol(DistanceVectorProtocol):
     """One node's LDR instance."""
 
     name = "LDR"
 
     def __init__(self, config: Optional[LdrConfig] = None) -> None:
         super().__init__(config or LdrConfig())
-        self.routes: Dict[NodeId, LdrRouteEntry] = {}
-        self.own_sequence_number = 0
         self.reverse_path: Dict[Tuple[NodeId, int], NodeId] = {}
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        PeriodicTimer(
-            self.clock, self.config.maintenance_interval, self._maintenance
-        ).start()
-
-    def _maintenance(self, now: float) -> None:
-        """Aggregated per-entry route timeouts: one scan per interval."""
-        for entry in self.routes.values():
-            if entry.valid and entry.expires_at <= now:
-                entry.valid = False
-
     def on_node_down(self) -> None:
-        """Crash: routes and reverse paths are volatile too; the own
-        sequence number is durable (LDR inherits AODV's reboot rule)."""
-        self.routes.clear()
+        """Crash: reverse paths are volatile too."""
         self.reverse_path.clear()
         super().on_node_down()
 
-    # -- table helpers -------------------------------------------------------------
-
-    def _entry(self, destination: NodeId) -> LdrRouteEntry:
-        if destination not in self.routes:
-            self.routes[destination] = LdrRouteEntry(destination)
-        return self.routes[destination]
-
-    def next_hop(self, destination: NodeId) -> Optional[NodeId]:
-        entry = self.routes.get(destination)
-        if entry and entry.valid and entry.expires_at > self.clock.now:
-            return entry.next_hop
-        return None
+    # -- the accept rule -------------------------------------------------------------
 
     def _in_order(
-        self, entry: LdrRouteEntry, sequence_number: int, distance: float
+        self, entry: RouteEntry, sequence_number: int, distance: float
     ) -> bool:
         """The LDR feasibility condition for accepting an advertised route."""
         if sequence_number > entry.sequence_number:
@@ -172,20 +126,10 @@ class LdrProtocol(OnDemandProtocol):
             entry.feasible_distance = distance
         else:
             entry.feasible_distance = min(entry.feasible_distance, distance)
-        entry.sequence_number = sequence_number
-        entry.distance = distance
-        entry.next_hop = next_hop
-        entry.valid = True
-        entry.expires_at = self.clock.now + self.config.route_lifetime
+        self._install(entry, next_hop, sequence_number, distance)
         return True
 
     # -- data path -------------------------------------------------------------------
-
-    def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
-        entry = self.routes.get(packet.destination)
-        if entry is not None and entry.valid:
-            entry.expires_at = self.clock.now + self.config.route_lifetime
-        self.node.send_unicast(packet, next_hop)
 
     def _report_no_route(self, destination: NodeId, from_node: NodeId) -> None:
         rerr = LdrRerr(unreachable=(destination,))
@@ -195,19 +139,11 @@ class LdrProtocol(OnDemandProtocol):
         )
 
     def handle_link_failure(self, packet: Packet, next_hop: NodeId) -> None:
-        lost: List[NodeId] = []
-        for destination, entry in self.routes.items():
-            if entry.valid and entry.next_hop == next_hop:
-                entry.valid = False
-                lost.append(destination)
+        lost = tuple(e.destination for e in self._invalidate_routes_via(next_hop))
         if packet.is_data:
             self._rediscover_or_drop(packet)
         if lost:
-            self.node.send_broadcast(
-                self.make_control_packet(
-                    self.node_id, LdrRerr(tuple(lost)), CONTROL_SIZES["rerr"]
-                )
-            )
+            self._broadcast_rerr(LdrRerr(lost))
 
     # -- route discovery ---------------------------------------------------------------
 
@@ -228,11 +164,7 @@ class LdrProtocol(OnDemandProtocol):
         )
 
     def _handle_rreq(self, rreq: LdrRreq, from_node: NodeId) -> None:
-        if (
-            rreq.source == self.node_id
-            or rreq.ttl <= 0
-            or not self.seen_rreqs.add(rreq.source, rreq.rreq_id)
-        ):
+        if not self._first_sight(rreq):
             return
         self.reverse_path[(rreq.source, rreq.rreq_id)] = from_node
 
@@ -324,20 +256,10 @@ class LdrProtocol(OnDemandProtocol):
                 entry.valid = False
                 lost.append(destination)
         if lost:
-            self.node.send_broadcast(
-                self.make_control_packet(
-                    self.node_id, LdrRerr(tuple(lost)), CONTROL_SIZES["rerr"]
-                )
-            )
+            self._broadcast_rerr(LdrRerr(tuple(lost)))
 
     control_handlers = {
         LdrRreq: _handle_rreq,
         LdrRrep: _handle_rrep,
         LdrRerr: _handle_rerr,
     }
-
-    # -- metrics -----------------------------------------------------------------------
-
-    def sequence_number_metric(self) -> int:
-        """Fig. 7: LDR's sequence number grows only on destination resets."""
-        return self.own_sequence_number

@@ -29,7 +29,7 @@ the RREQ ordering "lie" and a minimum reply distance under load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import FrozenSet, Hashable, List, Optional
 
 from ...core.fractions import DEFAULT_MAX_DENOMINATOR, UINT32_MAX, ProperFraction
 from ...core.neworder import new_order, new_order_for_rreq_advertisement
@@ -149,6 +149,11 @@ class SrpProtocol(OnDemandProtocol):
 
     def next_hop(self, destination: NodeId) -> Optional[NodeId]:
         return self.table.next_hop(destination)
+
+    def successors(self, destination: NodeId) -> FrozenSet[NodeId]:
+        """The whole successor set: SRP may forward over any of them."""
+        entry = self.table.lookup(destination)
+        return frozenset(entry.successors) if entry is not None else frozenset()
 
     def _forward_data(self, packet: Packet, next_hop: NodeId) -> None:
         self.table.refresh_successor(packet.destination, next_hop, self.clock.now)

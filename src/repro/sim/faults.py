@@ -35,8 +35,9 @@ off-path.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -92,6 +93,12 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
+        numbers = {"start": self.start, "duration": self.duration}
+        if self.boundary_x is not None:
+            numbers["boundary_x"] = self.boundary_x
+        for name, value in numbers.items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"fault {name} must be a finite number, got {value!r}")
         if self.start < 0:
             raise ValueError("fault start must be non-negative")
         if self.duration <= 0:
@@ -146,11 +153,21 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        """Rebuild a spec written by :meth:`to_dict`."""
+        """Rebuild a spec written by :meth:`to_dict`.
+
+        Raises :class:`ValueError` naming any unknown or missing field.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a fault spec is a mapping of fields, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown fault spec fields: {sorted(unknown)}")
+        missing = [
+            f.name for f in fields(cls) if f.default is MISSING and f.name not in data
+        ]
+        if missing:
+            raise ValueError(f"missing fault spec fields: {missing}")
         return cls(**dict(data))
 
 

@@ -2,20 +2,16 @@
 
 The paper's central claim is *instantaneous* loop freedom: at no point in time
 may the successor graph for any destination contain a cycle.  The
-:class:`LoopFreedomMonitor` lets integration tests and failure-injection
-experiments assert exactly that while a trial runs: protocols (or tests) call
-:meth:`record_successors` whenever a routing table changes, and the monitor
-re-checks acyclicity of the per-destination successor graph.
-
-It is intentionally decoupled from the protocol implementations — any protocol
-exposing its next-hop sets can be audited, which is how the tests demonstrate
-that AODV-style baselines *can* transiently violate what SRP guarantees.
+:class:`LoopFreedomMonitor` checks exactly that, on demand, while a trial
+runs.  It keeps no route state of its own: each check reads every node's
+``successors(destination)`` — a query every protocol answers — so the tests
+can audit SRP and measure the baselines that *can* transiently loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 __all__ = [
     "LoopFreedomMonitor",
@@ -92,30 +88,27 @@ class LoopViolation:
 
 
 class LoopFreedomMonitor:
-    """Tracks per-destination successor sets and records any cycle."""
+    """Checks the protocols' own successor sets for cycles, on demand.
 
-    def __init__(self) -> None:
-        self._successors: Dict[NodeId, Dict[NodeId, Set[NodeId]]] = {}
+    ``protocols`` maps each node id to its routing protocol (anything with a
+    ``successors(destination)`` method); every node id is a destination.
+    """
+
+    def __init__(self, protocols: Mapping[NodeId, Any]) -> None:
+        self._protocols = protocols
         self.violations: List[LoopViolation] = []
         self.checks = 0
 
-    def record_successors(
-        self,
-        time: float,
-        destination: NodeId,
-        node: NodeId,
-        successors: Iterable[NodeId],
-    ) -> None:
-        """Update ``node``'s successor set toward ``destination`` and re-check."""
-        per_destination = self._successors.setdefault(destination, {})
-        per_destination[node] = set(successors)
-        self._check(time, destination)
-
-    def _check(self, time: float, destination: NodeId) -> None:
+    def check(self, time: float) -> List[LoopViolation]:
+        """Record and return one violation per destination whose graph is cyclic."""
         self.checks += 1
-        cycle = find_cycle(self.successor_graph(destination))
-        if cycle:
-            self.violations.append(LoopViolation(time, destination, tuple(cycle)))
+        found = []
+        for destination in self._protocols:
+            cycle = find_cycle(self.successor_graph(destination))
+            if cycle:
+                found.append(LoopViolation(time, destination, tuple(cycle)))
+        self.violations.extend(found)
+        return found
 
     @property
     def is_clean(self) -> bool:
@@ -123,5 +116,10 @@ class LoopFreedomMonitor:
         return not self.violations
 
     def successor_graph(self, destination: NodeId) -> SuccessorGraph:
-        """The most recent successor graph recorded for ``destination``."""
-        return build_successor_graph(self._successors.get(destination, {}))
+        """The successor graph toward ``destination`` as the protocols hold it now."""
+        return build_successor_graph(
+            {
+                node: protocol.successors(destination)
+                for node, protocol in self._protocols.items()
+            }
+        )

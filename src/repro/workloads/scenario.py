@@ -60,6 +60,15 @@ def _phy_from_dict(phy: Mapping[str, Any]) -> PhyConfig:
     return PhyConfig(**phy)
 
 
+def _fault_from_dict(index: int, spec: Any) -> FaultSpec:
+    if isinstance(spec, FaultSpec):
+        return spec
+    try:
+        return FaultSpec.from_dict(spec)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFieldError(f"faults[{index}]: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Scenario:
     """Parameters shared by every protocol in one trial."""
@@ -150,7 +159,8 @@ class Scenario:
         """Rebuild a scenario written by :meth:`to_dict`.
 
         Raises :class:`ScenarioFieldError` naming any scenario or phy field
-        it does not know, including one a retired model used to write.
+        it does not know, including one a retired model used to write, and
+        any fault spec (``faults[i]``) that is malformed.
         """
         kwargs = dict(data)
         phy = kwargs.get("phy")
@@ -159,8 +169,7 @@ class Scenario:
         faults = kwargs.get("faults")
         if faults:
             kwargs["faults"] = tuple(
-                spec if isinstance(spec, FaultSpec) else FaultSpec.from_dict(spec)
-                for spec in faults
+                _fault_from_dict(index, spec) for index, spec in enumerate(faults)
             )
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known

@@ -368,6 +368,56 @@ class TestRetiredPhyField:
         assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before
 
 
+class TestMalformedFaultSpec:
+    """A ``sweep.json`` whose fault plan holds a malformed spec — an unknown
+    field, a non-finite time, a missing duration — fails every reading
+    command in one line naming ``faults[i]`` and the field, exit 2."""
+
+    @pytest.fixture(
+        params=[
+            ({"bogus": 1}, "unknown fault spec fields: ['bogus']"),
+            ({"start": float("nan")}, "fault start must be a finite number"),
+            ({"duration": None}, "missing fault spec fields: ['duration']"),
+        ],
+        ids=["unknown", "nan-start", "no-duration"],
+    )
+    def fault_store(self, request, store_dir, tmp_path):
+        import shutil
+
+        change, expected = request.param
+        out = tmp_path / "sweep-fault"
+        shutil.copytree(store_dir, out)
+        meta_path = out / "sweep.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        spec = {"kind": "blackout", "start": 1.0, "duration": 2.0, **change}
+        meta["scenario"]["faults"] = [{k: v for k, v in spec.items() if v is not None}]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        return out, expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resume", "--quiet", "--out"],
+            ["status", "--out"],
+            ["report", "--out"],
+            ["worker", "--quiet", "--store"],
+            ["trajectory"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_refuses_in_one_line(self, fault_store, capsys, argv):
+        out, expected = fault_store
+        cells_before = sorted(p.name for p in (out / "jobs").iterdir())
+        code = main(argv + [str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "faults[0]: " in lines[0] and expected in lines[0]
+        assert sorted(p.name for p in (out / "jobs").iterdir()) == cells_before
+
+
 #: A worker that would initialise a fresh store ``d``.
 FRESH_WORKER = ["worker", "--store", "d", "--scale", "smoke"]
 

@@ -102,6 +102,33 @@ class TestScenarioRoundTrip:
         # malformed scenarios keeps doing so.
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "blackout", "start": float("nan"), "duration": 1.0}, "start"),
+            ({"kind": "blackout", "start": 1.0, "duration": float("nan")}, "duration"),
+            ({"kind": "blackout", "start": 1.0}, "duration"),
+            ({"kind": "blackout", "start": 1.0, "duration": 2.0, "bogus": 1}, "bogus"),
+            (
+                {
+                    "kind": "partition",
+                    "start": 1.0,
+                    "duration": 2.0,
+                    "boundary_x": float("inf"),
+                },
+                "boundary_x",
+            ),
+        ],
+        ids=["nan-start", "nan-duration", "no-duration", "unknown", "inf-boundary"],
+    )
+    def test_malformed_fault_spec_raises_naming_it(self, spec, field):
+        data = PAPER_SCENARIO.to_dict()
+        data["faults"] = [{"kind": "blackout", "start": 1.0, "duration": 2.0}, spec]
+        with pytest.raises(ScenarioFieldError) as info:
+            Scenario.from_dict(data)
+        assert str(info.value).startswith("faults[1]: ")
+        assert field in str(info.value)
+
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
     @pytest.mark.parametrize("protocol", PAPER_PROTOCOLS)
     def test_stored_scenario_replays_the_same_trial(self, protocol, faulted):

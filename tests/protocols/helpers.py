@@ -9,7 +9,7 @@ from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.mac import Mac
 from repro.sim.mobility import StaticMobility
-from repro.sim.monitor import build_successor_graph, find_cycle
+from repro.sim.monitor import LoopFreedomMonitor
 from repro.sim.node import Node
 from repro.sim.phy import PhyConfig
 from repro.sim.space import Position
@@ -106,13 +106,19 @@ def grid_positions(
     return positions
 
 
+def protocols_of(nodes: Mapping[NodeId, Node]) -> Dict[NodeId, object]:
+    """``{node_id: protocol}``, what :class:`LoopFreedomMonitor` is built over."""
+    return {node_id: node.protocol for node_id, node in nodes.items()}
+
+
 def srp_route_violations(nodes: Mapping[NodeId, Node]) -> List[str]:
     """Theorem 3 on the SRP routing state of ``nodes`` at this instant.
 
-    Per destination: the successor graph has no cycle; every successor edge
-    satisfies Eq. 5 (``entry.ordering ≺ successor.ordering``, the successor is
-    strictly closer); and no node holds a sequence number the destination has
-    not issued itself (only a destination raises its own).
+    Per destination: the successor graph has no cycle (the loop monitor's
+    check); every successor edge satisfies Eq. 5 (``entry.ordering ≺
+    successor.ordering``, the successor is strictly closer); and no node
+    holds a sequence number the destination has not issued itself (only a
+    destination raises its own).
     """
     violations = []
     destinations = {
@@ -122,12 +128,10 @@ def srp_route_violations(nodes: Mapping[NodeId, Node]) -> List[str]:
     }
     for destination in sorted(destinations):
         issued = nodes[destination].protocol.own_sequence_number
-        successors = {}
         for node_id, node in nodes.items():
             entry = node.protocol.table.lookup(destination)
             if entry is None:
                 continue
-            successors[node_id] = entry.successors
             if entry.ordering.sequence_number > issued:
                 violations.append(
                     f"{node_id} holds {entry.ordering} for {destination}, "
@@ -140,30 +144,30 @@ def srp_route_violations(nodes: Mapping[NodeId, Node]) -> List[str]:
                         f"{entry.ordering} -> {successor.neighbor} "
                         f"{successor.ordering}"
                     )
-        cycle = find_cycle(build_successor_graph(successors))
-        if cycle:
-            violations.append(f"successor cycle toward {destination}: {cycle}")
+    now = next(iter(nodes.values())).clock.now
+    for loop in LoopFreedomMonitor(protocols_of(nodes)).check(now):
+        violations.append(f"successor cycle toward {loop.destination}: {loop.cycle}")
     return violations
 
 
-def audit_srp_routes(
+def audit_routes(
     simulator: Simulator,
-    nodes: Mapping[NodeId, Node],
+    check: Callable[[], object],
     *,
     until: float,
     interval: float = 0.25,
-) -> List[List[str]]:
-    """Check :func:`srp_route_violations` every ``interval`` s up to ``until``.
+) -> List[object]:
+    """Call ``check()`` every ``interval`` s of simulated time up to ``until``.
 
-    Returns the list the checks append to as the simulation runs: one list
-    of violations per check, the first one at the current time.
+    Returns the list the results are appended to as the simulation runs, the
+    first one at the current time.
     """
-    checks: List[List[str]] = []
+    results: List[object] = []
 
-    def check() -> None:
-        checks.append(srp_route_violations(nodes))
+    def tick() -> None:
+        results.append(check())
         if simulator.now + interval <= until:
-            simulator.schedule_in(interval, check)
+            simulator.schedule_in(interval, tick)
 
-    simulator.schedule_in(0.0, check)
-    return checks
+    simulator.schedule_in(0.0, tick)
+    return results

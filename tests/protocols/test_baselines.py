@@ -7,7 +7,7 @@ from repro.protocols import (
     protocol_factory,
 )
 from repro.protocols.dsr import SourceRoute
-from repro.protocols.ldr import INFINITE_DISTANCE, LdrRouteEntry
+from repro.protocols.common import INFINITE_DISTANCE, RouteEntry
 
 from .helpers import StaticNetwork, chain_positions, grid_positions
 
@@ -134,7 +134,7 @@ class TestLdrSpecifics:
         network = StaticNetwork({0: (0, 0), 1: (100, 0)}, protocol_factory("LDR"))
         network.start()
         protocol = network.protocol(0)
-        entry = LdrRouteEntry("D", sequence_number=3, feasible_distance=4.0)
+        entry = RouteEntry("D", sequence_number=3, feasible_distance=4.0)
         assert protocol._in_order(entry, 4, 100.0)      # fresher sn
         assert protocol._in_order(entry, 3, 3.0)        # same sn, smaller distance
         assert not protocol._in_order(entry, 3, 4.0)    # same sn, not smaller
@@ -155,7 +155,7 @@ class TestLdrSpecifics:
         assert protocol.routes["D"].feasible_distance == 9.0
 
     def test_new_node_has_infinite_feasible_distance(self):
-        assert LdrRouteEntry("D").feasible_distance == INFINITE_DISTANCE
+        assert RouteEntry("D").feasible_distance == INFINITE_DISTANCE
 
     def test_ldr_sequence_numbers_grow_slower_than_aodv(self):
         """Fig. 7's ordering: AODV > LDR for the same workload."""

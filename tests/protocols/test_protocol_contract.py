@@ -1,8 +1,10 @@
 """The contract every registered protocol keeps, whatever its family.
 
-Each protocol answers one route query, ``next_hop(destination)``, and
-handles only its own control messages: a payload of another protocol's
-type reaches no handler, so it sends nothing and raises nothing.
+Each protocol answers two route queries, ``next_hop(destination)`` and
+``successors(destination)`` (the next hop is one of the successors; only
+SRP has more than one), and handles only its own control messages: a
+payload of another protocol's type reaches no handler, so it sends nothing
+and raises nothing.
 """
 
 import pytest
@@ -69,6 +71,25 @@ class TestProtocolContract:
         protocol, sent = node_zero(name)
         assert protocol.next_hop("nowhere") is None
         assert sent == []
+
+    def test_no_successors_toward_an_unknown_destination(self, name):
+        protocol, _ = node_zero(name)
+        assert protocol.successors("nowhere") == frozenset()
+
+    def test_the_next_hop_is_a_successor(self, name):
+        # Link-state tables converge first; the on-demand route is then
+        # discovered by one packet and is fresh when the queries run.
+        network = StaticNetwork(chain_positions(3), protocol_factory(name))
+        network.start()
+        network.run(until=15.0)
+        network.send_data(0, 2)
+        network.run(until=17.0)
+        protocol = network.protocol(0)
+        assert network.summary().data_delivered == 1
+        assert protocol.next_hop(2) == 1
+        assert protocol.next_hop(2) in protocol.successors(2)
+        if name != "SRP":
+            assert protocol.successors(2) == {protocol.next_hop(2)}
 
     def test_another_protocols_control_payload_is_ignored(self, name):
         protocol, sent = node_zero(name)

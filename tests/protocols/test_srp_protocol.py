@@ -14,15 +14,17 @@ from repro.protocols import protocol_factory
 from repro.protocols.srp import SrpConfig, SrpProtocol, SrpRreq
 from repro.protocols.srp.table import SrpRoutingTable
 from repro.sim.mobility import StaticMobility
+from repro.sim.monitor import LoopFreedomMonitor
 from repro.sim.network import build_network
 from repro.sim.space import Position
 from repro.workloads.scenario import scaled_scenario
 
 from .helpers import (
     StaticNetwork,
-    audit_srp_routes,
+    audit_routes,
     chain_positions,
     grid_positions,
+    protocols_of,
     srp_route_violations,
 )
 
@@ -232,20 +234,15 @@ class TestEndToEndRouting:
         assert hops[-1] == 4
 
     def test_successor_graph_is_loop_free_after_discovery(self):
-        import networkx as nx
-
         network = build_chain(6)
         network.send_data(0, 5)
         network.send_data(2, 5)
         network.run(until=6.0)
-        graph = nx.DiGraph()
-        for node_id in network.nodes:
-            entry = network.protocol(node_id).table.lookup(5)
-            if entry is None:
-                continue
-            for successor in entry.successors:
-                graph.add_edge(node_id, successor)
-        assert nx.is_directed_acyclic_graph(graph)
+        monitor = LoopFreedomMonitor(protocols_of(network.nodes))
+        assert monitor.check(network.simulator.now) == []
+        assert monitor.successor_graph(5) == {
+            0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: (5,), 5: ()
+        }
 
     def test_bidirectional_traffic(self):
         network = build_chain(4)
@@ -398,7 +395,9 @@ def mobile_srp_trial(config, seed):
         terrain_height=300.0,
     )
     network = build_network(scenario, protocol_factory("SRP", config))
-    checks = audit_srp_routes(network.simulator, network.nodes, until=30.0)
+    checks = audit_routes(
+        network.simulator, partial(srp_route_violations, network.nodes), until=30.0
+    )
     return network.run(), checks
 
 
@@ -426,7 +425,9 @@ class TestTheorem3:
                 0.5 * i, partial(network.send_data, source, destination)
             )
         network.simulator.schedule_at(2.2, partial(silence_a_relay, network, rng))
-        checks = audit_srp_routes(network.simulator, network.nodes, until=6.0)
+        checks = audit_routes(
+            network.simulator, partial(srp_route_violations, network.nodes), until=6.0
+        )
         network.run(until=6.0)
         assert len(checks) == 25
         assert [violations for violations in checks if violations] == []
@@ -447,7 +448,9 @@ class TestTheorem3:
             )
         if silence:
             network.simulator.schedule_at(2.2, partial(silence_a_relay, network, rng))
-        checks = audit_srp_routes(network.simulator, network.nodes, until=6.0)
+        checks = audit_routes(
+            network.simulator, partial(srp_route_violations, network.nodes), until=6.0
+        )
         network.run(until=6.0)
         summary = network.summary()
         assert len(checks) == 25

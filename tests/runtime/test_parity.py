@@ -2,39 +2,66 @@
 
 The runtime seam's core promise is that a protocol cannot tell whether it is
 running inside the discrete-event simulator or as a live asyncio daemon.
-These tests make the promise falsifiable: run LSR on the same static
-topology under both runtimes and require *identical* converged routing
-tables.  LSR is the right probe because its SPF is a deterministic function
-of the topology graph alone (sorted BFS, two-way check), so any table
-difference is a seam leak — a protocol reading sim state directly — rather
-than tie-breaking noise.
+These tests make the promise falsifiable: run a protocol on the same static
+topology under both runtimes and require *identical* routing tables, read in
+both through the protocol's own ``next_hop`` (never its table attributes).
+
+On a chain there is one path per pair, so every live-capable protocol must
+agree: the link-state pair after converging, the on-demand four after the
+same single 0 -> 4 packet has discovered its route.  The grid has
+equal-cost paths; LSR's SPF is a deterministic function of the topology
+alone (sorted BFS, two-way check), so any difference there is a seam leak —
+a protocol reading sim state directly — rather than tie-breaking noise.
+On-demand tie-breaks depend on timing, so the grid stays LSR's.
 """
 
 import asyncio
 
-from repro.protocols.lsr import LsrConfig, LsrProtocol
+import pytest
+
+from repro.protocols import protocol_factory
 from repro.runtime.live import LiveRunConfig, LoopbackNetwork
 
 from ..protocols.helpers import StaticNetwork, chain_positions, grid_positions
 
 CONVERGE_AT = 20.0
 
+#: When the on-demand protocols send their one packet: late enough that the
+#: route is still fresh (10 s lifetime) at CONVERGE_AT.
+SEND_AT = CONVERGE_AT - 5.0
 
-def sim_tables(positions):
-    net = StaticNetwork(positions, lambda node_id: LsrProtocol(LsrConfig()))
+ON_DEMAND = ("SRP", "LDR", "AODV", "DSR")
+LIVE_CAPABLE = ON_DEMAND + ("OLSR", "LSR")
+
+
+def next_hop_tables(protocols):
+    """``{node: {destination: next hop}}`` over every other node with a route,
+    the shape of the live runtime's ``routing_tables()``."""
+    tables = {}
+    for node_id, protocol in protocols.items():
+        table = tables[node_id] = {}
+        for destination in protocols:
+            hop = protocol.next_hop(destination)
+            if destination != node_id and hop is not None:
+                table[destination] = hop
+    return tables
+
+
+def sim_tables(positions, protocol="LSR"):
+    net = StaticNetwork(positions, protocol_factory(protocol))
     net.start()
+    if protocol in ON_DEMAND:
+        net.run(until=SEND_AT)
+        net.send_data(0, 4)
     net.run(until=CONVERGE_AT)
-    return {
-        node_id: dict(net.protocol(node_id).routing_table)
-        for node_id in positions
-    }
+    return next_hop_tables({node_id: net.protocol(node_id) for node_id in positions})
 
 
-def live_tables(topology: str, routers: int):
+def live_tables(topology: str, routers: int, protocol="LSR"):
     async def go():
         network = LoopbackNetwork(
             LiveRunConfig(
-                protocol="LSR",
+                protocol=protocol,
                 transport="loopback",
                 topology=topology,
                 routers=routers,
@@ -46,8 +73,13 @@ def live_tables(topology: str, routers: int):
             )
         )
         network.start()
-        await network.run_for(CONVERGE_AT)
-        tables = network.routing_tables()
+        if protocol in ON_DEMAND:
+            await network.run_for(SEND_AT)
+            network.nodes[0].originate_data(4, 512)
+            await network.run_for(CONVERGE_AT - SEND_AT)
+        else:
+            await network.run_for(CONVERGE_AT)
+        tables = network.routing_tables()  # the runtime's dump, via next_hop
         network.finish()
         return tables
 
@@ -55,14 +87,19 @@ def live_tables(topology: str, routers: int):
 
 
 class TestRoutingTableParity:
-    def test_chain_converges_to_identical_tables(self):
-        # 5 nodes in a line: one shortest path per pair, no tie-breaking.
-        sim = sim_tables(chain_positions(5))
-        live = live_tables("line", 5)
+    @pytest.mark.parametrize("protocol", LIVE_CAPABLE)
+    def test_chain_converges_to_identical_tables(self, protocol):
+        # 5 nodes in a line: one path per pair, no tie-breaking.
+        sim = sim_tables(chain_positions(5), protocol)
+        live = live_tables("line", 5, protocol)
         assert sim == live
-        # And the tables are complete: every node routes to every other.
-        for node_id, table in sim.items():
-            assert set(table) == {n for n in range(5) if n != node_id}
+        if protocol in ON_DEMAND:
+            # The discovered route: every node on the way forwards toward 4.
+            assert [sim[node_id].get(4) for node_id in range(4)] == [1, 2, 3, 4]
+        else:
+            # The tables are complete: every node routes to every other.
+            for node_id, table in sim.items():
+                assert set(table) == {n for n in range(5) if n != node_id}
 
     def test_grid_converges_to_identical_tables(self):
         # 3x3 grid: equal-cost paths exist, so parity additionally proves
@@ -77,3 +114,4 @@ class TestRoutingTableParity:
         live_first = live_tables("line", 4)
         sim_after = sim_tables(chain_positions(4))
         assert live_first == sim_after
+

@@ -109,34 +109,68 @@ class TestNetworkAssembly:
         assert node.position() == start
 
 
+class FixedRoutes:
+    """A protocol stand-in whose successor sets a test writes directly."""
+
+    def __init__(self, **successors):
+        self.hops = {destination: set(hops) for destination, hops in successors.items()}
+
+    def successors(self, destination):
+        return frozenset(self.hops.get(destination, ()))
+
+
 class TestLoopFreedomMonitor:
-    def test_clean_dag_recording(self):
-        monitor = LoopFreedomMonitor()
-        monitor.record_successors(0.0, "T", "A", ["T"])
-        monitor.record_successors(0.1, "T", "B", ["A", "T"])
+    def test_clean_dag_check(self):
+        protocols = {"A": FixedRoutes(T=["T"]), "B": FixedRoutes(T=["A", "T"])}
+        protocols["T"] = FixedRoutes()
+        monitor = LoopFreedomMonitor(protocols)
+        assert monitor.check(0.0) == []
         assert monitor.is_clean
-        assert monitor.checks == 2
+        assert monitor.checks == 1
 
     def test_cycle_detected_and_reported(self):
-        monitor = LoopFreedomMonitor()
-        monitor.record_successors(0.0, "T", "A", ["B"])
-        monitor.record_successors(1.0, "T", "B", ["A"])
+        protocols = {"A": FixedRoutes(T=["B"]), "B": FixedRoutes(T=["A"])}
+        protocols["T"] = FixedRoutes()
+        monitor = LoopFreedomMonitor(protocols)
+        found = monitor.check(1.0)
         assert not monitor.is_clean
-        violation = monitor.violations[0]
+        assert found == monitor.violations
+        [violation] = monitor.violations
         assert violation.destination == "T"
         assert violation.time == 1.0
         assert sorted(violation.cycle) == [("A", "B"), ("B", "A")]
 
     def test_per_destination_graphs_are_independent(self):
-        monitor = LoopFreedomMonitor()
-        monitor.record_successors(0.0, "T1", "A", ["B"])
-        monitor.record_successors(0.0, "T2", "B", ["A"])
+        protocols = {"A": FixedRoutes(T1=["B"]), "B": FixedRoutes(T2=["A"])}
+        protocols.update(T1=FixedRoutes(), T2=FixedRoutes())
+        monitor = LoopFreedomMonitor(protocols)
+        monitor.check(0.0)
         assert monitor.is_clean
 
+    def test_one_violation_per_cyclic_destination(self):
+        protocols = {
+            "A": FixedRoutes(T1=["B"], T2=["B"]),
+            "B": FixedRoutes(T1=["A"], T2=["A"]),
+        }
+        protocols.update(T1=FixedRoutes(), T2=FixedRoutes())
+        monitor = LoopFreedomMonitor(protocols)
+        found = monitor.check(2.0)
+        assert [violation.destination for violation in found] == ["T1", "T2"]
+
     def test_successor_graph_snapshot(self):
-        monitor = LoopFreedomMonitor()
-        monitor.record_successors(0.0, "T", "A", ["T"])
+        monitor = LoopFreedomMonitor({"A": FixedRoutes(T=["T"]), "T": FixedRoutes()})
         assert monitor.successor_graph("T") == {"A": ("T",), "T": ()}
+
+    def test_each_check_reads_the_protocols_anew(self):
+        a, b = FixedRoutes(T=["B"]), FixedRoutes(T=["T"])
+        monitor = LoopFreedomMonitor({"A": a, "B": b, "T": FixedRoutes()})
+        monitor.check(0.0)
+        b.hops["T"] = {"A"}  # the protocol repoints; the monitor holds no copy
+        monitor.check(0.5)
+        a.hops["T"] = {"T"}
+        monitor.check(1.0)
+        assert monitor.checks == 3
+        assert [violation.time for violation in monitor.violations] == [0.5]
 
 
 class TestFindCycle:

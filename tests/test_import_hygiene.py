@@ -22,6 +22,10 @@ module there imports only the standard library and ``repro.core``, and is
 reached from ``repro.protocols.srp``'s imports, so a second, unshipped
 implementation cannot grow back beside it.
 
+A fourth keeps route state behind the protocols' two route queries
+(``next_hop`` and ``successors``): outside ``repro/protocols`` and
+``tests/protocols``, no code reads a protocol's route tables by attribute.
+
 The last part keeps the runtime cheap to start.  A sweep is many short
 processes (CLI steps, pool workers, fleet workers) and each pays the package
 import, so ``src/repro`` imports nothing outside the standard library — scipy
@@ -38,7 +42,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 #: The third-party packages the runtime used to load (and CI still installs).
 HEAVY = ("numpy", "scipy", "networkx")
@@ -206,6 +211,52 @@ def test_the_core_checker_sees_a_planted_module(tmp_path):
         "repro.core.orphan imports repro.sim",
         "repro.core.orphan imports repro.sim.stats",
         "repro.core.orphan is not reached from repro.protocols.srp",
+    ]
+
+
+# -- route state is read through the route queries ----------------------------------
+
+#: The protocols' route-state attributes: AODV/LDR ``routes``, SRP ``table``,
+#: OLSR/LSR ``routing_table`` and ``lsdb``, DSR ``route_cache``.
+ROUTE_STATE = {"routes", "table", "routing_table", "route_cache", "lsdb"}
+
+
+def _route_state_reads(repo: Path):
+    """Every ``.routes``-style attribute read under ``repo`` outside the two
+    directories allowed to see protocol internals."""
+    allowed = (repo / "src" / "repro" / "protocols", repo / "tests" / "protocols")
+    found = []
+    for top in ("src", "tests", "examples"):
+        for path in sorted((repo / top).rglob("*.py")):
+            if any(path.is_relative_to(directory) for directory in allowed):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in ROUTE_STATE:
+                    found.append(f"{path.relative_to(repo)}:{node.lineno} .{node.attr}")
+    return found
+
+
+def test_route_state_is_read_only_through_next_hop_and_successors():
+    assert _route_state_reads(REPO) == []
+
+
+def test_the_route_state_checker_sees_a_planted_read(tmp_path):
+    planted = {
+        "src/repro/sim/peek.py": "def peek(node):\n    return node.protocol.routes\n",
+        "tests/integration/test_peek.py": "t = net.protocol(0).routing_table\n",
+        "examples/peek.py": "print(p.table.lookup(3), p.lsdb, p.route_cache)\n",
+        "src/repro/protocols/own.py": "x = self.routes\n",
+        "tests/protocols/test_own.py": "x = protocol.table\n",
+    }
+    for name, text in planted.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert sorted(_route_state_reads(tmp_path)) == [
+        "examples/peek.py:1 .lsdb",
+        "examples/peek.py:1 .route_cache",
+        "examples/peek.py:1 .table",
+        "src/repro/sim/peek.py:2 .routes",
+        "tests/integration/test_peek.py:1 .routing_table",
     ]
 
 
