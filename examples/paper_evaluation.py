@@ -41,18 +41,18 @@ import argparse
 import sys
 import time
 
-from repro.experiments import (
+from repro.experiments.executor import execute_jobs
+from repro.experiments.jobs import plan_sweep
+from repro.experiments.paper import (
     EXPERIMENTS,
     PAPER_PROTOCOLS,
     SCALE_NAMES,
-    ResultsStore,
-    collect_sweep,
-    execute_jobs,
     figure_text,
-    plan_sweep,
     resolve_scale,
     table1_text,
 )
+from repro.experiments.runner import collect_sweep
+from repro.experiments.store import ResultsStore
 
 
 def parse_args(argv=None) -> argparse.Namespace:

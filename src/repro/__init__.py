@@ -12,19 +12,14 @@ The package is organised as:
 * :mod:`repro.workloads` — CBR traffic and the paper's evaluation scenarios.
 * :mod:`repro.metrics` — delivery ratio, network load, latency, MAC drops,
   sequence-number accounting and confidence intervals.
+* :mod:`repro.runtime` — the clock/transport seam the protocols run on, and
+  the live asyncio router daemons behind it.
 * :mod:`repro.experiments` — the harness regenerating Table I and Figures 3–7.
+
+``import repro`` loads none of them; import the subpackage you use, so a
+command pays only for what it runs.
 """
 
 __version__ = "0.4.0"  # == pyproject.toml; tests/test_packaging.py compares
 
-from . import core, experiments, metrics, protocols, sim, workloads
-
-__all__ = [
-    "core",
-    "experiments",
-    "metrics",
-    "protocols",
-    "sim",
-    "workloads",
-    "__version__",
-]
+__all__ = ["__version__"]

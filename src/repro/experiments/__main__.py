@@ -92,27 +92,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..protocols import PROTOCOLS
+from ..runtime.base import TOPOLOGIES as LIVE_TOPOLOGIES
+from ..runtime.base import TRANSPORTS as LIVE_TRANSPORTS
 from ..sim.faults import FAULT_PRESETS, fault_preset
-from .distributed import (
-    DEFAULT_LEASE_TTL,
-    DistributedBackend,
-    default_worker_id,
-    store_status,
-)
-from ..runtime.live import (
-    TOPOLOGIES as LIVE_TOPOLOGIES,
-    TRANSPORTS as LIVE_TRANSPORTS,
-    LiveRunConfig,
-    run_soak,
-)
 from ..workloads.scenario import Scenario, ScenarioFieldError
-from .executor import ExecutionProgress, FaultPolicy, SweepBackend, execute_jobs
 from .gate import (
     GATE_REGISTRIES,
     LIVE_PROTOCOLS,
@@ -125,21 +115,29 @@ from .paper import (
     EXPERIMENTS,
     PAPER_PROTOCOLS,
     SCALE_NAMES,
+    EvaluationScale,
     figure_text,
     resolve_scale,
     table1_text,
 )
 from .runner import collect_sweep
-from .store import ResultsStore, StoreVersionError
-from .trajectory import (
-    merge_stores,
-    metric_trajectories,
-    trajectories_to_dict,
-    trajectories_to_text,
-    union_results,
+from .store import (
+    DEFAULT_LEASE_TTL,
+    ResultsStore,
+    StoreMissingError,
+    StoreVersionError,
 )
 
 __all__ = ["cli", "main"]
+
+
+class _Refusal(Exception):
+    """A command refuses to go on: :func:`main` prints ``error: <message>``
+    and exits with ``code`` (2, a usage error, unless stated)."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _format_eta(seconds: Optional[float]) -> str:
@@ -152,7 +150,7 @@ def _format_eta(seconds: Optional[float]) -> str:
     return f"eta {seconds:.0f}s"
 
 
-def _print_progress(event: ExecutionProgress) -> None:
+def _print_progress(event) -> None:
     job = event.job
     if event.failed:
         state = "FAILED — quarantined"
@@ -170,11 +168,15 @@ def _print_progress(event: ExecutionProgress) -> None:
 
 
 def _bounded(
-    convert: Callable[[str], float], floor: float, *, inclusive: bool = True
+    convert: Callable[[str], float],
+    floor: float,
+    *,
+    inclusive: bool = True,
+    ceiling: float = math.inf,
 ) -> Callable[[str], float]:
-    """An argparse type: ``convert(text)``, refused below ``floor`` (and at
-    it unless ``inclusive``), so a bad number is a usage error before
-    anything is written."""
+    """An argparse type: ``convert(text)``, refused unless finite, at least
+    ``floor`` (above it unless ``inclusive``) and at most ``ceiling``, so a
+    bad number is a usage error before anything is written."""
 
     def parse(text: str) -> float:
         try:
@@ -182,37 +184,94 @@ def _bounded(
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value >= floor if inclusive else value > floor):
             bound = ">=" if inclusive else ">"
             raise argparse.ArgumentTypeError(f"must be {bound} {floor:g}, got {text}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be <= {ceiling:g}, got {text}")
         return value
 
     return parse
 
 
-_count = _bounded(int, 1)  #: --jobs, --trials, --max-ttl
+_count = _bounded(int, 1)  #: --jobs, --trials, --max-ttl, --flows
+_routers = _bounded(int, 2)
 _retries = _bounded(int, 0)
 _seconds = _bounded(float, 0.0)  #: a pause time, a retry backoff, a warmup
-_interval = _bounded(float, 0.0, inclusive=False)  #: timeouts, TTLs, polls
+_interval = _bounded(float, 0.0, inclusive=False)  #: timeouts, TTLs, rates
+_ratio = _bounded(float, 0.0, ceiling=1.0)  #: --delivery-floor
 
 
-def _policy_from_args(args: argparse.Namespace) -> FaultPolicy:
+def _write_json(path: Optional[str], document: Any, what: str, **dump) -> None:
+    """``--json PATH``: write the structured ``what`` there and say so."""
+    if path is not None:
+        Path(path).write_text(json.dumps(document, indent=1, **dump), encoding="utf-8")
+        print(f"(structured {what} written to {path})")
+
+
+def _fault_policy(args: argparse.Namespace):
+    from .executor import FaultPolicy
+
     return FaultPolicy(
         timeout=args.trial_timeout, retries=args.retries, backoff=args.retry_backoff
     )
 
 
-def _apply_faults(scale, preset: Optional[str]):
-    """The scale with ``--faults PRESET`` folded into its scenario.
+def _stamp_store(
+    store: ResultsStore, scale: EvaluationScale, protocols: Sequence[str]
+) -> None:
+    """Stamp (or validate) the store's sweep identity, refusing with exit 3.
+
+    Every store writer (``run``, ``worker``, ``live``) goes through here so
+    the exit-code contract stays single-sourced: 3 — distinct from
+    argparse's usage-error 2 — means "store holds a different sweep", which
+    the CI nightly keys its wipe-and-retry fallback on and which must not
+    trigger on a usage error.
+    """
+    try:
+        store.ensure_meta(
+            scale=scale.name,
+            scenario=scale.scenario,
+            protocols=protocols,
+            pause_times=scale.pause_times,
+            trials=scale.trials,
+        )
+    except ValueError as exc:
+        raise _Refusal(str(exc), code=3) from None
+
+
+def _open_sweep(store: ResultsStore, args: argparse.Namespace):
+    """The sweep ``--scale``/``--trials``/``--faults``/``--protocols`` ask
+    for, stamped into ``store``: ``(scale, protocols)``.
 
     The fault schedule becomes part of every job's scenario — and thus of
     every content key — so a faulted sweep is a *different* sweep: it never
     collides with (or silently adopts cells from) a clean store.
     """
-    if preset is None:
-        return scale
-    scenario = scale.scenario.with_faults(fault_preset(preset, scale.scenario))
-    return dataclasses.replace(scale, scenario=scenario)
+    scale = resolve_scale(args.scale, trials=args.trials)
+    if args.faults is not None:
+        scenario = scale.scenario.with_faults(fault_preset(args.faults, scale.scenario))
+        scale = dataclasses.replace(scale, scenario=scenario)
+    protocols = tuple(args.protocols or PAPER_PROTOCOLS)
+    _stamp_store(store, scale, protocols)
+    return scale, protocols
+
+
+def _write_results(store: ResultsStore, outcomes):
+    """Assemble ``outcomes`` in the store's sweep shape and write
+    ``results.json`` (atomic; concurrent workers that both observe
+    completion write the same bytes); the assembled results."""
+    meta = store.require_meta()
+    results = collect_sweep(
+        outcomes,
+        pause_times=meta["pause_times"],
+        trials=meta["trials"],
+        protocols=meta["protocols"],
+    )
+    store.write_results(results)
+    return results
 
 
 def _report_quarantined(store: ResultsStore, jobs: Sequence[TrialJob]) -> int:
@@ -245,34 +304,19 @@ def _report_quarantined(store: ResultsStore, jobs: Sequence[TrialJob]) -> int:
     return 4
 
 
-def _ensure_meta_or_exit(store: ResultsStore, scale, protocols) -> Optional[int]:
-    """Stamp (or validate) the store's sweep identity; an exit code on refusal.
-
-    Shared by ``run`` and ``worker`` so the exit-code contract stays single-
-    sourced: 3 — distinct from argparse's usage-error 2 — means "store holds
-    a different sweep", which the CI nightly keys its wipe-and-retry
-    fallback on and which must not trigger on a usage error.
-    """
-    try:
-        store.ensure_meta(
-            scale=scale.name,
-            scenario=scale.scenario,
-            protocols=protocols,
-            pause_times=scale.pause_times,
-            trials=scale.trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return None
-
-
-def _execute_and_collect(
-    store: ResultsStore, jobs: List[TrialJob], backend: SweepBackend, *, quiet: bool
+def _run_sweep(
+    store: ResultsStore,
+    jobs: Sequence[TrialJob],
+    args: argparse.Namespace,
+    backend=None,
 ) -> int:
-    """Run the store's pending cells, write ``results.json`` (atomic;
-    concurrent workers that both observe completion write the same bytes)
-    and report quarantined cells; the CLI exit code."""
+    """Run the store's pending cells (over ``--jobs`` local processes unless
+    a ``backend`` is given), write ``results.json`` and report quarantined
+    cells; the CLI exit code."""
+    from .executor import SweepBackend, execute_jobs
+
+    if backend is None:
+        backend = SweepBackend(args.jobs, policy=_fault_policy(args))
     cached = len(jobs) - len(store.missing(jobs))
     workers = backend.workers
     print(
@@ -285,18 +329,10 @@ def _execute_and_collect(
         jobs,
         store=store,
         backend=backend,
-        progress=None if quiet else _print_progress,
+        progress=None if args.quiet else _print_progress,
     )
     elapsed = time.monotonic() - started
-    meta = store.require_meta()
-    store.write_results(
-        collect_sweep(
-            outcomes,
-            pause_times=meta["pause_times"],
-            trials=meta["trials"],
-            protocols=meta["protocols"],
-        )
-    )
+    _write_results(store, outcomes)
     print(
         f"Sweep complete in {elapsed:.1f} s: {len(outcomes)} cells in "
         f"{store.root} (results.json written)."
@@ -305,12 +341,8 @@ def _execute_and_collect(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _apply_faults(resolve_scale(args.scale, trials=args.trials), args.faults)
-    protocols: Sequence[str] = tuple(args.protocols or PAPER_PROTOCOLS)
-    store = ResultsStore(args.out)
-    code = _ensure_meta_or_exit(store, scale, protocols)
-    if code is not None:
-        return code
+    store = ResultsStore(f"sweep-{args.scale}" if args.out is None else args.out)
+    scale, protocols = _open_sweep(store, args)
     jobs = plan_sweep(
         scale.scenario,
         protocols,
@@ -324,27 +356,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"x {scale.trials} trials = {len(jobs)} simulations{faulted} "
         f"-> {store.root}"
     )
-    backend = SweepBackend(args.jobs, policy=_policy_from_args(args))
-    return _execute_and_collect(store, jobs, backend, quiet=args.quiet)
+    return _run_sweep(store, jobs, args)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     store = ResultsStore(args.out)
-    try:
-        meta = store.require_meta()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    meta = store.require_meta()
     jobs = store.planned_jobs()
     print(
         f"Resuming sweep '{meta['scale']}' from {store.root}: "
         f"{len(jobs) - len(store.missing(jobs))}/{len(jobs)} cells already done."
     )
-    backend = SweepBackend(args.jobs, policy=_policy_from_args(args))
-    return _execute_and_collect(store, jobs, backend, quiet=args.quiet)
+    return _run_sweep(store, jobs, args)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from .distributed import DistributedBackend, default_worker_id
+
     store = ResultsStore(args.store)
     meta = store.read_meta()
     if args.scale is None and (
@@ -353,21 +381,17 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         # Without --scale the sweep comes verbatim from the store's
         # metadata; silently ignoring these would look like sharding and
         # quietly run the full job list instead.
-        print(
-            "error: --protocols/--trials/--faults only apply when "
-            "initialising a store with --scale; a joined worker runs the "
-            "sweep recorded in the store",
-            file=sys.stderr,
+        raise _Refusal(
+            "--protocols/--trials/--faults only apply when initialising a "
+            "store with --scale; a joined worker runs the sweep recorded in "
+            "the store"
         )
-        return 2
     if meta is None and args.scale is None:
-        print(
-            f"error: {store.root} holds no sweep yet; pass --scale to "
-            "initialise it (racing workers may — identical parameters "
-            "write identical metadata)",
-            file=sys.stderr,
+        raise _Refusal(
+            f"{store.root} holds no sweep yet; pass --scale to initialise it "
+            "(racing workers may — identical parameters write identical "
+            "metadata)"
         )
-        return 2
     # Validate the backend options before any store write: a usage error
     # (exit 2) must not leave behind a freshly-stamped store directory.
     try:
@@ -376,20 +400,13 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             poll_interval=args.poll_interval,
             jobs=args.jobs,
-            policy=_policy_from_args(args),
+            policy=_fault_policy(args),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     worker_id = backend.worker_id
     if args.scale is not None:
-        scale = _apply_faults(
-            resolve_scale(args.scale, trials=args.trials), args.faults
-        )
-        protocols: Sequence[str] = tuple(args.protocols or PAPER_PROTOCOLS)
-        code = _ensure_meta_or_exit(store, scale, protocols)
-        if code is not None:
-            return code
+        _open_sweep(store, args)
         meta = store.require_meta()
     jobs = store.planned_jobs()
     print(
@@ -397,7 +414,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         f"{len(jobs) - len(store.missing(jobs))}/{len(jobs)} cells already done "
         f"(lease ttl {args.lease_ttl:g}s)."
     )
-    code = _execute_and_collect(store, jobs, backend, quiet=args.quiet)
+    code = _run_sweep(store, jobs, args, backend)
     # ``ran_keys`` holds completed cells only; the cells this worker ran and
     # quarantined are the failure records stamped with its id.
     planned = {job.content_key for job in jobs}
@@ -416,12 +433,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    store = ResultsStore(args.out)
-    try:
-        status = store_status(store, lease_ttl=args.lease_ttl)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from .distributed import store_status
+
+    status = store_status(ResultsStore(args.out), lease_ttl=args.lease_ttl)
     done, planned = status["completed_cells"], status["planned_cells"]
     state = "complete" if done == planned else "incomplete"
     print(
@@ -457,21 +471,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
             f"  {kind} lease: {claim['label'] or claim['key']} "
             f"held by {claim['worker']} (reclaimable)"
         )
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(status, indent=1, sort_keys=True), encoding="utf-8"
-        )
-        print(f"(structured status written to {args.json})")
+    _write_json(args.json, status, "status", sort_keys=True)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     store = ResultsStore(args.out)
-    try:
-        results = store.load_results()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = store.load_results()
     total = len(store.planned_jobs())
     done = len(results.summaries)
     if done < total:
@@ -499,27 +505,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
+    from .trajectory import union_results
+
     invariants = gate_registry(args.registry)
     if args.list:
         for invariant in invariants:
             print(f"{invariant.name:<36} [{invariant.figure}] {invariant.claim}")
         return 0
     if args.out is None:
-        print("error: gate needs --out DIR (or --list)", file=sys.stderr)
-        return 2
+        raise _Refusal("gate needs --out DIR (or --list)")
     store = ResultsStore(args.out)
-    try:
-        meta = store.require_meta()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    meta = store.require_meta()
     if args.scale is not None and meta["scale"] != args.scale:
-        print(
-            f"error: {store.root} holds a {meta['scale']!r} sweep, "
-            f"not {args.scale!r}; gate would assert over the wrong science",
-            file=sys.stderr,
+        raise _Refusal(
+            f"{store.root} holds a {meta['scale']!r} sweep, not {args.scale!r}; "
+            "gate would assert over the wrong science"
         )
-        return 2
     if args.registry == "live":
         # A live store holds exactly the protocols that were soaked; assert
         # over those instead of every soak-capable protocol, so a two-
@@ -529,8 +530,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     try:
         results = union_results(stores)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     report = evaluate_gate(
         results,
         invariants,
@@ -538,28 +538,32 @@ def _cmd_gate(args: argparse.Namespace) -> int:
         store="+".join(s.root.as_posix() for s in stores),
     )
     print(report.to_text(verbose=args.verbose))
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=1), encoding="utf-8"
-        )
-        print(f"(structured report written to {args.json})")
+    _write_json(args.json, report.to_dict(), "report")
     return report.exit_code(strict=args.strict)
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
-    protocols: Sequence[str] = tuple(args.protocols or ("LSR", "AODV"))
-    unknown = [name for name in protocols if name not in LIVE_PROTOCOLS]
-    if unknown:
-        print(
-            f"error: cannot soak {', '.join(unknown)}; live-capable protocols "
-            f"are {', '.join(LIVE_PROTOCOLS)} (Oracle needs the simulator's "
-            "global topology)",
-            file=sys.stderr,
-        )
-        return 2
-    scale_name = f"live-{args.transport}"
+    from ..runtime.live import LiveRunConfig, run_soak
+
+    protocols = tuple(args.protocols or ("LSR", "AODV"))
+    # The store speaks (scenario, protocol, pause, trial); a live soak maps
+    # onto it as a single-trial sweep at pause 0 with a synthetic scenario
+    # carrying the soak's identity (routers, duration, workload, seed).
+    scale = EvaluationScale(
+        f"live-{args.transport}",
+        Scenario(
+            node_count=args.routers,
+            duration=args.duration,
+            pause_time=0.0,
+            flow_count=args.flows,
+            packets_per_second=args.rate,
+            seed=args.seed,
+        ),
+        pause_times=(0.0,),
+        trials=1,
+    )
     print(
-        f"Live soak '{scale_name}': {args.routers} routers ({args.topology} "
+        f"Live soak '{scale.name}': {args.routers} routers ({args.topology} "
         f"topology), {len(protocols)} protocol daemons x {args.duration:g} "
         f"protocol seconds at time scale {args.time_scale:g} "
         f"({args.flows} CBR flows @ {args.rate:g} pkt/s)"
@@ -582,10 +586,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
                 dedup_window=args.dedup_window,
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = run_soak(config)
-        reports[name] = report
+            raise _Refusal(str(exc)) from None
+        report = reports[name] = run_soak(config)
         s, c = report.summary, report.counters
         print(
             f"  {name:<6} delivery {s.delivery_ratio:.3f} "
@@ -596,43 +598,25 @@ def _cmd_live(args: argparse.Namespace) -> int:
             f"violations {report.violations}",
             flush=True,
         )
-    # The store speaks (scenario, protocol, pause, trial); a live soak maps
-    # onto it as a single-trial sweep at pause 0 with a synthetic scenario
-    # carrying the soak's identity (routers, duration, workload, seed).
-    scenario = Scenario(
-        node_count=args.routers,
-        duration=args.duration,
-        pause_time=0.0,
-        flow_count=args.flows,
-        packets_per_second=args.rate,
-        seed=args.seed,
+    jobs = plan_sweep(
+        scale.scenario, protocols, pause_times=scale.pause_times, trials=1
     )
-    jobs = plan_sweep(scenario, protocols, pause_times=[0.0], trials=1)
     outcomes = {job: reports[job.protocol].summary for job in jobs}
-    results = collect_sweep(
-        outcomes, pause_times=[0.0], trials=1, protocols=protocols
-    )
-    if args.out is not None:
+    if args.out is None:
+        results = collect_sweep(
+            outcomes, pause_times=scale.pause_times, trials=1, protocols=protocols
+        )
+    else:
         store = ResultsStore(args.out)
-        try:
-            store.ensure_meta(
-                scale=scale_name,
-                scenario=scenario,
-                protocols=protocols,
-                pause_times=[0.0],
-                trials=1,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        _stamp_store(store, scale, protocols)
         for job in jobs:
             store.put(job, outcomes[job])
-        store.write_results(results)
+        results = _write_results(store, outcomes)
         print(f"({len(jobs)} live cells stored in {store.root})")
     gate_report = evaluate_gate(
         results,
         live_invariants(protocols, delivery_floor=args.delivery_floor),
-        scale=scale_name,
+        scale=scale.name,
         store=str(args.out) if args.out is not None else "(in-memory)",
     )
     print(gate_report.to_text())
@@ -646,19 +630,13 @@ def _cmd_live(args: argparse.Namespace) -> int:
             "budget (per-protocol counts above)",
             file=sys.stderr,
         )
-    if args.json is not None:
-        document = {
-            "version": 1,
-            "transport": args.transport,
-            "reports": {
-                name: report.to_dict() for name, report in reports.items()
-            },
-            "gate": gate_report.to_dict(),
-        }
-        Path(args.json).write_text(
-            json.dumps(document, indent=1), encoding="utf-8"
-        )
-        print(f"(structured soak report written to {args.json})")
+    document = {
+        "version": 1,
+        "transport": args.transport,
+        "reports": {name: report.to_dict() for name, report in reports.items()},
+        "gate": gate_report.to_dict(),
+    }
+    _write_json(args.json, document, "soak report")
     return 1 if violations else gate_report.exit_code(strict=args.strict)
 
 
@@ -670,9 +648,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scenario = scale.scenario.with_pause_time(pause)
     if args.faults is not None:
         scenario = scenario.with_faults(fault_preset(args.faults, scenario))
-    protocols = args.protocol or ["OLSR"]
     profiles = []
-    for protocol in protocols:
+    for protocol in args.protocol or ["OLSR"]:
         profile = profile_trial(
             scenario,
             protocol,
@@ -683,26 +660,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profiles.append(profile)
         print(profile.to_text())
         print()
-    if args.json is not None:
-        document = {
-            "version": 1,
-            "profiles": [profile.to_dict() for profile in profiles],
-        }
-        Path(args.json).write_text(
-            json.dumps(document, indent=1), encoding="utf-8"
-        )
-        print(f"(structured profile written to {args.json})")
+    document = {"version": 1, "profiles": [p.to_dict() for p in profiles]}
+    _write_json(args.json, document, "profile")
     return 0
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    destination = ResultsStore(args.out)
+    from .trajectory import merge_stores
+
     sources = [ResultsStore(path) for path in args.stores]
     try:
-        report = merge_stores(destination, sources)
+        report = merge_stores(ResultsStore(args.out), sources)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     for source, copied in report.copied.items():
         print(f"  {source}: {copied} cells copied")
     state = "complete" if report.complete else "still incomplete"
@@ -715,21 +685,96 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
-    stores = [ResultsStore(path) for path in args.stores]
+    from .trajectory import (
+        metric_trajectories,
+        trajectories_to_dict,
+        trajectories_to_text,
+    )
+
     wanted = None if args.experiment == "all" else [args.experiment]
-    try:
-        trajectories = metric_trajectories(stores, wanted)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trajectories = metric_trajectories(
+        [ResultsStore(path) for path in args.stores], wanted
+    )
     print(trajectories_to_text(trajectories))
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(trajectories_to_dict(trajectories), indent=1),
-            encoding="utf-8",
-        )
-        print(f"(structured trajectories written to {args.json})")
+    _write_json(args.json, trajectories_to_dict(trajectories), "trajectories")
     return 0
+
+
+#: Options several subcommands share, each declared once: flag ->
+#: ``add_argument`` keywords (a subcommand may override its help/default).
+_SHARED = {
+    "--scale": dict(choices=tuple(SCALE_NAMES)),
+    "--trials": dict(type=_count, default=None, help="override trials per pause time"),
+    "--protocols": dict(
+        nargs="+",
+        choices=tuple(PROTOCOLS),
+        metavar="PROTO",
+        default=None,
+        help=f"protocol subset (default: {' '.join(PAPER_PROTOCOLS)})",
+    ),
+    "--faults": dict(
+        choices=tuple(FAULT_PRESETS),
+        default=None,
+        metavar="PRESET",
+        help="inject this deterministic fault schedule into every cell "
+        f"(choices: {', '.join(FAULT_PRESETS)}; the schedule is part of each "
+        "cell's content key, so a faulted sweep never mixes with a clean store)",
+    ),
+    "--out": dict(
+        default=None, help="results-store directory (default: sweep-<scale>)"
+    ),
+    "--jobs": dict(
+        type=_count,
+        default=1,
+        metavar="N",
+        help="worker processes on this host (1 = serial in-process; default: 1)",
+    ),
+    "--quiet": dict(action="store_true", help="suppress per-cell progress lines"),
+    "--trial-timeout": dict(
+        type=_interval,
+        default=None,
+        metavar="S",
+        help="wall-clock watchdog per trial: a cell exceeding it counts as "
+        "hung and is retried/quarantined (default: no watchdog)",
+    ),
+    "--retries": dict(
+        type=_retries,
+        default=1,
+        metavar="N",
+        help="re-attempts per failing trial before it is quarantined (default: 1)",
+    ),
+    "--retry-backoff": dict(
+        type=_seconds,
+        default=0.5,
+        metavar="S",
+        help="base delay before retry k is backoff * 2**(k-1) seconds "
+        "(default: 0.5)",
+    ),
+    "--lease-ttl": dict(type=_interval, default=DEFAULT_LEASE_TTL, metavar="S"),
+    "--experiment": dict(choices=("all",) + tuple(EXPERIMENTS), default="all"),
+    "--strict": dict(action="store_true"),
+    "--json": dict(metavar="PATH", default=None),
+}
+
+#: ``run``/``resume``/``worker``: how this host executes its cells.
+_EXEC_OPTIONS = ("--jobs", "--quiet", "--trial-timeout", "--retries", "--retry-backoff")
+
+
+def _add(
+    parser: argparse.ArgumentParser, *flags: str, like: str = "", **overrides
+) -> None:
+    """Add the shared options ``flags`` (declared as ``like``, when given),
+    each with ``overrides`` applied."""
+    for flag in flags:
+        parser.add_argument(flag, **{**_SHARED[like or flag], **overrides})
+
+
+def _add_sweep_shape(parser: argparse.ArgumentParser, **scale) -> None:
+    """``run``/``worker``: the sweep to plan (``scale``: ``--scale`` keywords)
+    and how this host executes it."""
+    _add(parser, "--scale", **scale)
+    _add(parser, "--trials", "--protocols", "--faults")
+    _add(parser, *_EXEC_OPTIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,99 +785,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_store_arg(p: argparse.ArgumentParser, required: bool = False) -> None:
-        p.add_argument(
-            "--out",
-            required=required,
-            default=None,
-            help="results-store directory (default: sweep-<scale>)",
-        )
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(func=func)
+        return subparser
 
-    def add_exec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs",
-            type=_count,
-            default=1,
-            metavar="N",
-            help="worker processes (1 = serial in-process; default: 1)",
-        )
-        p.add_argument(
-            "--quiet", action="store_true", help="suppress per-cell progress lines"
-        )
-
-    def add_policy_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--trial-timeout",
-            type=_interval,
-            default=None,
-            metavar="S",
-            help="wall-clock watchdog per trial: a cell exceeding it counts "
-            "as hung and is retried/quarantined (default: no watchdog)",
-        )
-        p.add_argument(
-            "--retries",
-            type=_retries,
-            default=1,
-            metavar="N",
-            help="re-attempts per failing trial before it is quarantined "
-            "(default: 1)",
-        )
-        p.add_argument(
-            "--retry-backoff",
-            type=_seconds,
-            default=0.5,
-            metavar="S",
-            help="base delay before retry k is backoff * 2**(k-1) seconds "
-            "(default: 0.5)",
-        )
-
-    def add_faults_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--faults",
-            choices=tuple(FAULT_PRESETS),
-            default=None,
-            metavar="PRESET",
-            help="inject this deterministic fault schedule into every cell "
-            f"(choices: {', '.join(FAULT_PRESETS)}; the schedule is part "
-            "of each cell's content key, so a faulted sweep never mixes "
-            "with a clean store)",
-        )
-
-    run = sub.add_parser("run", help="plan and run a sweep (reusing stored cells)")
-    run.add_argument(
-        "--scale",
-        choices=tuple(SCALE_NAMES),
-        default="smoke",
-        help="how large a sweep to run (default: smoke)",
+    run = command("run", _cmd_run, "plan and run a sweep (reusing stored cells)")
+    _add_sweep_shape(
+        run, default="smoke", help="how large a sweep to run (default: smoke)"
     )
-    run.add_argument(
-        "--trials", type=_count, default=None, help="override trials per pause time"
-    )
-    run.add_argument(
-        "--protocols",
-        nargs="+",
-        choices=tuple(PROTOCOLS),
-        metavar="PROTO",
-        default=None,
-        help=f"protocol subset (default: {' '.join(PAPER_PROTOCOLS)})",
-    )
-    add_store_arg(run)
-    add_exec_args(run)
-    add_policy_args(run)
-    add_faults_arg(run)
-    run.set_defaults(func=_cmd_run)
+    _add(run, "--out")
 
-    resume = sub.add_parser(
-        "resume", help="continue an interrupted sweep from its store directory"
+    resume = command(
+        "resume", _cmd_resume, "continue an interrupted sweep from its store directory"
     )
-    add_store_arg(resume, required=True)
-    add_exec_args(resume)
-    add_policy_args(resume)
-    resume.set_defaults(func=_cmd_resume)
+    _add(resume, "--out", required=True)
+    _add(resume, *_EXEC_OPTIONS)
 
-    worker = sub.add_parser(
+    worker = command(
         "worker",
-        help="work-steal cells from a shared store alongside other workers "
+        _cmd_worker,
+        "work-steal cells from a shared store alongside other workers "
         "(the distributed backend)",
     )
     worker.add_argument(
@@ -848,11 +821,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="this worker's identity in leases and status "
         "(default: <hostname>-<pid>)",
     )
-    worker.add_argument(
+    _add(
+        worker,
         "--lease-ttl",
-        type=_interval,
-        default=DEFAULT_LEASE_TTL,
-        metavar="S",
         help="seconds without a heartbeat before a lease counts as abandoned "
         f"and its cell is stolen (default: {DEFAULT_LEASE_TTL:g})",
     )
@@ -864,82 +835,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between store rescans when every remaining cell is "
         "leased out (default: 1)",
     )
-    worker.add_argument(
-        "--jobs",
-        type=_count,
-        default=1,
-        metavar="N",
-        help="local worker processes: claimed cells are fanned over a "
-        "process pool so one host contributes N cores with a single "
-        "lease-polling worker (default: 1, serial)",
-    )
-    worker.add_argument(
-        "--scale",
-        choices=tuple(SCALE_NAMES),
+    _add_sweep_shape(
+        worker,
         default=None,
         help="initialise a fresh store with this sweep (racing identical "
         "workers are safe); omit to join an existing store",
     )
-    worker.add_argument(
-        "--trials", type=_count, default=None, help="override trials per pause time"
-    )
-    worker.add_argument(
-        "--protocols",
-        nargs="+",
-        choices=tuple(PROTOCOLS),
-        metavar="PROTO",
-        default=None,
-        help=f"protocol subset (default: {' '.join(PAPER_PROTOCOLS)})",
-    )
-    worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
-    add_policy_args(worker)
-    add_faults_arg(worker)
-    worker.set_defaults(func=_cmd_worker)
 
-    status = sub.add_parser(
+    status = command(
         "status",
-        help="progress of a (possibly shared) store: cells, leases, workers",
+        _cmd_status,
+        "progress of a (possibly shared) store: cells, leases, workers",
     )
-    add_store_arg(status, required=True)
-    status.add_argument(
+    _add(status, "--out", required=True)
+    _add(
+        status,
         "--lease-ttl",
-        type=_interval,
-        default=DEFAULT_LEASE_TTL,
-        metavar="S",
         help="staleness threshold used to classify leases "
         f"(default: {DEFAULT_LEASE_TTL:g})",
     )
-    status.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the structured status to PATH",
-    )
-    status.set_defaults(func=_cmd_status)
+    _add(status, "--json", help="also write the structured status to PATH")
 
-    report = sub.add_parser(
-        "report", help="render Table I / Figures 3-7 from the store, no simulation"
+    report = command(
+        "report",
+        _cmd_report,
+        "render Table I / Figures 3-7 from the store, no simulation",
     )
-    add_store_arg(report, required=True)
-    report.add_argument(
-        "--experiment",
-        choices=("all",) + tuple(EXPERIMENTS),
-        default="all",
-        help="regenerate one table/figure only (default: all)",
-    )
-    report.set_defaults(func=_cmd_report)
+    _add(report, "--out", required=True)
+    _add(report, "--experiment", help="regenerate one table/figure only (default: all)")
 
-    gate = sub.add_parser(
+    gate = command(
         "gate",
-        help="assert the paper-derived invariants over a store "
-        "(nonzero exit on violation)",
+        _cmd_gate,
+        "assert the paper-derived invariants over a store (nonzero exit on "
+        "violation)",
     )
-    add_store_arg(gate)
-    gate.add_argument(
+    _add(gate, "--out")
+    _add(
+        gate,
         "--scale",
-        choices=tuple(SCALE_NAMES),
         default=None,
         help="require the store to hold a sweep of this scale",
     )
@@ -952,15 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
         "asserting (per-worker stores of one distributed sweep; no merged "
         "directory is written)",
     )
-    gate.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the structured per-invariant report to PATH",
-    )
-    gate.add_argument(
+    _add(gate, "--json", help="also write the structured per-invariant report to PATH")
+    _add(
+        gate,
         "--strict",
-        action="store_true",
         help="also fail on inconclusive invariants (partial stores, "
         "overlapping intervals)",
     )
@@ -983,12 +912,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered invariants with their paper citations "
         "and exit (no store needed)",
     )
-    gate.set_defaults(func=_cmd_gate)
 
-    live = sub.add_parser(
+    live = command(
         "live",
-        help="soak routing protocols as live asyncio router daemons "
-        "(loopback or UDP) and assert the live gate",
+        _cmd_live,
+        "soak routing protocols as live asyncio router daemons (loopback or "
+        "UDP) and assert the live gate",
     )
     live.add_argument(
         "--transport",
@@ -998,17 +927,16 @@ def build_parser() -> argparse.ArgumentParser:
         "'udp': one OS process per router exchanging real datagrams "
         "(default: loopback)",
     )
-    live.add_argument(
+    _add(
+        live,
         "--protocols",
-        nargs="+",
-        choices=tuple(PROTOCOLS),
-        metavar="PROTO",
-        default=None,
-        help="protocols to soak, one daemon fleet each (default: LSR AODV)",
+        choices=LIVE_PROTOCOLS,
+        help="protocols to soak, one daemon fleet each (default: LSR AODV; "
+        "Oracle needs the simulator's global topology)",
     )
     live.add_argument(
         "--routers",
-        type=int,
+        type=_routers,
         default=5,
         metavar="N",
         help="router daemons per fleet (default: 5)",
@@ -1036,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--time-scale",
-        type=float,
+        type=_interval,
         default=1.0,
         metavar="X",
         help="wall seconds per protocol second; 0.05 runs a 40 s soak in "
@@ -1044,14 +972,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--flows",
-        type=int,
+        type=_count,
         default=3,
         metavar="N",
         help="concurrent CBR flows (default: 3)",
     )
     live.add_argument(
         "--rate",
-        type=float,
+        type=_interval,
         default=4.0,
         metavar="P",
         help="packets per second per flow (default: 4)",
@@ -1080,43 +1008,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--delivery-floor",
-        type=float,
+        type=_ratio,
         default=0.75,
         metavar="R",
-        help="minimum delivery ratio the live gate demands of every "
+        help="minimum delivery ratio in [0, 1] the live gate demands of every "
         "protocol (default: 0.75)",
     )
-    add_store_arg(live)
-    live.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on inconclusive gate invariants",
-    )
-    live.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the structured soak + gate report to PATH",
-    )
-    live.set_defaults(func=_cmd_live)
+    _add(live, "--out")
+    _add(live, "--strict", help="also fail on inconclusive gate invariants")
+    _add(live, "--json", help="also write the structured soak + gate report to PATH")
 
-    profile = sub.add_parser(
+    profile = command(
         "profile",
-        help="run one instrumented trial and print its per-layer "
-        "CPU/allocation breakdown",
+        _cmd_profile,
+        "run one instrumented trial and print its per-layer CPU/allocation "
+        "breakdown",
     )
-    profile.add_argument(
+    _add(
+        profile,
         "--scale",
-        choices=tuple(SCALE_NAMES),
         default="smoke",
         help="scenario size to profile (default: smoke)",
     )
-    profile.add_argument(
+    _add(
+        profile,
         "--protocol",
-        nargs="+",
-        choices=tuple(PROTOCOLS),
-        metavar="PROTO",
-        default=None,
+        like="--protocols",
         help="protocol(s) to profile (default: OLSR, the costliest trial)",
     )
     profile.add_argument(
@@ -1126,72 +1043,47 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="mobility pause time (default: the scale's first pause time)",
     )
-    profile.add_argument(
-        "--faults",
-        choices=tuple(FAULT_PRESETS),
-        default=None,
-        metavar="PRESET",
-        help="profile a faulted trial: install this fault preset "
-        f"(choices: {', '.join(FAULT_PRESETS)})",
-    )
+    _add(profile, "--faults")
     profile.add_argument(
         "--alloc",
         action="store_true",
         help="also sample allocations per layer via tracemalloc (slower)",
     )
-    profile.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the structured breakdown to PATH",
-    )
-    profile.set_defaults(func=_cmd_profile)
+    _add(profile, "--json", help="also write the structured breakdown to PATH")
 
-    merge = sub.add_parser(
-        "merge",
-        help="union stores of the same sweep into one compacted store",
+    merge = command(
+        "merge", _cmd_merge, "union stores of the same sweep into one compacted store"
     )
-    merge.add_argument(
-        "--out", required=True, help="destination store (created if missing)"
-    )
+    _add(merge, "--out", required=True, help="destination store (created if missing)")
     merge.add_argument(
         "stores", nargs="+", metavar="STORE", help="source store directories"
     )
-    merge.set_defaults(func=_cmd_merge)
 
-    trajectory = sub.add_parser(
+    trajectory = command(
         "trajectory",
-        help="per-figure metric trajectories across several stores "
-        "(oldest first)",
+        _cmd_trajectory,
+        "per-figure metric trajectories across several stores (oldest first)",
     )
     trajectory.add_argument(
         "stores", nargs="+", metavar="STORE", help="store directories, oldest first"
     )
-    trajectory.add_argument(
-        "--experiment",
-        choices=("all",) + tuple(EXPERIMENTS),
-        default="all",
-        help="restrict to one table/figure (default: all)",
-    )
-    trajectory.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the structured trajectories to PATH",
-    )
-    trajectory.set_defaults(func=_cmd_trajectory)
+    _add(trajectory, "--experiment", help="restrict to one table/figure (default: all)")
+    _add(trajectory, "--json", help="also write the structured trajectories to PATH")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None) is None and args.command == "run":
-        args.out = f"sweep-{args.scale}"
     try:
         return args.func(args)
-    except (StoreVersionError, ScenarioFieldError) as exc:
+    except (
+        _Refusal,
+        StoreMissingError,
+        StoreVersionError,
+        ScenarioFieldError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.code if isinstance(exc, _Refusal) else 2
 
 
 def cli() -> None:

@@ -43,21 +43,13 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 from ..sim.stats import TrialSummary
 from .executor import CompletionReporter, FaultPolicy, SweepBackend
 from .jobs import TrialJob
-from .store import FailureRecord, ResultsStore
+from .store import DEFAULT_LEASE_TTL, FailureRecord, ResultsStore
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
     "DistributedBackend",
     "default_worker_id",
     "store_status",
 ]
-
-#: Leases older than this (no heartbeat) are considered abandoned.  Generous
-#: relative to heartbeat cadence (ttl/4) so one slow NFS write never gets a
-#: live worker's cell stolen, small enough that a crashed worker's cells are
-#: back in circulation within a minute.
-DEFAULT_LEASE_TTL = 60.0
-
 
 #: Worker ids become filesystem names (``workers/<id>.json``,
 #: ``claims/<key>.reaped-by-<id>``), so they must stay path-safe.

@@ -41,6 +41,7 @@ and tests can each render or inspect them as they like.
 from __future__ import annotations
 
 import importlib
+import math
 import os
 import threading
 import time
@@ -106,6 +107,10 @@ class FaultPolicy:
     backoff: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "retries", "backoff"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:

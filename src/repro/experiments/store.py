@@ -64,8 +64,10 @@ if TYPE_CHECKING:  # import cycle guard: runner -> executor -> store
     from .runner import SweepResults
 
 __all__ = [
+    "DEFAULT_LEASE_TTL",
     "FailureRecord",
     "ResultsStore",
+    "StoreMissingError",
     "StoreVersionError",
     "TornCellWarning",
 ]
@@ -82,9 +84,19 @@ _RETIRED_VERSIONS = {
     "cannot be mixed",
 }
 
+#: Leases older than this (no heartbeat) are considered abandoned.  Generous
+#: relative to heartbeat cadence (ttl/4) so one slow NFS write never gets a
+#: live worker's cell stolen, small enough that a crashed worker's cells are
+#: back in circulation within a minute.
+DEFAULT_LEASE_TTL = 60.0
+
 
 class StoreVersionError(ValueError):
     """A store document written under a different :data:`STORE_VERSION`."""
+
+
+class StoreMissingError(FileNotFoundError):
+    """A directory with no ``sweep.json``: not a sweep results store."""
 
 
 def _require_current_version(path: Path, data: Any) -> None:
@@ -424,7 +436,7 @@ class ResultsStore:
         """Like :meth:`read_meta` but raises for a directory with no sweep."""
         meta = self.read_meta()
         if meta is None:
-            raise FileNotFoundError(
+            raise StoreMissingError(
                 f"{self.meta_path} does not exist; "
                 f"{self.root} is not a sweep results store"
             )

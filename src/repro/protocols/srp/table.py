@@ -96,10 +96,6 @@ class SrpRoutingTable:
         """Every destination with table state."""
         return list(self._entries)
 
-    def active_destinations(self) -> List[NodeId]:
-        """Destinations with a non-empty successor set."""
-        return [d for d, e in self._entries.items() if e.is_active]
-
     # -- mutation -------------------------------------------------------------------
 
     def set_own_ordering(

@@ -39,9 +39,15 @@ from typing import Callable, Hashable, Optional, Protocol, runtime_checkable
 
 from ..sim.packet import Packet
 
-__all__ = ["Clock", "Runtime", "TimerHandle"]
+__all__ = ["Clock", "Runtime", "TimerHandle", "TOPOLOGIES", "TRANSPORTS"]
 
 NodeId = Hashable
+
+#: The live runtime's static placements and transports.  They live here, not
+#: in :mod:`repro.runtime.live`, so the CLI parser can offer them as choices
+#: without importing asyncio.
+TOPOLOGIES = ("line", "ring", "grid", "random")
+TRANSPORTS = ("loopback", "udp")
 
 
 @runtime_checkable

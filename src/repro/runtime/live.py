@@ -69,7 +69,7 @@ from ..protocols import protocol_factory
 from ..sim.packet import Packet, PacketKind
 from ..sim.rng import RngStreams, derive_seed
 from ..sim.stats import TrialStats, TrialSummary
-from .base import Runtime, TimerHandle
+from .base import TOPOLOGIES, TRANSPORTS, Runtime, TimerHandle
 
 __all__ = [
     "LiveClock",
@@ -86,14 +86,9 @@ __all__ = [
     "LiveRunReport",
     "LoopbackNetwork",
     "run_soak",
-    "TOPOLOGIES",
-    "TRANSPORTS",
 ]
 
 NodeId = Hashable
-
-TOPOLOGIES = ("line", "ring", "grid", "random")
-TRANSPORTS = ("loopback", "udp")
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +424,33 @@ class LiveNode(Runtime):
 
 
 class LiveTransportBase:
-    """The transport surface a :class:`LiveNode` sends through."""
+    """The transport surface a :class:`LiveNode` sends through.
+
+    Radio range is a sender-side filter over the static adjacency map
+    (``_adjacency``); ``_nodes`` holds the routers this transport serves.
+    """
+
+    _adjacency: Mapping[int, Sequence[int]]
+    _nodes: Dict[NodeId, LiveNode]
 
     def send(
         self, origin: NodeId, packet: Packet, receiver: Optional[NodeId]
     ) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def _targets(self, origin: NodeId, receiver: Optional[NodeId]) -> Sequence[NodeId]:
+        """Who hears ``origin``: every neighbour for a broadcast (``receiver``
+        None), else ``receiver`` if it is in range.  A unicast beyond radio
+        range is lost, counted in the sender's ``undeliverable``."""
+        neighbors = self._adjacency.get(origin, ())
+        if receiver is None:
+            return neighbors
+        if receiver in neighbors:
+            return (receiver,)
+        sender = self._nodes.get(origin)
+        if sender is not None:
+            sender.counters.undeliverable += 1
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +577,8 @@ class LoopbackHub(LiveTransportBase):
     def send(
         self, origin: NodeId, packet: Packet, receiver: Optional[NodeId]
     ) -> None:
-        neighbors = self._adjacency.get(origin, ())
-        if receiver is None:
-            targets: Sequence[NodeId] = neighbors
-            was_broadcast = True
-        else:
-            if receiver not in neighbors:
-                sender = self._nodes.get(origin)
-                if sender is not None:
-                    sender.counters.undeliverable += 1
-                return
-            targets = (receiver,)
-            was_broadcast = False
-        for target in targets:
+        was_broadcast = receiver is None
+        for target in self._targets(origin, receiver):
             node = self._nodes.get(target)
             if node is None:
                 continue
@@ -635,11 +640,11 @@ class UdpTransport(LiveTransportBase):
         self._book = dict(address_book)
         self._peers = {tuple(address) for address in self._book.values()}
         self._transport: Optional[asyncio.DatagramTransport] = None
-        self._node: Optional[LiveNode] = None
+        self._nodes: Dict[NodeId, LiveNode] = {}
 
     async def open(self, node: LiveNode, sock: socket.socket) -> None:
         """Bind the datagram endpoint on an already-bound socket."""
-        self._node = node
+        self._nodes[node.node_id] = node
         loop = asyncio.get_running_loop()
         self._transport, _ = await loop.create_datagram_endpoint(
             lambda: _UdpReceiver(node, self._peers), sock=sock
@@ -655,21 +660,11 @@ class UdpTransport(LiveTransportBase):
     ) -> None:
         if self._transport is None:
             return
-        neighbors = self._adjacency.get(origin, ())
-        if receiver is None:
-            targets: Sequence[NodeId] = neighbors
-            was_broadcast = True
-        else:
-            if receiver not in neighbors:
-                if self._node is not None:
-                    self._node.counters.undeliverable += 1
-                return
-            targets = (receiver,)
-            was_broadcast = False
+        targets = self._targets(origin, receiver)
         if not targets:
             return
         payload = pickle.dumps(
-            (origin, was_broadcast, packet), protocol=pickle.HIGHEST_PROTOCOL
+            (origin, receiver is None, packet), protocol=pickle.HIGHEST_PROTOCOL
         )
         for target in targets:
             address = self._book.get(target)
@@ -787,6 +782,10 @@ class LiveRunConfig:
     host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; expected one of {TRANSPORTS}"
@@ -826,6 +825,36 @@ class LiveRunConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "LiveRunConfig":
         """Rebuild a config written by :meth:`to_dict`."""
         return cls(**dict(data))
+
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        """The soak's radio graph: router -> neighbours within range."""
+        adjacency = adjacency_from_positions(
+            topology_positions(
+                self.topology,
+                self.routers,
+                seed=self.seed,
+                spacing=self.spacing,
+                radio_range=self.radio_range,
+            ),
+            self.radio_range,
+        )
+        if not _connected(adjacency):
+            raise ValueError(
+                f"{self.topology} topology with {self.routers} routers is "
+                f"not connected at radio range {self.radio_range:g}"
+            )
+        return adjacency
+
+    def flow_plan(self) -> List[CbrFlow]:
+        """The soak's CBR flows (:func:`plan_flows` over routers 0..N-1)."""
+        return plan_flows(
+            range(self.routers),
+            flows=self.flows,
+            seed=self.seed,
+            warmup=self.warmup,
+            duration=self.duration,
+            drain=self.drain,
+        )
 
 
 @dataclass
@@ -871,21 +900,7 @@ class LoopbackNetwork:
         self.config = config
         loop = asyncio.get_running_loop()
         self.clock = LiveClock(loop, time_scale=config.time_scale)
-        self.positions = topology_positions(
-            config.topology,
-            config.routers,
-            seed=config.seed,
-            spacing=config.spacing,
-            radio_range=config.radio_range,
-        )
-        self.adjacency = adjacency_from_positions(
-            self.positions, config.radio_range
-        )
-        if not _connected(self.adjacency):
-            raise ValueError(
-                f"{config.topology} topology with {config.routers} routers is "
-                f"not connected at radio range {config.radio_range:g}"
-            )
+        self.adjacency = config.adjacency()
         self.stats = TrialStats()
         self.hub = LoopbackHub(
             self.clock, self.adjacency, hop_latency=config.hop_latency
@@ -893,7 +908,7 @@ class LoopbackNetwork:
         rng_streams = RngStreams(config.seed)
         factory = protocol_factory(config.protocol, config.protocol_config)
         self.nodes: Dict[int, LiveNode] = {}
-        for node_id in sorted(self.positions):
+        for node_id in sorted(self.adjacency):
             node = LiveNode(
                 node_id,
                 self.clock,
@@ -915,14 +930,7 @@ class LoopbackNetwork:
     def schedule_traffic(self) -> List[CbrFlow]:
         """Plan the CBR flows and schedule every packet origination."""
         config = self.config
-        flows = plan_flows(
-            sorted(self.nodes),
-            flows=config.flows,
-            seed=config.seed,
-            warmup=config.warmup,
-            duration=config.duration,
-            drain=config.drain,
-        )
+        flows = config.flow_plan()
         for flow in flows:
             _schedule_flow_packets(
                 self.clock,
@@ -982,8 +990,8 @@ def _udp_router_main(node_id: int, config_dict: Dict[str, Any], conn) -> None:
     """Entry point of one router process (multiprocessing target).
 
     Handshake: bind UDP port -> send it to the launcher -> receive the full
-    address book and the shared wall epoch -> run the router until the
-    configured duration -> send the local statistics back.
+    address book, the radio graph and the shared wall epoch -> run the
+    router until the configured duration -> send the local statistics back.
     """
     config = LiveRunConfig.from_dict(config_dict)
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -992,11 +1000,7 @@ def _udp_router_main(node_id: int, config_dict: Dict[str, Any], conn) -> None:
         sock.setblocking(False)
         conn.send(("port", node_id, sock.getsockname()[1]))
         handshake = conn.recv()
-        payload = asyncio.run(
-            _udp_router_async(
-                node_id, config, sock, handshake["book"], handshake["epoch"]
-            )
-        )
+        payload = asyncio.run(_udp_router_async(node_id, config, sock, **handshake))
         conn.send(("stats", node_id, payload))
     finally:
         sock.close()
@@ -1007,19 +1011,13 @@ async def _udp_router_async(
     node_id: int,
     config: LiveRunConfig,
     sock: socket.socket,
+    *,
     book: Dict[int, Tuple[str, int]],
+    adjacency: Dict[int, Tuple[int, ...]],
     epoch: float,
 ) -> Dict[str, Any]:
     loop = asyncio.get_running_loop()
     clock = LiveClock.from_wall_epoch(loop, epoch, time_scale=config.time_scale)
-    positions = topology_positions(
-        config.topology,
-        config.routers,
-        seed=config.seed,
-        spacing=config.spacing,
-        radio_range=config.radio_range,
-    )
-    adjacency = adjacency_from_positions(positions, config.radio_range)
     stats = TrialStats()
     transport = UdpTransport(node_id, adjacency, book)
     node = LiveNode(
@@ -1039,14 +1037,7 @@ async def _udp_router_async(
     clock.schedule_at(0.0, node.start)
     # Every process derives the identical flow plan; this one originates
     # only the flows whose source it is.
-    for flow in plan_flows(
-        sorted(positions),
-        flows=config.flows,
-        seed=config.seed,
-        warmup=config.warmup,
-        duration=config.duration,
-        drain=config.drain,
-    ):
+    for flow in config.flow_plan():
         if flow.source == node_id:
             _schedule_flow_packets(
                 clock,
@@ -1076,6 +1067,7 @@ def _udp_soak(config: LiveRunConfig) -> LiveRunReport:
     """Launch one process per router, run the soak, merge their statistics."""
     import multiprocessing
 
+    adjacency = config.adjacency()
     ctx = multiprocessing.get_context()
     routers = []
     try:
@@ -1102,7 +1094,7 @@ def _udp_soak(config: LiveRunConfig) -> LiveRunReport:
         # Give every process time to receive the book before t = 0.
         epoch = time.time() + 0.5
         for _, _, conn in routers:
-            conn.send({"book": book, "epoch": epoch})
+            conn.send({"book": book, "adjacency": adjacency, "epoch": epoch})
 
         wall_budget = 0.5 + config.duration * config.time_scale + 30.0
         deadline = time.time() + wall_budget
@@ -1136,16 +1128,11 @@ def _udp_soak(config: LiveRunConfig) -> LiveRunReport:
                 process.join(timeout=5.0)
             conn.close()
 
-    flows = plan_flows(
-        list(range(config.routers)),
-        flows=config.flows,
-        seed=config.seed,
-        warmup=config.warmup,
-        duration=config.duration,
-        drain=config.drain,
-    )
     return LiveRunReport(
-        config=config, summary=stats.summary(), counters=counters, flows=flows
+        config=config,
+        summary=stats.summary(),
+        counters=counters,
+        flows=config.flow_plan(),
     )
 
 

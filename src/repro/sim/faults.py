@@ -193,13 +193,6 @@ class ChannelFaults:
         self.loss_rates: List[float] = []
         self._random = rng.random
 
-    @property
-    def any_active(self) -> bool:
-        """True while at least one fault window is in effect."""
-        return bool(
-            self.down or self.blackout_depth or self.partitions or self.loss_rates
-        )
-
     def blocked(
         self,
         transmitter: NodeId,

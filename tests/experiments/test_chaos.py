@@ -54,6 +54,12 @@ class TestFaultPolicy:
             FaultPolicy(retries=-1)
         with pytest.raises(ValueError):
             FaultPolicy(backoff=-0.1)
+        # An infinite timeout would overflow the watchdog's deadline and an
+        # infinite backoff the retry sleep.
+        for bad in ("timeout", "retries", "backoff"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match="finite"):
+                    FaultPolicy(**{bad: value})
 
 
 class TestRunHook:

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments import ResultsStore, SweepResults
+from repro.experiments.runner import SweepResults
+from repro.experiments.store import ResultsStore
 
 PROTOCOL_ARGS = ["--protocols", "SRP", "AODV"]
 
@@ -221,6 +222,55 @@ class TestReport:
         assert not target.exists()  # read-only commands must not litter
 
 
+class TestReadingCommandsLoadNoRuntime:
+    """The commands that only read stores load no process pool, lease code,
+    socket or asyncio runtime: each subcommand imports what it runs."""
+
+    RUNTIME = (
+        "asyncio",
+        "concurrent.futures",
+        "multiprocessing",
+        "repro.experiments.distributed",
+        "repro.experiments.executor",
+        "repro.runtime.live",
+        "socket",
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate", "--list"],
+            ["gate", "--out", "{store}"],
+            ["report", "--out", "{store}"],
+            ["merge", "--out", "{merged}", "{store}"],
+            ["trajectory", "{store}"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_command_loads_none_of_the_runtime(self, store_dir, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        argv = [a.format(store=store_dir, merged=tmp_path / "m") for a in argv]
+        script = (
+            "import sys\n"
+            "from repro.experiments.__main__ import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, [m for m in {self.RUNTIME!r} if m in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+
 class TestRetiredStoreVersion:
     """A store written before ``STORE_VERSION`` 2 holds cells simulated under
     the retired polling MAC model under the *same* content keys, so every
@@ -420,6 +470,8 @@ class TestMalformedFaultSpec:
 
 #: A worker that would initialise a fresh store ``d``.
 FRESH_WORKER = ["worker", "--store", "d", "--scale", "smoke"]
+#: A fast loopback soak into a fresh store ``d`` (a bad number must stop it).
+FAST_LIVE = ["live", "--time-scale", "0.02", "--out", "d"]
 
 
 class TestMistypedInputFailsClosed:
@@ -466,6 +518,22 @@ class TestMistypedInputFailsClosed:
                 ["live", "--duration", "10", "--warmup", "12", "--out", "d"],
                 "no traffic window",
             ),
+            (["run", "--trial-timeout", "inf", "--out", "d"], "got inf"),
+            (
+                ["run", "--retry-backoff", "inf", "--trial-timeout", "1e-9"],
+                "got inf",
+            ),
+            ([*FAST_LIVE, "--rate", "inf"], "got inf"),
+            ([*FAST_LIVE, "--duration", "inf"], "got inf"),
+            ([*FAST_LIVE, "--rate", "nan"], "got nan"),
+            ([*FAST_LIVE, "--rate", "0"], "got 0"),
+            ([*FAST_LIVE, "--delivery-floor", "nan"], "got nan"),
+            ([*FAST_LIVE, "--delivery-floor", "-1"], "got -1"),
+            ([*FAST_LIVE, "--delivery-floor", "1.5"], "got 1.5"),
+            ([*FAST_LIVE, "--time-scale", "nan"], "got nan"),
+            ([*FAST_LIVE, "--time-scale", "0"], "got 0"),
+            ([*FAST_LIVE, "--routers", "1"], "got 1"),
+            ([*FAST_LIVE, "--flows", "0"], "got 0"),
         ],
         ids=[
             "run-default-out",
@@ -494,6 +562,19 @@ class TestMistypedInputFailsClosed:
             "live-duration-negative",
             "live-warmup-negative",
             "live-warmup-past-duration",
+            "run-trial-timeout-inf",
+            "run-retry-backoff-inf",
+            "live-rate-inf",
+            "live-duration-inf",
+            "live-rate-nan",
+            "live-rate-0",
+            "live-delivery-floor-nan",
+            "live-delivery-floor-negative",
+            "live-delivery-floor-above-1",
+            "live-time-scale-nan",
+            "live-time-scale-0",
+            "live-routers-1",
+            "live-flows-0",
         ],
     )
     def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, bad):

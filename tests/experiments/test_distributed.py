@@ -19,13 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    DistributedBackend,
-    ResultsStore,
-    execute_jobs,
-    plan_sweep,
-    store_status,
-)
+from repro.experiments.distributed import DistributedBackend, store_status
+from repro.experiments.executor import execute_jobs
+from repro.experiments.jobs import plan_sweep
+from repro.experiments.store import ResultsStore
 from repro.sim.stats import TrialSummary
 from repro.workloads.scenario import scaled_scenario
 

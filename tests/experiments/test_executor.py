@@ -10,15 +10,11 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments import (
-    DistributedBackend,
-    ResultsStore,
-    SweepBackend,
-    collect_sweep,
-    execute_jobs,
-    plan_sweep,
-    sweep_shape,
-)
+from repro.experiments.distributed import DistributedBackend
+from repro.experiments.executor import SweepBackend, execute_jobs
+from repro.experiments.jobs import plan_sweep, sweep_shape
+from repro.experiments.runner import collect_sweep
+from repro.experiments.store import ResultsStore
 from repro.workloads.scenario import scaled_scenario
 
 PROTOCOLS = ["SRP", "AODV"]
@@ -93,7 +89,7 @@ class TestBackendEquivalence:
         assert pooled.summaries == serial_results.summaries
 
     def test_json_round_trip_of_executed_sweep(self, serial_results):
-        from repro.experiments import SweepResults
+        from repro.experiments.runner import SweepResults
 
         restored = SweepResults.from_json(serial_results.to_json())
         assert restored.summaries == serial_results.summaries

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.executor import execute_jobs
+from repro.experiments.jobs import plan_sweep
+from repro.experiments.paper import (
     EXPERIMENTS,
     PAPER_PROTOCOLS,
     SEQUENCE_NUMBER_PROTOCOLS,
     EvaluationScale,
-    collect_sweep,
-    execute_jobs,
     figure,
     figure_text,
-    plan_sweep,
     table1,
     table1_text,
 )
+from repro.experiments.runner import collect_sweep
 from repro.workloads.scenario import PAPER_PAUSE_TIMES, scaled_scenario
 
 

@@ -10,15 +10,17 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.gate import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     BoundInvariant,
     ExactInvariant,
     OrderingInvariant,
-    SweepResults,
     evaluate_gate,
     paper_invariants,
 )
-from repro.experiments.gate import FAIL, INCONCLUSIVE, PASS
+from repro.experiments.runner import SweepResults
 from repro.sim.stats import TrialSummary
 
 

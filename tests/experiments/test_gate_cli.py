@@ -12,7 +12,7 @@ import shutil
 
 import pytest
 
-from repro.experiments import ResultsStore
+from repro.experiments.store import ResultsStore
 from repro.experiments.__main__ import main
 
 

@@ -36,9 +36,24 @@ class TestLiveCommand:
             for outcome in document["gate"]["invariants"]
         )
 
-    def test_unreachable_delivery_floor_fails(self, tmp_path):
+    def test_unreachable_delivery_floor_fails(self, monkeypatch):
+        # A floor above 1 is a usage error, so the soak misses the floor
+        # instead: every report comes back with half its packets delivered.
+        import dataclasses
+
+        from repro.runtime import live
+
+        soak = live.run_soak
+
+        def lossy_soak(config):
+            report = soak(config)
+            delivered = report.summary.data_sent // 2
+            summary = dataclasses.replace(report.summary, data_delivered=delivered)
+            return dataclasses.replace(report, summary=summary)
+
+        monkeypatch.setattr(live, "run_soak", lossy_soak)
         code = main(
-            ["live", "--protocols", "LSR", "--delivery-floor", "2.0"] + FAST
+            ["live", "--protocols", "LSR", "--delivery-floor", "0.75"] + FAST
         )
         assert code != 0
 
@@ -47,7 +62,9 @@ class TestLiveCommand:
             main(["live", "--protocols", "RIP"] + FAST)
         assert exited.value.code == 2
         # Registered, but it needs the simulator's global topology.
-        assert main(["live", "--protocols", "Oracle"] + FAST) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["live", "--protocols", "Oracle"] + FAST)
+        assert exited.value.code == 2
 
     def test_store_holding_a_different_sweep_is_refused(self, tmp_path):
         out = tmp_path / "store"

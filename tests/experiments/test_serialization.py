@@ -12,7 +12,8 @@ import hashlib
 
 import pytest
 
-from repro.experiments import SweepResults, TrialJob, plan_sweep
+from repro.experiments.jobs import TrialJob, plan_sweep
+from repro.experiments.runner import SweepResults
 from repro.experiments.paper import PAPER_PROTOCOLS, resolve_scale
 from repro.sim.faults import fault_preset
 from repro.sim.phy import PhyConfig

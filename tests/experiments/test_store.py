@@ -8,13 +8,10 @@ identical to an uninterrupted run's.
 
 import pytest
 
-from repro.experiments import (
-    ResultsStore,
-    SweepResults,
-    collect_sweep,
-    execute_jobs,
-    plan_sweep,
-)
+from repro.experiments.executor import execute_jobs
+from repro.experiments.jobs import plan_sweep
+from repro.experiments.runner import SweepResults, collect_sweep
+from repro.experiments.store import ResultsStore
 from repro.workloads.scenario import scaled_scenario
 
 PROTOCOLS = ["SRP", "AODV"]
@@ -175,7 +172,7 @@ class TestTornCells:
         return path
 
     def test_torn_cell_reads_as_missing(self, tmp_path, scenario, jobs, full_outcomes):
-        from repro.experiments import TornCellWarning
+        from repro.experiments.store import TornCellWarning
 
         store = make_store(tmp_path, scenario)
         job = jobs[0]

@@ -10,14 +10,12 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    ResultsStore,
+from repro.experiments.store import ResultsStore
+from repro.experiments.trajectory import (
+    SPARK_GAP,
     merge_stores,
     metric_trajectories,
     sparkline,
-)
-from repro.experiments.trajectory import (
-    SPARK_GAP,
     trajectories_to_dict,
     trajectories_to_text,
 )

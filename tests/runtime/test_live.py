@@ -379,6 +379,12 @@ class TestLoopbackSoak:
             {"drain": -1.0},
             {"duration": 10.0, "warmup": 12.0},
             {"duration": 16.0, "warmup": 12.0},  # drain 4 closes the window
+            {"rate": float("inf")},  # the flow scheduler would never advance
+            {"rate": float("nan")},
+            {"duration": float("inf")},
+            {"time_scale": float("nan")},
+            {"warmup": float("nan")},
+            {"hop_latency": float("inf")},
         ],
         ids=lambda bad: ",".join(f"{k}={v:g}" for k, v in bad.items()),
     )

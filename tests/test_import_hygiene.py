@@ -342,9 +342,12 @@ def test_library_work_loads_no_heavy_package(tmp_path):
     # and Table I (which takes the t quantile), in one interpreter.
     script = (
         "import sys\n"
-        "from repro.experiments import (\n"
-        "    PAPER_PROTOCOLS, EvaluationScale, collect_sweep, evaluate_gate,\n"
-        "    execute_jobs, plan_sweep, table1_text)\n"
+        "from repro.experiments.executor import execute_jobs\n"
+        "from repro.experiments.gate import evaluate_gate\n"
+        "from repro.experiments.jobs import plan_sweep\n"
+        "from repro.experiments.paper import (\n"
+        "    PAPER_PROTOCOLS, EvaluationScale, table1_text)\n"
+        "from repro.experiments.runner import collect_sweep\n"
         "scale = EvaluationScale.smoke()\n"
         "shape = dict(pause_times=scale.pause_times, trials=scale.trials)\n"
         "jobs = plan_sweep(scale.scenario, PAPER_PROTOCOLS, **shape)\n"
