@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import random
 
-from repro.core import UNASSIGNED, Ordering, ProperFraction, new_order, ordering_min
+from repro.core.fractions import ProperFraction
+from repro.core.neworder import new_order
+from repro.core.ordering import UNASSIGNED, Ordering, ordering_min
 from repro.protocols import protocol_factory
-from repro.sim import (
-    Channel,
-    Mac,
-    Node,
-    PhyConfig,
-    Position,
-    Simulator,
-    StaticMobility,
-    TrialStats,
-    run_trial,
-)
-from repro.workloads import scaled_scenario
+from repro.sim.channel import Channel
+from repro.sim.engine import Simulator
+from repro.sim.mac import Mac
+from repro.sim.mobility import StaticMobility
+from repro.sim.network import run_trial
+from repro.sim.node import Node
+from repro.sim.phy import PhyConfig
+from repro.sim.space import Position
+from repro.sim.stats import TrialStats
+from repro.workloads.scenario import scaled_scenario
 
 #: Fig. 1's chain, requester first; T is the destination.
 CHAIN = ["E", "D", "C", "B", "A", "T"]

@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 
 from repro.protocols import protocol_factory
-from repro.sim import run_trial
 from repro.sim.faults import FaultSpec
-from repro.workloads import scaled_scenario
+from repro.sim.network import run_trial
+from repro.workloads.scenario import scaled_scenario
 
 PROTOCOLS = ("SRP", "LDR", "AODV")
 CRASH_INTERVAL = 10.0

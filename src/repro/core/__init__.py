@@ -13,20 +13,7 @@ Section II's worked examples and Theorem 3 are asserted on this code as SRP
 runs it (Example 1 and Theorem 3 in the simulator, Example 2 through
 :func:`new_order`); the successor-graph cycle search lives with
 :mod:`repro.sim.monitor`.
+
+This package re-exports nothing: import from the submodule that defines a
+name.
 """
-
-from .fractions import DEFAULT_MAX_DENOMINATOR, UINT32_MAX, ProperFraction
-from .neworder import new_order, new_order_for_rreq_advertisement
-from .ordering import UNASSIGNED, Ordering, ordering_max, ordering_min
-
-__all__ = [
-    "DEFAULT_MAX_DENOMINATOR",
-    "UINT32_MAX",
-    "ProperFraction",
-    "new_order",
-    "new_order_for_rreq_advertisement",
-    "UNASSIGNED",
-    "Ordering",
-    "ordering_max",
-    "ordering_min",
-]

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..workloads.scenario import Scenario
 
-__all__ = ["TrialJob", "plan_sweep", "sweep_shape"]
+__all__ = ["TrialJob", "plan_sweep"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,21 +138,3 @@ def plan_sweep(
                     )
                 )
     return jobs
-
-
-def sweep_shape(jobs: Sequence[TrialJob]) -> Tuple[List[str], List[float], int]:
-    """(protocols, pause times, trials) recovered from a job list.
-
-    Orders follow first appearance in ``jobs``, which for :func:`plan_sweep`
-    output reproduces the planner's input orders.
-    """
-    protocols: List[str] = []
-    pause_times: List[float] = []
-    trials = 0
-    for job in jobs:
-        if job.protocol not in protocols:
-            protocols.append(job.protocol)
-        if job.pause_time not in pause_times:
-            pause_times.append(job.pause_time)
-        trials = max(trials, job.trial + 1)
-    return protocols, pause_times, trials

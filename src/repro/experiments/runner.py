@@ -75,13 +75,6 @@ class SweepResults:
             values.extend(self.metric_values(protocol, metric, pause))
         return values
 
-    def series(self, metric: str) -> Dict[str, Dict[float, List[float]]]:
-        """``protocol -> pause -> values`` for one metric (figure input shape)."""
-        return {
-            protocol: self.metric_by_pause(protocol, metric)
-            for protocol in self.protocols
-        }
-
     # -- serialization ---------------------------------------------------------------
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

@@ -1,18 +1,5 @@
-"""Metrics: the paper's evaluation quantities, confidence intervals, reports."""
+"""Metrics: the paper's evaluation quantities, confidence intervals, reports.
 
-from .collectors import METRIC_EXTRACTORS, extract_metric, summary_metrics
-from .confidence import ConfidenceInterval, intervals_disjoint, mean_confidence_interval
-from .report import MetricSeries, format_series, format_table, series_from_results
-
-__all__ = [
-    "METRIC_EXTRACTORS",
-    "extract_metric",
-    "summary_metrics",
-    "ConfidenceInterval",
-    "intervals_disjoint",
-    "mean_confidence_interval",
-    "MetricSeries",
-    "format_series",
-    "format_table",
-    "series_from_results",
-]
+This package re-exports nothing: import from the submodule that defines a
+name.
+"""

@@ -7,11 +7,11 @@ so the experiment definitions and the tests agree on a single source of truth.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict
 
 from ..sim.stats import TrialSummary
 
-__all__ = ["METRIC_EXTRACTORS", "extract_metric", "summary_metrics"]
+__all__ = ["METRIC_EXTRACTORS", "extract_metric"]
 
 #: Metric name -> function of a trial summary, matching the evaluation section.
 METRIC_EXTRACTORS: Dict[str, Callable[[TrialSummary], float]] = {
@@ -42,8 +42,3 @@ def extract_metric(summary: TrialSummary, metric: str) -> float:
             f"unknown metric {metric!r}; expected one of {sorted(METRIC_EXTRACTORS)}"
         ) from None
     return extractor(summary)
-
-
-def summary_metrics(summary: TrialSummary) -> Mapping[str, float]:
-    """Every defined metric for one trial, keyed by name."""
-    return {name: extractor(summary) for name, extractor in METRIC_EXTRACTORS.items()}

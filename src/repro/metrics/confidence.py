@@ -21,7 +21,6 @@ from typing import Sequence
 
 __all__ = [
     "ConfidenceInterval",
-    "intervals_disjoint",
     "mean_confidence_interval",
     "significantly_greater",
     "t_critical_value",
@@ -46,11 +45,6 @@ class ConfidenceInterval:
     def high(self) -> float:
         """Upper end of the interval."""
         return self.mean + self.half_width
-
-    def overlaps(self, other: "ConfidenceInterval") -> bool:
-        """True when the two intervals share any point (the paper's
-        "statistically identical")."""
-        return self.low <= other.high and other.low <= self.high
 
     def __str__(self) -> str:  # pragma: no cover - formatting
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
@@ -149,9 +143,6 @@ def mean_confidence_interval(
     return ConfidenceInterval(mean, t_critical * std_error, confidence, n)
 
 
-def intervals_disjoint(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
-    """The paper's "better/worse" criterion: disjoint 95% intervals."""
-    return not a.overlaps(b)
 
 
 def significantly_greater(

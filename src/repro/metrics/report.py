@@ -50,11 +50,6 @@ class MetricSeries:
     x_values: Sequence[float]
     by_protocol: Mapping[str, Sequence[ConfidenceInterval]]
 
-    def protocol_values(self, protocol: str) -> List[float]:
-        """The mean values of one protocol's curve, in x order."""
-        return [interval.mean for interval in self.by_protocol[protocol]]
-
-
 def series_from_results(
     metric: str,
     x_label: str,

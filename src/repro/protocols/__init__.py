@@ -9,13 +9,11 @@ per-protocol conditionals scattered over ``build_network``/CLI/scenario code.
 A spec bundles the protocol class with its config dataclass;
 :meth:`ProtocolSpec.factory` produces the per-node factory shape
 :func:`repro.sim.network.build_network` and the live runtime both expect,
-accepting a config instance, a plain dict (via the
-:class:`~repro.protocols.base.ProtocolConfig` ``from_dict`` contract), or
-nothing for defaults.
+from a config instance or nothing for defaults.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional, Union
+from typing import Callable, Dict, Hashable, Optional
 
 from .aodv import AodvConfig, AodvProtocol
 from .base import PacketBuffer, ProtocolConfig, RoutingProtocol
@@ -50,12 +48,9 @@ __all__ = [
     "ProtocolSpec",
     "PROTOCOLS",
     "protocol_factory",
-    "resolve_config",
 ]
 
 NodeId = Hashable
-
-ConfigLike = Union[ProtocolConfig, Mapping[str, object], None]
 
 
 @dataclass(frozen=True)
@@ -72,23 +67,23 @@ class ProtocolSpec:
         """A fresh default config instance (``None`` when configless)."""
         return self.config_class() if self.config_class is not None else None
 
-    def make_config(self, config: ConfigLike = None) -> Optional[ProtocolConfig]:
-        """Normalise ``config`` (instance, dict or ``None``) to an instance."""
+    def make_config(
+        self, config: Optional[ProtocolConfig] = None
+    ) -> Optional[ProtocolConfig]:
+        """``config`` itself, or the defaults for ``None``."""
         if config is None:
             return self.default_config()
         if self.config_class is None:
             raise ValueError(f"protocol {self.name!r} takes no config")
         if isinstance(config, self.config_class):
             return config
-        if isinstance(config, Mapping):
-            return self.config_class.from_dict(config)
         raise TypeError(
-            f"config for {self.name!r} must be {self.config_class.__name__}, "
-            f"a mapping, or None; got {type(config).__name__}"
+            f"config for {self.name!r} must be {self.config_class.__name__} "
+            f"or None; got {type(config).__name__}"
         )
 
     def factory(
-        self, config: ConfigLike = None
+        self, config: Optional[ProtocolConfig] = None
     ) -> Callable[[NodeId], RoutingProtocol]:
         """A per-node factory (the shape ``build_network`` expects)."""
         resolved = self.make_config(config)
@@ -122,17 +117,11 @@ def _spec(name: str) -> ProtocolSpec:
         ) from None
 
 
-def resolve_config(name: str, config: ConfigLike = None) -> Optional[ProtocolConfig]:
-    """Normalise a config for the named protocol (dict/instance/None)."""
-    return _spec(name).make_config(config)
-
-
 def protocol_factory(
-    name: str, config: ConfigLike = None
+    name: str, config: Optional[ProtocolConfig] = None
 ) -> Callable[[NodeId], RoutingProtocol]:
     """A per-node factory for the named protocol (for ``build_network``).
 
-    ``config`` may be a config instance, a JSON-style dict (validated via
-    the ``from_dict`` contract), or ``None`` for the protocol's defaults.
+    ``config`` is a config instance, or ``None`` for the protocol's defaults.
     """
     return _spec(name).factory(config)

@@ -212,15 +212,13 @@ class AodvProtocol(DistanceVectorProtocol):
         invalidated: List[Tuple[NodeId, int]] = []
         for destination, sequence in rerr.unreachable:
             entry = self.routes.get(destination)
-            if (
-                entry is not None
-                and entry.valid
-                and entry.next_hop == from_node
-                and sequence >= entry.sequence_number
-            ):
+            if entry is not None and entry.valid and entry.next_hop == from_node:
+                # The next hop has no route, whatever sequence number it
+                # reports: one that lost its entry altogether reports 0.
+                # The number is copied (RFC 3561 §6.11) but never lowered.
                 entry.valid = False
-                entry.sequence_number = sequence
-                invalidated.append((destination, sequence))
+                entry.sequence_number = max(entry.sequence_number, sequence)
+                invalidated.append((destination, entry.sequence_number))
         if invalidated:
             self._broadcast_rerr(AodvRerr(tuple(invalidated)))
 

@@ -40,9 +40,7 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict, deque
-from dataclasses import fields, is_dataclass
 from typing import (
-    Any,
     Callable,
     ClassVar,
     Deque,
@@ -65,37 +63,9 @@ NodeId = Hashable
 class ProtocolConfig:
     """Base class for protocol configuration dataclasses.
 
-    Every concrete config is a frozen dataclass of JSON-safe scalar fields;
-    the round-trip here mirrors :meth:`Scenario.to_dict`'s contract so
-    protocol parameters can enter sweep content keys and live-run configs
-    identically.
+    Every concrete config is a frozen dataclass; sweeps and live runs use
+    the defaults, and tests pass instances.
     """
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict of every config field."""
-        if not is_dataclass(self):
-            raise TypeError(
-                f"{type(self).__name__} is not a dataclass; protocol configs "
-                "must be frozen dataclasses of JSON-safe fields"
-            )
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ProtocolConfig":
-        """Rebuild a config written by :meth:`to_dict`.
-
-        Unknown keys are an error — a mistyped parameter silently falling
-        back to its default would corrupt a sweep's content keys.
-        """
-        if not is_dataclass(cls):
-            raise TypeError(f"{cls.__name__} is not a dataclass")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown {cls.__name__} fields: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
 
 
 class PacketBuffer:
@@ -125,10 +95,6 @@ class PacketBuffer:
     def drop_all(self, destination: NodeId) -> int:
         """Discard the buffer for ``destination``; returns how many were lost."""
         return len(self._buffers.pop(destination, deque()))
-
-    def pending(self, destination: NodeId) -> int:
-        """Number of packets currently waiting for ``destination``."""
-        return len(self._buffers.get(destination, ()))
 
 
 class RoutingProtocol(abc.ABC):

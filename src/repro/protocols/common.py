@@ -249,9 +249,6 @@ class RreqCache:
         for key in stale:
             del entries[key]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass
 class DiscoveryState:

@@ -206,18 +206,4 @@ class SrpRoutingTable:
         best = entry.best_successor()
         return best.neighbor if best else None
 
-    def alternative_next_hop(
-        self, destination: NodeId, excluding: NodeId
-    ) -> Optional[NodeId]:
-        """Another successor after ``excluding`` failed (multi-path repair)."""
-        entry = self._entries.get(destination)
-        if not entry:
-            return None
-        candidates = [
-            successor
-            for neighbor, successor in entry.successors.items()
-            if neighbor != excluding
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda successor: successor.distance).neighbor
+

@@ -5,11 +5,6 @@ that both the discrete-event simulator and the live asyncio daemons
 implement; ``repro.runtime.live`` is the live implementation (UDP and
 in-process loopback transports plus the soak harness).
 
-Only the seam is imported here: ``repro.protocols`` depends on this package
-at import time, and the live module depends on ``repro.protocols`` in turn,
-so eagerly importing ``live`` would create an import cycle.
+This package re-exports nothing: import from the submodule that defines a
+name.
 """
-
-from .base import Clock, Runtime, TimerHandle
-
-__all__ = ["Clock", "Runtime", "TimerHandle"]

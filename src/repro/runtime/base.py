@@ -19,8 +19,8 @@ The interfaces:
     is advisory (ignored) live, where simultaneity has no exact meaning.
 
 :class:`Runtime`
-    The per-node half: identity, the clock, the transport sends, local
-    delivery and a deterministic per-node RNG stream.  The sim's
+    The per-node half: identity, the clock, the transport sends and local
+    delivery.  The sim's
     :class:`~repro.sim.node.Node` and the live
     :class:`~repro.runtime.live.LiveNode` both implement it.
 
@@ -34,8 +34,7 @@ data models that happen to live under ``sim/`` and are explicitly allowed.)
 from __future__ import annotations
 
 import abc
-import random
-from typing import Callable, Hashable, Optional, Protocol, runtime_checkable
+from typing import Callable, Hashable, Protocol, runtime_checkable
 
 from ..sim.packet import Packet
 
@@ -85,8 +84,8 @@ class Runtime(abc.ABC):
     """The per-node execution environment a :class:`RoutingProtocol` binds to.
 
     Implementations own the transport (a simulated MAC + channel, or a UDP /
-    loopback socket), the node's statistics sinks and its RNG streams; the
-    protocol only ever sees this surface.  The sim's ``Node`` and the live
+    loopback socket) and the node's statistics sinks; the protocol only ever
+    sees this surface.  The sim's ``Node`` and the live
     ``LiveNode`` are the two implementations.
     """
 
@@ -111,16 +110,3 @@ class Runtime(abc.ABC):
     @abc.abstractmethod
     def deliver_data(self, packet: Packet) -> None:
         """Record the local delivery of an application data packet."""
-
-    def rng(self, name: str = "protocol") -> random.Random:
-        """A deterministic per-node random stream.
-
-        Streams are derived from the trial/run seed and ``(name, node_id)``,
-        so two runtimes configured with the same seed expose identical
-        streams to their protocols.  Runtimes that were not given RNG
-        streams raise — no protocol in the repository draws randomness yet,
-        and a silent nondeterministic fallback would be worse than an error.
-        """
-        raise NotImplementedError(
-            f"runtime for node {self.node_id!r} was built without RNG streams"
-        )

@@ -67,7 +67,7 @@ from typing import (
 
 from ..protocols import protocol_factory
 from ..sim.packet import Packet, PacketKind
-from ..sim.rng import RngStreams, derive_seed
+from ..sim.rng import derive_seed
 from ..sim.stats import TrialStats, TrialSummary
 from .base import TOPOLOGIES, TRANSPORTS, Runtime, TimerHandle
 
@@ -140,11 +140,6 @@ class LiveClock:
             time_scale=time_scale,
             epoch=loop.time() - (time.time() - wall_epoch),
         )
-
-    @property
-    def time_scale(self) -> float:
-        """Wall seconds per protocol second."""
-        return self._scale
 
     @property
     def now(self) -> float:
@@ -298,7 +293,6 @@ class LiveNode(Runtime):
         transport: "LiveTransportBase",
         stats: TrialStats,
         *,
-        rng_streams: Optional[RngStreams] = None,
         max_ttl: int = 16,
         dedup_window: float = 30.0,
     ) -> None:
@@ -308,7 +302,6 @@ class LiveNode(Runtime):
         self.clock = clock
         self.transport = transport
         self.stats = stats
-        self._rng_streams = rng_streams
         self.max_ttl = max_ttl
         self.counters = LiveCounters()
         self._seen = ExpiringSet(clock, dedup_window)
@@ -335,12 +328,6 @@ class LiveNode(Runtime):
     def close(self) -> None:
         """Stop transmitting and receiving (drain phase / shutdown)."""
         self.closed = True
-
-    def rng(self, name: str = "protocol") -> random.Random:
-        """Deterministic per-node stream derived from the run seed."""
-        if self._rng_streams is None:
-            return super().rng(name)
-        return self._rng_streams.get(f"{name}:{self.node_id!r}")
 
     # -- application data path ---------------------------------------------------------
 
@@ -456,14 +443,20 @@ class LiveTransportBase:
 # ---------------------------------------------------------------------------
 # Topology
 
+#: Router spacing and radio range of every soak topology (protocol units): a
+#: line or grid router hears only its adjacent routers.
+SPACING = 1.0
+RADIO_RANGE = 1.25
+#: One loopback hop's delivery delay, in protocol seconds.
+HOP_LATENCY = 0.002
+#: Traffic-free seconds at the end of a soak, so in-flight packets can land.
+DRAIN = 4.0
+#: Every data packet's size in bytes (the paper's 512-byte CBR packets).
+PACKET_SIZE = 512
+
 
 def topology_positions(
-    kind: str,
-    count: int,
-    *,
-    seed: int = 1,
-    spacing: float = 1.0,
-    radio_range: float = 1.25,
+    kind: str, count: int, *, seed: int = 1
 ) -> Dict[int, Tuple[float, float]]:
     """Static router positions for a named topology.
 
@@ -475,9 +468,9 @@ def topology_positions(
     if count < 2:
         raise ValueError("a live run needs at least two routers")
     if kind == "line":
-        return {i: (i * spacing, 0.0) for i in range(count)}
+        return {i: (i * SPACING, 0.0) for i in range(count)}
     if kind == "ring":
-        radius = spacing / (2.0 * math.sin(math.pi / count))
+        radius = SPACING / (2.0 * math.sin(math.pi / count))
         return {
             i: (
                 radius * math.cos(2.0 * math.pi * i / count),
@@ -488,32 +481,32 @@ def topology_positions(
     if kind == "grid":
         columns = math.ceil(math.sqrt(count))
         return {
-            i: ((i % columns) * spacing, (i // columns) * spacing)
+            i: ((i % columns) * SPACING, (i // columns) * SPACING)
             for i in range(count)
         }
     if kind == "random":
-        side = math.sqrt(count) * spacing
+        side = math.sqrt(count) * SPACING
         for attempt in range(256):
             rng = random.Random(derive_seed(seed, f"live-topology:{attempt}"))
             positions = {
                 i: (rng.uniform(0.0, side), rng.uniform(0.0, side))
                 for i in range(count)
             }
-            if _connected(adjacency_from_positions(positions, radio_range)):
+            if _connected(adjacency_from_positions(positions)):
                 return positions
         raise ValueError(
             f"no connected random topology for {count} routers with radio "
-            f"range {radio_range:g} (side {side:g}); raise the range"
+            f"range {RADIO_RANGE:g} (side {side:g}); raise the range"
         )
     raise ValueError(f"unknown topology {kind!r}; expected one of {TOPOLOGIES}")
 
 
 def adjacency_from_positions(
-    positions: Mapping[int, Tuple[float, float]], radio_range: float
+    positions: Mapping[int, Tuple[float, float]],
 ) -> Dict[int, Tuple[int, ...]]:
-    """node -> neighbours within ``radio_range`` (sorted, symmetric)."""
+    """node -> neighbours within :data:`RADIO_RANGE` (sorted, symmetric)."""
     ids = sorted(positions)
-    limit = radio_range * radio_range
+    limit = RADIO_RANGE * RADIO_RANGE
     adjacency: Dict[int, Tuple[int, ...]] = {}
     for a in ids:
         ax, ay = positions[a]
@@ -562,12 +555,9 @@ class LoopbackHub(LiveTransportBase):
         self,
         clock: LiveClock,
         adjacency: Mapping[int, Sequence[int]],
-        *,
-        hop_latency: float = 0.002,
     ) -> None:
         self._clock = clock
         self._adjacency = adjacency
-        self._latency = hop_latency
         self._nodes: Dict[NodeId, LiveNode] = {}
 
     def register(self, node: LiveNode) -> None:
@@ -583,7 +573,7 @@ class LoopbackHub(LiveTransportBase):
             if node is None:
                 continue
             self._clock.schedule_in(
-                self._latency,
+                HOP_LATENCY,
                 partial(
                     node.receive, packet.copy_for_forwarding(), origin, was_broadcast
                 ),
@@ -694,19 +684,18 @@ def plan_flows(
     seed: int,
     warmup: float,
     duration: float,
-    drain: float,
 ) -> List[CbrFlow]:
     """The soak's deterministic CBR flow plan.
 
     Flows start after ``warmup`` (routing must be allowed to converge — the
     soak measures steady-state forwarding, not cold-start discovery, which
     reactive protocols exercise anyway on each flow's first packet) and end
-    ``drain`` seconds before the run does, so in-flight packets can land.
+    :data:`DRAIN` seconds before the run does, so in-flight packets can land.
     The plan is a pure function of the seed: every UDP router process
     derives the identical plan and originates only its own flows.
     """
     window_start = warmup
-    window_end = duration - drain
+    window_end = duration - DRAIN
     if window_end <= window_start:
         raise ValueError(
             "duration too short: no traffic window between warmup and drain"
@@ -734,14 +723,13 @@ def _schedule_flow_packets(
     originate: Callable[..., None],
     *,
     rate: float,
-    packet_size: int,
 ) -> int:
     """Schedule every packet of one flow; returns how many were scheduled."""
     count = 0
     t = flow.start
     while t < flow.end:
         clock.schedule_at(
-            t, partial(originate, flow.destination, packet_size, flow.flow_id)
+            t, partial(originate, flow.destination, PACKET_SIZE, flow.flow_id)
         )
         count += 1
         t = flow.start + count / rate
@@ -762,21 +750,15 @@ class LiveRunConfig:
     """
 
     protocol: str = "LSR"
-    protocol_config: Optional[Dict[str, Any]] = None
     transport: str = "loopback"
     routers: int = 5
     topology: str = "line"
     duration: float = 40.0
     warmup: float = 12.0
-    drain: float = 4.0
     time_scale: float = 1.0
     flows: int = 3
     rate: float = 4.0
-    packet_size: int = 512
     seed: int = 1
-    spacing: float = 1.0
-    radio_range: float = 1.25
-    hop_latency: float = 0.002
     max_ttl: int = 16
     dedup_window: float = 30.0
     host: str = "127.0.0.1"
@@ -808,12 +790,12 @@ class LiveRunConfig:
             raise ValueError("dedup window must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.warmup < 0 or self.drain < 0:
-            raise ValueError("warmup and drain must be non-negative")
-        if self.duration - self.drain <= self.warmup:
+        if self.warmup < 0:
+            raise ValueError("warmup must be non-negative")
+        if self.duration - DRAIN <= self.warmup:
             raise ValueError(
                 f"duration too short: no traffic window between warmup "
-                f"({self.warmup:g} s) and drain ({self.drain:g} s) in "
+                f"({self.warmup:g} s) and drain ({DRAIN:g} s) in "
                 f"{self.duration:g} s"
             )
 
@@ -829,19 +811,12 @@ class LiveRunConfig:
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
         """The soak's radio graph: router -> neighbours within range."""
         adjacency = adjacency_from_positions(
-            topology_positions(
-                self.topology,
-                self.routers,
-                seed=self.seed,
-                spacing=self.spacing,
-                radio_range=self.radio_range,
-            ),
-            self.radio_range,
+            topology_positions(self.topology, self.routers, seed=self.seed)
         )
         if not _connected(adjacency):
             raise ValueError(
                 f"{self.topology} topology with {self.routers} routers is "
-                f"not connected at radio range {self.radio_range:g}"
+                f"not connected at radio range {RADIO_RANGE:g}"
             )
         return adjacency
 
@@ -853,7 +828,6 @@ class LiveRunConfig:
             seed=self.seed,
             warmup=self.warmup,
             duration=self.duration,
-            drain=self.drain,
         )
 
 
@@ -902,11 +876,8 @@ class LoopbackNetwork:
         self.clock = LiveClock(loop, time_scale=config.time_scale)
         self.adjacency = config.adjacency()
         self.stats = TrialStats()
-        self.hub = LoopbackHub(
-            self.clock, self.adjacency, hop_latency=config.hop_latency
-        )
-        rng_streams = RngStreams(config.seed)
-        factory = protocol_factory(config.protocol, config.protocol_config)
+        self.hub = LoopbackHub(self.clock, self.adjacency)
+        factory = protocol_factory(config.protocol)
         self.nodes: Dict[int, LiveNode] = {}
         for node_id in sorted(self.adjacency):
             node = LiveNode(
@@ -914,7 +885,6 @@ class LoopbackNetwork:
                 self.clock,
                 self.hub,
                 self.stats,
-                rng_streams=rng_streams,
                 max_ttl=config.max_ttl,
                 dedup_window=config.dedup_window,
             )
@@ -937,7 +907,6 @@ class LoopbackNetwork:
                 flow,
                 self.nodes[flow.source].originate_data,
                 rate=config.rate,
-                packet_size=config.packet_size,
             )
         return flows
 
@@ -1025,13 +994,10 @@ async def _udp_router_async(
         clock,
         transport,
         stats,
-        rng_streams=RngStreams(config.seed),
         max_ttl=config.max_ttl,
         dedup_window=config.dedup_window,
     )
-    node.attach_protocol(
-        protocol_factory(config.protocol, config.protocol_config)(node_id)
-    )
+    node.attach_protocol(protocol_factory(config.protocol)(node_id))
     await transport.open(node, sock)
     # Align every router's protocol start to the shared epoch (t = 0).
     clock.schedule_at(0.0, node.start)
@@ -1044,7 +1010,6 @@ async def _udp_router_async(
                 flow,
                 node.originate_data,
                 rate=config.rate,
-                packet_size=config.packet_size,
             )
     remaining = config.duration - clock.now
     if remaining > 0:

@@ -13,50 +13,7 @@ Building blocks:
   packets, nodes and trial assembly.
 * :mod:`repro.sim.stats` — the trial metrics the paper reports.
 * :mod:`repro.sim.monitor` — run-time loop-freedom auditing.
+
+This package re-exports nothing: import from the submodule that defines a
+name.
 """
-
-from .channel import Channel, ChannelStats
-from .engine import Event, SimulationError, Simulator
-from .mac import Mac, MacStats
-from .mobility import MobilityModel, RandomWaypointMobility, StaticMobility, Waypoint
-from .monitor import LoopFreedomMonitor, LoopViolation
-from .network import Network, build_network, run_trial
-from .node import Node
-from .packet import BROADCAST, Frame, Packet, PacketKind
-from .phy import PhyConfig
-from .rng import RngStreams, derive_seed
-from .space import Position, Terrain
-from .spatial import SpatialGrid
-from .stats import TrialStats, TrialSummary
-
-__all__ = [
-    "Channel",
-    "ChannelStats",
-    "Event",
-    "SimulationError",
-    "Simulator",
-    "Mac",
-    "MacStats",
-    "MobilityModel",
-    "RandomWaypointMobility",
-    "StaticMobility",
-    "Waypoint",
-    "LoopFreedomMonitor",
-    "LoopViolation",
-    "Network",
-    "build_network",
-    "run_trial",
-    "Node",
-    "BROADCAST",
-    "Frame",
-    "Packet",
-    "PacketKind",
-    "PhyConfig",
-    "RngStreams",
-    "derive_seed",
-    "Position",
-    "Terrain",
-    "SpatialGrid",
-    "TrialStats",
-    "TrialSummary",
-]

@@ -238,11 +238,6 @@ class Channel:
         self._faults = faults
 
     @property
-    def faults(self):
-        """The installed :class:`~repro.sim.faults.ChannelFaults` (or None)."""
-        return self._faults
-
-    @property
     def phy(self) -> PhyConfig:
         """The shared physical-layer configuration."""
         return self._phy
@@ -274,8 +269,8 @@ class Channel:
                 if segment is not None:
                     self._segment_cache[node_id] = segment
             if segment is not None:
-                # Inlined RandomWaypointMobility.position_at_xy over the
-                # seven segment floats.
+                # Inlined Waypoint.position_at over the seven segment
+                # floats.
                 depart = segment[1]
                 if now <= depart:
                     # Mid-pause: the position stays exact until departure.
@@ -302,11 +297,6 @@ class Channel:
         return position
 
     # -- geometry -----------------------------------------------------------------
-
-    @staticmethod
-    def _distance(a: "tuple[float, float]", b: "tuple[float, float]") -> float:
-        dx, dy = a[0] - b[0], a[1] - b[1]
-        return (dx * dx + dy * dy) ** 0.5
 
     def _grid_slack(self) -> float:
         """Refresh the grid snapshot if too stale; return the drift bound."""
@@ -374,13 +364,6 @@ class Channel:
         """Nodes within reception range of ``node_id`` now, in attach order:
         the reception set of a frame it transmits."""
         return self._nodes_in_range_of(self._position_of(node_id), exclude=node_id)
-
-    def in_range(self, a: NodeId, b: NodeId) -> bool:
-        """True when nodes ``a`` and ``b`` can currently hear each other."""
-        return (
-            self._distance(self._position_of(a), self._position_of(b))
-            <= self._phy.reception_range
-        )
 
     # -- carrier sense ---------------------------------------------------------------
 

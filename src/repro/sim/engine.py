@@ -38,7 +38,7 @@ __all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduling mistakes (negative delays, running a stopped sim)."""
+    """Raised for scheduling mistakes (negative delays, times in the past)."""
 
 
 class Event:
@@ -49,7 +49,7 @@ class Event:
     timer and inspect when it was due.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "_simulator")
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled")
 
     def __init__(
         self,
@@ -57,14 +57,12 @@ class Event:
         priority: int,
         sequence: int,
         callback: Optional[Callable[[], None]],
-        simulator: "Optional[Simulator]" = None,
     ) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
         self.cancelled = False
-        self._simulator = simulator
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it reaches the head.
@@ -73,14 +71,11 @@ class Event:
         releases whatever its closure captured (packets, protocol state) even
         while its tombstone is still queued.
         """
-        if self.cancelled or self.callback is None:
-            # Already cancelled, or already executed: nothing left to release
-            # and the pending-event accounting must not be touched twice.
+        if self.callback is None:
+            # Already cancelled, or already executed: nothing left to release.
             return
         self.cancelled = True
         self.callback = None
-        if self._simulator is not None:
-            self._simulator._cancelled_pending += 1
 
 
 #: One queue entry.  The payload — an Event handle or, for fire-and-forget
@@ -108,9 +103,7 @@ class Simulator:
         self._push: Callable[[_HeapEntry], None] = self._calendar.push
         self._sequence = itertools.count()
         self.now = 0.0
-        self._running = False
         self._processed = 0
-        self._cancelled_pending = 0
 
     # -- clock -----------------------------------------------------------------
 
@@ -118,16 +111,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for progress reporting)."""
         return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        Cancelled events stay queued as tombstones until the loop reaches
-        them (their callbacks are already dropped), so the tombstone count
-        is subtracted from the queue's raw size.
-        """
-        return len(self._calendar) - self._cancelled_pending
 
     # -- scheduling --------------------------------------------------------------
 
@@ -139,7 +122,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}, current time is {self.now:.6f}"
             )
-        event = Event(time, priority, next(self._sequence), callback, self)
+        event = Event(time, priority, next(self._sequence), callback)
         self._push((time, priority, event.sequence, event))
         return event
 
@@ -150,7 +133,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         time = self.now + delay
-        event = Event(time, priority, next(self._sequence), callback, self)
+        event = Event(time, priority, next(self._sequence), callback)
         self._push((time, priority, event.sequence, event))
         return event
 
@@ -193,7 +176,6 @@ class Simulator:
         normalised by elapsed time are consistent across trials.
         """
         event_class = Event
-        self._running = True
         # The processed counter lives in a local inside the loop (one
         # instance-attribute store per event is measurable at 10M events);
         # the attribute is synced on every exit path, including callbacks
@@ -204,7 +186,7 @@ class Simulator:
         push = calendar.push
         pop = heapq.heappop
         try:
-            while self._running:
+            while True:
                 # The common case is one attribute load and a C-level
                 # heappop.  The attribute must be re-read every iteration —
                 # callbacks push into it and _advance replaces it wholesale
@@ -225,7 +207,6 @@ class Simulator:
                 payload = entry[3]
                 if payload.__class__ is event_class:
                     if payload.cancelled:
-                        self._cancelled_pending -= 1
                         continue
                     callback = payload.callback
                     # Drop the closure before executing so a fired event
@@ -243,28 +224,3 @@ class Simulator:
             self._processed = processed
         if until is not None and self.now < until:
             self.now = until
-        self._running = False
-
-    def step(self) -> bool:
-        """Execute the single next event; returns False when the queue is empty."""
-        while True:
-            entry = self._calendar.pop()
-            if entry is None:
-                return False
-            payload = entry[3]
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                callback = payload.callback
-                payload.callback = None
-            else:
-                callback = payload
-            self.now = entry[0]
-            self._processed += 1
-            callback()
-            return True
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the event currently executing."""
-        self._running = False

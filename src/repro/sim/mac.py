@@ -286,11 +286,6 @@ class Mac:
         self.stats.enqueued += 1
         self._try_dequeue()
 
-    @property
-    def queue_length(self) -> int:
-        """Frames currently waiting for the channel."""
-        return len(self._queue)
-
     def _try_dequeue(self) -> None:
         if self._busy or not self._queue:
             return

@@ -42,10 +42,10 @@ __all__ = [
 #: One precompiled motion segment: ``(valid_from, depart, arrival, sx, sy,
 #: ex, ey)``.  For any ``t`` in ``[valid_from, arrival]`` the node sits at
 #: ``(sx, sy)`` until ``depart``, then moves linearly, arriving at
-#: ``(ex, ey)`` at ``arrival``.  Evaluating the inlined interpolation
-#: expressions of :meth:`RandomWaypointMobility.position_at_xy` over these
-#: seven floats reproduces its results bit for bit — which lets the channel
-#: interpolate positions without a per-query call chain into the model.
+#: ``(ex, ey)`` at ``arrival``.  Evaluating :meth:`Waypoint.position_at`'s
+#: interpolation expressions over these seven floats reproduces its results
+#: bit for bit — which lets the channel interpolate positions without a
+#: per-query call chain into the model.
 Segment = Tuple[float, float, float, float, float, float, float]
 
 
@@ -56,28 +56,15 @@ class MobilityModel(abc.ABC):
     def position_at(self, time: float) -> Position:
         """The node's position at simulation time ``time`` (seconds)."""
 
-    def position_at_xy(self, time: float) -> Tuple[float, float]:
-        """Fast path: the position as a plain ``(x, y)`` tuple.
-
-        Equivalent to ``position_at`` but lets concrete models skip the
-        :class:`Position` allocation — the channel hot path calls this once
-        per node per distinct timestamp, which at paper scale is millions of
-        lookups per trial.
-        """
-        point = self.position_at(time)
-        return (point.x, point.y)
-
-    def segment_for(self, time: float) -> "Segment | None":
-        """The active linear motion segment covering ``time``, if the model
-        can describe one (see :data:`Segment`); ``None`` for models that
-        cannot.
+    @abc.abstractmethod
+    def segment_for(self, time: float) -> "Segment":
+        """The linear motion segment covering ``time`` (see :data:`Segment`).
 
         A segment hands the caller everything needed to evaluate the node's
         position *locally* for any instant inside the segment's validity
         window — the channel uses this to fill its per-timestamp position
         cache without a Python call chain per interpolation.
         """
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,10 +75,6 @@ class StaticMobility(MobilityModel):
 
     def position_at(self, time: float) -> Position:
         return self.position
-
-    def position_at_xy(self, time: float) -> Tuple[float, float]:
-        position = self.position
-        return (position.x, position.y)
 
     def segment_for(self, time: float) -> "Segment":
         # A static node is one eternal pause: depart never comes.
@@ -142,10 +125,9 @@ class RandomWaypointMobility(MobilityModel):
 
     Each appended leg is also compiled into a flat tuple ``(depart,
     arrival, sx, sy, ex, ey)`` kept in a list parallel to ``_arrivals``;
-    ``position_at_xy`` binary-searches and interpolates over plain floats
-    with no :class:`Waypoint` attribute walks.  The interpolation
-    expressions are those of :meth:`Waypoint.position_at`, so the returned
-    floats are bit-identical to it.
+    :meth:`segment_for` binary-searches it and hands the channel plain
+    floats, which it interpolates with the expressions of
+    :meth:`Waypoint.position_at`, bit for bit.
     """
 
     def __init__(
@@ -229,26 +211,6 @@ class RandomWaypointMobility(MobilityModel):
     def position_at(self, time: float) -> Position:
         return self._leg_at(time).position_at(time)
 
-    def position_at_xy(self, time: float) -> Tuple[float, float]:
-        # Binary search over the segment table, then Waypoint.position_at's
-        # interpolation (with Position.interpolate's clamp) inlined over
-        # plain floats, expression for expression.
-        if time < 0:
-            raise ValueError("time must be non-negative")
-        arrivals = self._arrivals
-        if arrivals[-1] < time:
-            self._extend_until(time)
-            arrivals = self._arrivals
-        depart, arrival, sx, sy, ex, ey = self._segments[bisect_left(arrivals, time)]
-        if time <= depart:
-            return (sx, sy)
-        if time >= arrival:
-            return (ex, ey)
-        travel = arrival - depart
-        fraction = (time - depart) / travel if travel > 0 else 1.0
-        fraction = min(max(fraction, 0.0), 1.0)
-        return (sx + (ex - sx) * fraction, sy + (ey - sy) * fraction)
-
     def segment_for(self, time: float) -> "Segment":
         """The precompiled segment covering ``time``.
 
@@ -266,8 +228,3 @@ class RandomWaypointMobility(MobilityModel):
         index = bisect_left(arrivals, time)
         valid_from = arrivals[index - 1] if index else 0.0
         return (valid_from, *self._segments[index])
-
-    @property
-    def pause_time(self) -> float:
-        """The configured pause time in seconds."""
-        return self._pause_time

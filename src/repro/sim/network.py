@@ -119,7 +119,7 @@ def build_network(
             streams.get(f"mac:{node_id}"),
             position_provider=lambda nid=node_id: nodes[nid].position(),
         )
-        node = Node(node_id, simulator, mobility, mac, stats, rng_streams=streams)
+        node = Node(node_id, simulator, mobility, mac, stats)
         nodes[node_id] = node
         node.attach_protocol(protocol_factory(node_id))
         # Let the channel interpolate this node from precompiled segments

@@ -16,7 +16,6 @@ the node-side code has no sim-specific time dependency.
 
 from __future__ import annotations
 
-import random
 from typing import Hashable, Optional, TYPE_CHECKING
 
 from ..runtime.base import Runtime
@@ -28,7 +27,6 @@ from .stats import TrialStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..protocols.base import RoutingProtocol
-    from .rng import RngStreams
 
 __all__ = ["Node"]
 
@@ -45,7 +43,6 @@ class Node(Runtime):
         mobility: MobilityModel,
         mac: Mac,
         stats: TrialStats,
-        rng_streams: Optional["RngStreams"] = None,
     ) -> None:
         self.node_id = node_id
         self.simulator = simulator
@@ -55,7 +52,6 @@ class Node(Runtime):
         self.mobility = mobility
         self.mac = mac
         self.stats = stats
-        self._rng_streams = rng_streams
         self.protocol: Optional["RoutingProtocol"] = None
         # Fault-injection lifecycle flag; while down the node neither
         # originates traffic nor transmits (see go_down/go_up).
@@ -68,12 +64,6 @@ class Node(Runtime):
         self.protocol = protocol
         protocol.attach(self)
         self.mac.set_handlers(protocol.handle_packet, protocol.handle_link_failure)
-
-    def rng(self, name: str = "protocol") -> random.Random:
-        """Deterministic per-node stream derived from the trial seed."""
-        if self._rng_streams is None:
-            return super().rng(name)
-        return self._rng_streams.get(f"{name}:{self.node_id!r}")
 
     # -- fault lifecycle ---------------------------------------------------------------
 
@@ -105,10 +95,11 @@ class Node(Runtime):
     def position(self) -> "tuple[float, float]":
         """Current (x, y) position from the mobility model.
 
-        Uses the mobility model's allocation-free tuple fast path; the
-        channel calls this once per node per distinct timestamp.
+        The channel's fallback for a node without a registered segment
+        provider (``build_network`` registers one for every node).
         """
-        return self.mobility.position_at_xy(self.clock.now)
+        point = self.mobility.position_at(self.clock.now)
+        return (point.x, point.y)
 
     # -- application data path ---------------------------------------------------------
 

@@ -35,17 +35,8 @@ class RngStreams:
         self._base_seed = base_seed
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def base_seed(self) -> int:
-        """The trial-level seed all streams derive from."""
-        return self._base_seed
-
     def get(self, name: str) -> random.Random:
         """The named stream, created on first use."""
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self._base_seed, name))
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RngStreams":
-        """A child family whose streams are independent of this family's."""
-        return RngStreams(derive_seed(self._base_seed, f"spawn:{name}"))

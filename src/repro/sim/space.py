@@ -49,18 +49,6 @@ class Terrain:
         """True when the position lies inside (or on the border of) the area."""
         return 0.0 <= position.x <= self.width and 0.0 <= position.y <= self.height
 
-    def clamp(self, position: Position) -> Position:
-        """The nearest point inside the terrain."""
-        return Position(
-            min(max(position.x, 0.0), self.width),
-            min(max(position.y, 0.0), self.height),
-        )
-
     def random_position(self, rng: random.Random) -> Position:
         """A uniformly distributed point inside the terrain."""
         return Position(rng.uniform(0.0, self.width), rng.uniform(0.0, self.height))
-
-    @property
-    def diagonal(self) -> float:
-        """Length of the terrain diagonal; an upper bound on any distance."""
-        return math.hypot(self.width, self.height)

@@ -11,10 +11,10 @@ query disk's bounding square: O(occupied cells + matches) instead of O(N).
 The grid is a snapshot: it indexes the positions given to :meth:`build` /
 :meth:`insert` and knows nothing about mobility.  Callers that query a grid
 built at an earlier time must inflate the radius by the maximum distance any
-node can have travelled since the snapshot (see
-:meth:`candidates_within`) and re-filter candidates against exact current
-positions — this is how :class:`~repro.sim.channel.Channel` amortises the
-O(N) rebuild over many queries without changing any query result.
+node can have travelled since the snapshot and re-filter candidates against
+exact current positions — this is how :class:`~repro.sim.channel.Channel`
+amortises the O(N) rebuild over many queries without changing any query
+result.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class SpatialGrid:
     terrain extent and negative coordinates work naturally.
     """
 
-    __slots__ = ("cell_size", "_cells", "_count")
+    __slots__ = ("cell_size", "_cells")
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
@@ -42,17 +42,12 @@ class SpatialGrid:
         self.cell_size = float(cell_size)
         # cell -> list of (key, x, y) entries
         self._cells: Dict[Tuple[int, int], List[Tuple[Key, float, float]]] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
 
     # -- construction ------------------------------------------------------------
 
     def clear(self) -> None:
         """Remove every indexed point."""
         self._cells.clear()
-        self._count = 0
 
     def insert(self, key: Key, x: float, y: float) -> None:
         """Index one point under ``key``.  Duplicate keys are not detected."""
@@ -63,7 +58,6 @@ class SpatialGrid:
             self._cells[cell] = [(key, x, y)]
         else:
             bucket.append((key, x, y))
-        self._count += 1
 
     def build(self, items: Iterable[Tuple[Key, float, float]]) -> None:
         """Replace the index contents with ``(key, x, y)`` triples."""
@@ -77,13 +71,15 @@ class SpatialGrid:
         self, pos: Tuple[float, float], radius: float
     ) -> List[List[Tuple[Key, float, float]]]:
         """The occupied cell buckets overlapping the query disk's bounding
-        square — the same candidate superset as :meth:`candidates_within`
-        without flattening into one key list.
+        square: their points are a superset of those within ``radius`` of
+        ``pos``, and the caller filters them.
 
         The channel's reception-set query iterates candidates once per
         transmission; handing it the internal bucket lists (contract:
         read-only) skips one list build + append per candidate on the
-        hottest geometry path.
+        hottest geometry path.  Fewer occupied cells than cells in the
+        query square: scan the occupied ones directly (keeps huge radii
+        from iterating a huge but empty lattice).
         """
         if radius < 0:
             return []
@@ -108,78 +104,3 @@ class SpatialGrid:
                 if bucket is not None:
                     buckets.append(bucket)
         return buckets
-
-    def candidates_within(self, pos: Tuple[float, float], radius: float) -> List[Key]:
-        """Keys of every point in a cell overlapping the query disk's bounding
-        square — a superset of the points within ``radius`` of ``pos``.
-
-        No distance filtering is done; callers that indexed stale positions
-        re-check candidates against fresh coordinates.  The returned order is
-        unspecified.
-        """
-        if radius < 0:
-            return []
-        cs = self.cell_size
-        x, y = pos
-        cx_lo = int((x - radius) // cs)
-        cx_hi = int((x + radius) // cs)
-        cy_lo = int((y - radius) // cs)
-        cy_hi = int((y + radius) // cs)
-        cells = self._cells
-        result: List[Key] = []
-        if len(cells) <= (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1):
-            # Fewer occupied cells than cells in the query square: scan the
-            # occupied ones directly (keeps huge radii from iterating a huge
-            # but empty lattice).
-            for (cx, cy), bucket in cells.items():
-                if cx_lo <= cx <= cx_hi and cy_lo <= cy <= cy_hi:
-                    for key, _, _ in bucket:
-                        result.append(key)
-            return result
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                bucket = cells.get((cx, cy))
-                if bucket is not None:
-                    for key, _, _ in bucket:
-                        result.append(key)
-        return result
-
-    def neighbors_within(self, pos: Tuple[float, float], radius: float) -> List[Key]:
-        """Keys of every indexed point within ``radius`` of ``pos``.
-
-        The boundary is inclusive and the distance test is
-        ``sqrt(dx² + dy²) <= radius`` — the exact expression the brute-force
-        channel scan uses, so results (including points precisely at the
-        boundary) are bit-for-bit identical to an O(N) scan.  The returned
-        order is unspecified; callers needing determinism sort by key.
-        """
-        if radius < 0:
-            return []
-        cs = self.cell_size
-        x, y = pos
-        cx_lo = int((x - radius) // cs)
-        cx_hi = int((x + radius) // cs)
-        cy_lo = int((y - radius) // cs)
-        cy_hi = int((y + radius) // cs)
-        cells = self._cells
-        result: List[Key] = []
-        if len(cells) <= (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1):
-            buckets = [
-                bucket
-                for (cx, cy), bucket in cells.items()
-                if cx_lo <= cx <= cx_hi and cy_lo <= cy <= cy_hi
-            ]
-        else:
-            buckets = []
-            for cx in range(cx_lo, cx_hi + 1):
-                for cy in range(cy_lo, cy_hi + 1):
-                    bucket = cells.get((cx, cy))
-                    if bucket is not None:
-                        buckets.append(bucket)
-        for bucket in buckets:
-            for key, px, py in bucket:
-                dx = px - x
-                dy = py - y
-                if (dx * dx + dy * dy) ** 0.5 <= radius:
-                    result.append(key)
-        return result

@@ -1,13 +1,5 @@
-"""Workload generation: CBR traffic and the paper's evaluation scenarios."""
+"""Workload generation: CBR traffic and the paper's evaluation scenarios.
 
-from .cbr import CbrFlow, CbrTrafficManager
-from .scenario import PAPER_PAUSE_TIMES, PAPER_SCENARIO, Scenario, scaled_scenario
-
-__all__ = [
-    "CbrFlow",
-    "CbrTrafficManager",
-    "PAPER_PAUSE_TIMES",
-    "PAPER_SCENARIO",
-    "Scenario",
-    "scaled_scenario",
-]
+This package re-exports nothing: import from the submodule that defines a
+name.
+"""

@@ -125,11 +125,6 @@ class Scenario:
         """The same scenario under a different fault plan."""
         return replace(self, faults=tuple(faults))
 
-    @property
-    def offered_load_pps(self) -> float:
-        """Aggregate CBR sending rate (packets per second network-wide)."""
-        return self.flow_count * self.packets_per_second
-
     # -- serialization ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.distributed import DistributedBackend
 from repro.experiments.executor import SweepBackend, execute_jobs
-from repro.experiments.jobs import plan_sweep, sweep_shape
+from repro.experiments.jobs import plan_sweep
 from repro.experiments.runner import collect_sweep
 from repro.experiments.store import ResultsStore
 from repro.workloads.scenario import scaled_scenario
@@ -116,11 +116,3 @@ class TestProgressEvents:
         events = []
         execute_jobs(jobs[:2], workers=1, progress=events.append)
         assert events[-1].eta == 0.0
-
-
-class TestSweepShape:
-    def test_shape_recovers_planner_inputs(self, jobs):
-        protocols, pause_times, trials = sweep_shape(jobs)
-        assert protocols == PROTOCOLS
-        assert pause_times == list(PAUSE_TIMES)
-        assert trials == TRIALS

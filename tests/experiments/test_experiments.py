@@ -90,10 +90,11 @@ class TestSweep:
             }
             assert len(set(sent.values())) == 1
 
-    def test_series_shape(self, tiny_results):
-        series = tiny_results.series("delivery_ratio")
-        assert set(series) == {"SRP", "AODV", "LDR"}
-        assert set(series["SRP"]) == {0.0, 15.0}
+    def test_results_shape(self, tiny_results):
+        assert set(tiny_results.protocols) == {"SRP", "AODV", "LDR"}
+        for protocol in tiny_results.protocols:
+            by_pause = tiny_results.metric_by_pause(protocol, "delivery_ratio")
+            assert set(by_pause) == {0.0, 15.0}
 
 
 class TestTableAndFigures:
@@ -121,5 +122,5 @@ class TestTableAndFigures:
 
     def test_srp_sequence_number_is_zero_in_fig7(self, tiny_results):
         series = figure("fig7", tiny_results)
-        assert all(value == 0.0 for value in series.protocol_values("SRP"))
+        assert all(interval.mean == 0.0 for interval in series.by_protocol["SRP"])
 

@@ -5,12 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collectors import METRIC_EXTRACTORS, extract_metric, summary_metrics
-from repro.metrics.confidence import (
-    ConfidenceInterval,
-    intervals_disjoint,
-    mean_confidence_interval,
-)
+from repro.metrics.collectors import METRIC_EXTRACTORS, extract_metric
+from repro.metrics.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.metrics.report import format_series, format_table, series_from_results
 from repro.sim.stats import TrialSummary
 
@@ -52,15 +48,6 @@ class TestConfidenceIntervals:
     def test_invalid_confidence_rejected(self):
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, 2.0], confidence=1.5)
-
-    def test_overlap_and_disjoint(self):
-        a = ConfidenceInterval(1.0, 0.2, 0.95, 10)
-        b = ConfidenceInterval(1.3, 0.2, 0.95, 10)
-        c = ConfidenceInterval(2.0, 0.2, 0.95, 10)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-        assert intervals_disjoint(a, c)
-        assert not intervals_disjoint(a, b)
 
     def test_bounds(self):
         interval = ConfidenceInterval(1.0, 0.25, 0.95, 5)
@@ -106,10 +93,6 @@ class TestMetricExtraction:
         with pytest.raises(ValueError):
             extract_metric(make_summary(), "goodput")
 
-    def test_summary_metrics_returns_all(self):
-        metrics = summary_metrics(make_summary())
-        assert set(metrics) == set(METRIC_EXTRACTORS)
-
 
 class TestReportFormatting:
     def _results(self):
@@ -122,7 +105,7 @@ class TestReportFormatting:
         series = series_from_results(
             "delivery ratio", "pause time", [0.0, 100.0], self._results()
         )
-        assert series.protocol_values("SRP") == [
+        assert [interval.mean for interval in series.by_protocol["SRP"]] == [
             pytest.approx(0.91),
             pytest.approx(0.96),
         ]

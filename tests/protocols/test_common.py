@@ -19,6 +19,8 @@ from repro.sim.engine import Simulator
 from repro.sim.network import build_network
 from repro.sim.packet import Packet, PacketKind
 
+from .helpers import StaticNetwork, chain_positions
+
 
 def data_packet(destination, source="s"):
     return Packet(PacketKind.DATA, source, destination, 512, 0.0)
@@ -29,9 +31,8 @@ class TestPacketBuffer:
         buffer = PacketBuffer(max_per_destination=2)
         a, b = data_packet("d"), data_packet("d")
         assert buffer.push(a) and buffer.push(b)
-        assert buffer.pending("d") == 2
         assert buffer.pop_all("d") == [a, b]
-        assert buffer.pending("d") == 0
+        assert buffer.pop_all("d") == []
 
     def test_overflow_rejected(self):
         buffer = PacketBuffer(max_per_destination=1)
@@ -218,3 +219,52 @@ class TestSeenSequences:
                 assert mask.bit_length() <= attrgetter(sequence)(protocols[origin]) + 1
             relayed += len(masks)
         assert relayed > len(protocols)
+
+
+def _forget_route(protocol, destination, *, reboot):
+    """The relay's route to ``destination`` goes: invalid, or (``reboot``)
+    gone from its table altogether, as after a crash."""
+    if protocol.name == "SRP":
+        if reboot:
+            protocol.table.entry(destination).successors.clear()
+        else:
+            protocol.table.remove_successor(
+                destination, protocol.next_hop(destination)
+            )
+    elif reboot:
+        del protocol.routes[destination]
+    else:
+        protocol.routes[destination].valid = False
+
+
+@pytest.mark.parametrize("reboot", [False, True], ids=["invalid", "no-entry"])
+@pytest.mark.parametrize("name", ["SRP", "LDR", "AODV"])
+def test_relay_without_a_route_drops_and_reports(name, reboot):
+    """A relay that can no longer forward a data packet counts the drop and
+    unicasts a route error to the neighbour it came from, which then stops
+    routing through it (``OnDemandProtocol._handle_data`` ->
+    ``_report_no_route``)."""
+    net = StaticNetwork(chain_positions(4), protocol_factory(name))
+    net.start()
+    net.send_data(0, 3)
+    net.run(until=2.0)
+    source, relay = net.protocol(0), net.protocol(1)
+    assert source.next_hop(3) == 1 and relay.next_hop(3) == 2
+    assert net.summary().data_delivered == 1
+
+    _forget_route(relay, 3, reboot=reboot)
+    sent = []
+    send_unicast = net.nodes[1].send_unicast
+
+    def recording_send_unicast(packet, next_hop):
+        sent.append((type(packet.payload).__name__, next_hop))
+        send_unicast(packet, next_hop)
+
+    net.nodes[1].send_unicast = recording_send_unicast
+    drops = relay.data_drops
+    net.send_data(0, 3)
+    net.run(until=3.0)
+    assert relay.data_drops == drops + 1
+    assert (f"{name.title()}Rerr", 0) in sent
+    assert source.next_hop(3) is None
+    assert net.summary().data_delivered == 1

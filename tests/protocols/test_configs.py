@@ -1,11 +1,10 @@
-"""ProtocolConfig serialization: the Scenario-style to_dict/from_dict contract."""
+"""The protocol registry: one spec per protocol, configs as instances."""
 
-import json
+import dataclasses
 
 import pytest
 
-from repro.protocols import PROTOCOLS, ProtocolSpec, protocol_factory, resolve_config
-from repro.protocols.base import ProtocolConfig
+from repro.protocols import PROTOCOLS, ProtocolSpec, protocol_factory
 
 CONFIG_SPECS = [
     spec for spec in PROTOCOLS.values() if spec.config_class is not None
@@ -13,29 +12,39 @@ CONFIG_SPECS = [
 
 
 @pytest.mark.parametrize("spec", CONFIG_SPECS, ids=lambda s: s.name)
-class TestRoundTrip:
-    def test_to_dict_from_dict_round_trips(self, spec: ProtocolSpec):
+class TestConfigInstances:
+    def test_make_config_passes_instances_through(self, spec: ProtocolSpec):
         config = spec.default_config()
-        rebuilt = spec.config_class.from_dict(config.to_dict())
-        assert rebuilt == config
+        assert spec.make_config(config) is config
 
-    def test_to_dict_is_json_safe(self, spec: ProtocolSpec):
-        payload = json.dumps(spec.default_config().to_dict(), sort_keys=True)
-        rebuilt = spec.config_class.from_dict(json.loads(payload))
-        assert rebuilt == spec.default_config()
+    def test_none_gives_fresh_defaults(self, spec: ProtocolSpec):
+        first, second = spec.make_config(None), spec.make_config()
+        assert type(first) is spec.config_class
+        assert first == second == spec.config_class()
 
-    def test_unknown_keys_are_rejected(self, spec: ProtocolSpec):
-        data = spec.default_config().to_dict()
-        data["definitely_not_a_field"] = 1
-        with pytest.raises(ValueError, match="definitely_not_a_field"):
-            spec.config_class.from_dict(data)
+    def test_a_dict_is_not_a_config(self, spec: ProtocolSpec):
+        field_name = dataclasses.fields(spec.config_class)[0].name
+        with pytest.raises(TypeError, match=spec.config_class.__name__):
+            protocol_factory(spec.name, {field_name: 1})
 
-    def test_partial_dict_fills_defaults(self, spec: ProtocolSpec):
-        field_name, default_value = next(
-            iter(spec.default_config().to_dict().items())
-        )
-        rebuilt = spec.config_class.from_dict({field_name: default_value})
-        assert rebuilt == spec.default_config()
+    def test_another_protocols_config_is_refused(self, spec: ProtocolSpec):
+        other = next(s for s in CONFIG_SPECS if s.config_class is not spec.config_class)
+        with pytest.raises(TypeError, match=other.config_class.__name__):
+            spec.make_config(other.default_config())
+
+    def test_config_is_frozen(self, spec: ProtocolSpec):
+        # The factory hands one instance to every node, so it must not mutate.
+        config = spec.default_config()
+        field_name = dataclasses.fields(config)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field_name, getattr(config, field_name))
+
+    def test_factory_gives_every_node_the_config(self, spec: ProtocolSpec):
+        config = spec.default_config()
+        factory = protocol_factory(spec.name, config)
+        nodes = [factory(node_id) for node_id in ("a", "b")]
+        assert all(type(node) is spec.protocol_class for node in nodes)
+        assert all(node.config is config for node in nodes)
 
 
 class TestRegistryConfigHandling:
@@ -44,14 +53,6 @@ class TestRegistryConfigHandling:
             PROTOCOLS
         )
 
-    def test_resolve_config_passes_instances_through(self):
-        config = PROTOCOLS["OLSR"].default_config()
-        assert resolve_config("OLSR", config) is config
-
-    def test_resolve_config_from_dict(self):
-        config = resolve_config("OLSR", {"route_recompute_interval": 2.5})
-        assert config.route_recompute_interval == 2.5
-
     def test_configless_protocol_rejects_config(self):
         with pytest.raises(ValueError, match="takes no config"):
             protocol_factory("Oracle", {"anything": 1})
@@ -59,10 +60,3 @@ class TestRegistryConfigHandling:
     def test_unknown_protocol_raises(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             protocol_factory("RIP")
-
-    def test_non_dataclass_config_to_dict_raises(self):
-        class Bare(ProtocolConfig):
-            pass
-
-        with pytest.raises(TypeError, match="dataclass"):
-            Bare().to_dict()

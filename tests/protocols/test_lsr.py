@@ -145,8 +145,8 @@ class TestRegistry:
         assert isinstance(protocol, LsrProtocol)
         assert protocol.name == "LSR"
 
-    def test_factory_accepts_config_dict(self):
-        factory = protocol_factory("LSR", {"hello_interval": 1.0, "lsa_ttl": 4})
+    def test_factory_accepts_a_config(self):
+        factory = protocol_factory("LSR", LsrConfig(hello_interval=1.0, lsa_ttl=4))
         protocol = factory(0)
         assert protocol.config.hello_interval == 1.0
         assert protocol.config.lsa_ttl == 4

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.fractions import ProperFraction
 from repro.core.ordering import UNASSIGNED, Ordering
 from repro.protocols import protocol_factory
-from repro.protocols.srp import SrpConfig, SrpProtocol, SrpRreq
+from repro.protocols.srp import SrpConfig, SrpProtocol, SrpRrep, SrpRreq
 from repro.protocols.srp.table import SrpRoutingTable
 from repro.sim.mobility import StaticMobility
 from repro.sim.monitor import LoopFreedomMonitor
@@ -66,7 +66,8 @@ class TestRoutingTable:
             "T", "near", Ordering(1, ProperFraction(1, 4)), 2.0, now=0.0
         )
         assert table.next_hop("T") == "near"
-        assert table.alternative_next_hop("T", excluding="near") == "far"
+        table.remove_successor("T", "near")
+        assert table.next_hop("T") == "far"
 
     def test_successor_maximum(self):
         table = SrpRoutingTable()
@@ -402,7 +403,7 @@ def mobile_srp_trial(config, seed):
 
 
 #: The run-out configuration: 8-bit fraction fields, resets asked at 2**7.
-SMALL_FRACTIONS = {"fraction_limit": 2**8, "max_denominator": 2**7}
+SMALL_FRACTIONS = SrpConfig(fraction_limit=2**8, max_denominator=2**7)
 
 
 class TestTheorem3:
@@ -524,3 +525,51 @@ class TestRouteRepair:
         summary = network.summary()
         assert summary.data_delivered == 2
         assert summary.average_sequence_number == 0.0
+
+
+class TestPathReset:
+    """The terminus asks for a destination-controlled reset (the D bit) when
+    the established label's denominator is past ``max_denominator`` or the
+    reply could build no reverse path (N bit)."""
+
+    @pytest.mark.parametrize(
+        "oversized, no_reverse_path",
+        [(True, False), (False, True)],
+        ids=["oversized-denominator", "no-reverse-path"],
+    )
+    def test_route_established_sends_one_d_bit_rreq(
+        self, oversized, no_reverse_path
+    ):
+        config = SrpConfig()
+        net = build_chain(3, config)
+        net.send_data(0, 2)
+        net.run(until=2.0)
+        source = net.protocol(0)
+        assert source.next_hop(2) == 1 and source.path_reset_requests == 0
+        sent = []
+        send_unicast = net.nodes[0].send_unicast
+
+        def recording_send_unicast(packet, next_hop):
+            sent.append((packet.payload, next_hop))
+            send_unicast(packet, next_hop)
+
+        net.nodes[0].send_unicast = recording_send_unicast
+        denominator = config.max_denominator + 1 if oversized else 3
+        rrep = SrpRrep(
+            source=0,
+            rreq_id=99,
+            destination=2,
+            advertised_ordering=Ordering(1, ProperFraction(1, 2)),
+            advertised_distance=1.0,
+            no_reverse_path=no_reverse_path,
+        )
+        label = Ordering(1, ProperFraction(1, denominator))
+        source._route_established(2, label, rrep)
+        assert source.path_reset_requests == 1
+        resets = [
+            (rreq, next_hop)
+            for rreq, next_hop in sent
+            if isinstance(rreq, SrpRreq) and rreq.destination_only
+        ]
+        assert len(resets) == 1 and resets[0][1] == 1
+        assert resets[0][0].destination == 2 and resets[0][0].source == 0

@@ -243,22 +243,22 @@ class TestFloodControl:
 class TestTopology:
     def test_line_is_a_chain(self):
         positions = topology_positions("line", 4)
-        adjacency = adjacency_from_positions(positions, 1.25)
+        adjacency = adjacency_from_positions(positions)
         assert adjacency[0] == (1,)
         assert adjacency[1] == (0, 2)
         assert adjacency[3] == (2,)
 
     def test_grid_is_four_connected(self):
         positions = topology_positions("grid", 9)
-        adjacency = adjacency_from_positions(positions, 1.25)
+        adjacency = adjacency_from_positions(positions)
         assert set(adjacency[4]) == {1, 3, 5, 7}  # centre of the 3x3
         assert set(adjacency[0]) == {1, 3}  # corner
 
     def test_random_topology_is_connected_and_deterministic(self):
-        a = topology_positions("random", 8, seed=7, radio_range=2.0)
-        b = topology_positions("random", 8, seed=7, radio_range=2.0)
+        a = topology_positions("random", 8, seed=7)
+        b = topology_positions("random", 8, seed=7)
         assert a == b
-        adjacency = adjacency_from_positions(a, 2.0)
+        adjacency = adjacency_from_positions(a)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -275,12 +275,8 @@ class TestTopology:
 
 class TestFlowPlan:
     def test_plan_is_deterministic_and_inside_the_window(self):
-        plan_a = plan_flows(
-            range(5), flows=4, seed=3, warmup=10.0, duration=40.0, drain=4.0
-        )
-        plan_b = plan_flows(
-            range(5), flows=4, seed=3, warmup=10.0, duration=40.0, drain=4.0
-        )
+        plan_a = plan_flows(range(5), flows=4, seed=3, warmup=10.0, duration=40.0)
+        plan_b = plan_flows(range(5), flows=4, seed=3, warmup=10.0, duration=40.0)
         assert plan_a == plan_b
         for flow in plan_a:
             assert flow.source != flow.destination
@@ -288,7 +284,7 @@ class TestFlowPlan:
 
     def test_no_traffic_window_is_rejected(self):
         with pytest.raises(ValueError):
-            plan_flows(range(5), flows=1, seed=1, warmup=20.0, duration=22.0, drain=4.0)
+            plan_flows(range(5), flows=1, seed=1, warmup=20.0, duration=22.0)
 
 
 class TestCounters:
@@ -376,7 +372,6 @@ class TestLoopbackSoak:
             {"dedup_window": 0.0},
             {"duration": -1.0},
             {"warmup": -5.0},
-            {"drain": -1.0},
             {"duration": 10.0, "warmup": 12.0},
             {"duration": 16.0, "warmup": 12.0},  # drain 4 closes the window
             {"rate": float("inf")},  # the flow scheduler would never advance
@@ -384,7 +379,10 @@ class TestLoopbackSoak:
             {"duration": float("inf")},
             {"time_scale": float("nan")},
             {"warmup": float("nan")},
-            {"hop_latency": float("inf")},
+            {"routers": 1},
+            {"flows": 0},
+            {"rate": 0.0},
+            {"time_scale": 0.0},
         ],
         ids=lambda bad: ",".join(f"{k}={v:g}" for k, v in bad.items()),
     )

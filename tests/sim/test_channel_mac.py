@@ -72,8 +72,6 @@ class TestChannelGeometry:
     def test_neighbors_within_range(self):
         harness = Harness({"a": (0, 0), "b": (100, 0), "c": (1000, 0)})
         assert harness.channel.neighbors_of("a") == ["b"]
-        assert harness.channel.in_range("a", "b")
-        assert not harness.channel.in_range("a", "c")
 
 
 class TestUnicastDelivery:

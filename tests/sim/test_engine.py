@@ -78,24 +78,6 @@ class TestRunControl:
         sim.run()
         assert fired == ["kept"]
 
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_in(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule_in(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
-    def test_step_executes_single_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_in(1.0, lambda: fired.append(1))
-        sim.schedule_in(2.0, lambda: fired.append(2))
-        assert sim.step()
-        assert fired == [1]
-        assert sim.step()
-        assert not sim.step()
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(5):
@@ -105,40 +87,38 @@ class TestRunControl:
 
 
 class TestCancellation:
-    def test_pending_events_excludes_cancelled(self):
+    def test_double_cancel_is_harmless(self):
         sim = Simulator()
-        events = [sim.schedule_in(float(i + 1), lambda: None) for i in range(4)]
-        assert sim.pending_events == 4
-        events[0].cancel()
-        events[2].cancel()
-        assert sim.pending_events == 2
-
-    def test_double_cancel_counts_once(self):
-        sim = Simulator()
-        event = sim.schedule_in(1.0, lambda: None)
-        sim.schedule_in(2.0, lambda: None)
+        fired = []
+        event = sim.schedule_in(1.0, lambda: fired.append(1))
+        sim.schedule_in(2.0, lambda: fired.append(2))
         event.cancel()
         event.cancel()
-        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [2]
+        assert sim.events_processed == 1
 
-    def test_pending_events_accurate_after_run_drains_tombstones(self):
+    def test_tombstones_drain_without_firing(self):
         sim = Simulator()
-        keep = sim.schedule_in(5.0, lambda: None)
+        fired = []
+        keep = sim.schedule_in(5.0, lambda: fired.append("keep"))
         for i in range(10):
-            sim.schedule_in(1.0 + i * 0.1, lambda: None).cancel()
-        assert sim.pending_events == 1
+            sim.schedule_in(1.0 + i * 0.1, lambda: fired.append(i)).cancel()
         sim.run(until=3.0)
-        assert sim.pending_events == 1
+        assert fired == [] and sim.events_processed == 0
         keep.cancel()
-        assert sim.pending_events == 0
+        sim.run()
+        assert fired == [] and sim.events_processed == 0
 
-    def test_cancel_after_firing_does_not_corrupt_count(self):
+    def test_cancel_after_firing_is_a_no_op(self):
         sim = Simulator()
-        fired = sim.schedule_in(1.0, lambda: None)
-        sim.schedule_in(2.0, lambda: None)
+        fired = []
+        first = sim.schedule_in(1.0, lambda: fired.append(1))
+        sim.schedule_in(2.0, lambda: fired.append(2))
         sim.run(until=1.5)
-        fired.cancel()  # too late: it already ran
-        assert sim.pending_events == 1
+        first.cancel()  # too late: it already ran
+        sim.run()
+        assert fired == [1, 2]
 
     def test_cancel_releases_callback_reference_immediately(self):
         import weakref
@@ -153,7 +133,6 @@ class TestCancellation:
         event.cancel()
         del payload
         # The tombstone is still queued, but the closure is gone.
-        assert sim.pending_events == 0
         assert ref() is None
 
     def test_fired_event_releases_callback_reference(self):
@@ -171,16 +150,6 @@ class TestCancellation:
         del payload
         assert ref() is None
         later.cancel()
-
-    def test_step_skips_cancelled_and_updates_count(self):
-        sim = Simulator()
-        cancelled = sim.schedule_in(1.0, lambda: None)
-        sim.schedule_in(2.0, lambda: None)
-        cancelled.cancel()
-        assert sim.step()
-        assert sim.now == 2.0
-        assert sim.pending_events == 0
-        assert not sim.step()
 
 
 class TestCallIn:
@@ -205,13 +174,6 @@ class TestCallIn:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.call_in(-0.5, lambda: None)
-
-    def test_call_in_counts_as_pending(self):
-        sim = Simulator()
-        sim.call_in(1.0, lambda: None)
-        assert sim.pending_events == 1
-        sim.run()
-        assert sim.pending_events == 0
 
     def test_call_in_beyond_until_survives_for_later_run(self):
         sim = Simulator()

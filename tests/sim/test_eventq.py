@@ -10,10 +10,9 @@ This module enforces the contract at two levels:
    :class:`CalendarQueue` and a ``heapq`` list through identical push/pop
    interleavings, including negative priorities (fault-schedule flips),
    same-timestamp ties and resize-triggering bursts.
-2. **Engine level** — cancel-then-refire timer churn, partial runs, the
-   ``pending_events`` bookkeeping and ``step`` versus ``run``, on the
-   :class:`Simulator` and on :class:`ReferenceSimulator`, an engine over a
-   plain ``heapq`` list.
+2. **Engine level** — cancel-then-refire timer churn, partial runs and
+   cancelled tombstones, on the :class:`Simulator` and on
+   :class:`ReferenceSimulator`, an engine over a plain ``heapq`` list.
 3. **Trial level** — every protocol's smoke trial, clean and under two
    fault presets, run once on the calendar queue and once with
    :class:`HeapQueue` standing in for it: the summaries and event counts
@@ -214,10 +213,6 @@ class ReferenceSimulator:
     def call_in(self, delay, callback, priority=0):
         self.schedule_at(self.now + delay, callback, priority=priority)
 
-    @property
-    def pending_events(self):
-        return sum(entry[3].callback is not None for entry in self._heap)
-
     def _fire(self, entry):
         time, _, _, handle = entry
         if handle.callback is None:
@@ -227,12 +222,6 @@ class ReferenceSimulator:
         self.events_processed += 1
         callback()
         return True
-
-    def step(self):
-        while self._heap:
-            if self._fire(heapq.heappop(self._heap)):
-                return True
-        return False
 
     def run(self, until=None):
         heap = self._heap
@@ -252,8 +241,8 @@ def fire_log(simulator, script):
 
 def timer_churn(seed):
     """Randomized timer churn — schedule, cancel, reschedule from inside
-    callbacks, at priorities -1 to 2 — recording ``(now, label,
-    pending_events)`` at every firing."""
+    callbacks, at priorities -1 to 2 — recording ``(now, label)`` at every
+    firing."""
 
     def script(simulator, log):
         rng = random.Random(seed)
@@ -261,7 +250,7 @@ def timer_churn(seed):
 
         def tick(label):
             def callback():
-                log.append((simulator.now, label, simulator.pending_events))
+                log.append((simulator.now, label))
                 if rng.random() < 0.5 and handles:
                     handles.pop(rng.randrange(len(handles))).cancel()
                 if rng.random() < 0.6:
@@ -293,8 +282,8 @@ class TestEngineAgainstHeapReference:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_cancel_then_refire_matches_heap(self, seed):
-        """Timer churn fires identically, with identical pending counts, on
-        the engine and on the heap reference."""
+        """Timer churn fires identically on the engine and on the heap
+        reference."""
         script = timer_churn(seed)
         reference = ReferenceSimulator()
         reference_log = fire_log(reference, script)
@@ -306,8 +295,8 @@ class TestEngineAgainstHeapReference:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_partial_runs_match_heap(self, seed):
-        """``run(until)`` in slices leaves the clock, the pending count and
-        the fire order where the heap reference leaves them."""
+        """``run(until)`` in slices leaves the clock and the fire order where
+        the heap reference leaves them."""
         script = timer_churn(seed)
         observed = []
         for simulator in (ReferenceSimulator(), Simulator()):
@@ -316,15 +305,14 @@ class TestEngineAgainstHeapReference:
             checkpoints = []
             for until in (0.5, 1.25, 1.25, 4.0, 9.99):
                 simulator.run(until=until)
-                checkpoints.append((simulator.now, simulator.pending_events, len(log)))
+                checkpoints.append((simulator.now, len(log)))
             simulator.run()
-            observed.append((log, checkpoints, simulator.pending_events))
+            observed.append((log, checkpoints, simulator.events_processed))
         assert observed[1] == observed[0]
 
-    def test_pending_events_excludes_cancelled_tombstones(self):
-        """Cancelled events stay physically queued as tombstones, but
-        ``pending_events`` must count only live events — and double-cancel
-        must not double-subtract."""
+    def test_cancelled_tombstones_never_fire(self):
+        """Cancelled events stay physically queued as tombstones, but never
+        fire — and double-cancel is harmless."""
         observed = []
         for simulator in (ReferenceSimulator(), Simulator()):
             fired = []
@@ -333,48 +321,27 @@ class TestEngineAgainstHeapReference:
                 for i in range(10)
             ]
             simulator.call_in(20.0, lambda: fired.append("tail"))
-            counts = [simulator.pending_events]
             for handle in handles[3:7]:
                 handle.cancel()
-                handle.cancel()  # idempotent: accounting touched once
-            counts.append(simulator.pending_events)
+                handle.cancel()  # idempotent
             simulator.run()
-            counts.append(simulator.pending_events)
-            observed.append((fired, counts, simulator.events_processed))
+            observed.append((fired, simulator.events_processed))
         assert observed[1] == observed[0]
-        assert observed[1] == ([0, 1, 2, 7, 8, 9, "tail"], [11, 7, 0], 7)
+        assert observed[1] == ([0, 1, 2, 7, 8, 9, "tail"], 7)
 
-    def test_pending_events_during_partial_run(self):
-        """The `until` push-back keeps the leftover entry counted exactly once."""
+    def test_partial_run_pushes_the_leftover_back_once(self):
+        """The `until` push-back requeues the first late entry exactly once."""
         simulator = Simulator()
+        fired = []
         for i in range(6):
-            simulator.call_in(float(i), lambda: None)
+            simulator.call_in(float(i), lambda i=i: fired.append(i))
         simulator.run(until=2.5)
-        assert simulator.pending_events == 3
-        later = simulator.schedule_in(0.25, lambda: None)
+        assert fired == [0, 1, 2]
+        later = simulator.schedule_in(0.25, lambda: fired.append("cancelled"))
         later.cancel()
-        assert simulator.pending_events == 3
         simulator.run()
-        assert simulator.pending_events == 0
-
-    def test_step_and_run_agree_with_heap(self):
-        def script(simulator, log):
-            rng = random.Random(5)
-            for i in range(50):
-                simulator.schedule_at(
-                    rng.choice([0.5, 1.0, rng.uniform(0, 30)]),
-                    lambda i=i: log.append(i),
-                    priority=rng.choice([-1, 0, 1]),
-                )
-
-        logs = []
-        for simulator in (ReferenceSimulator(), Simulator()):
-            log = []
-            script(simulator, log)
-            while simulator.step():
-                pass
-            logs.append(log)
-        assert logs[1] == logs[0] == fire_log(Simulator(), script)
+        assert fired == [0, 1, 2, 3, 4, 5]
+        assert simulator.events_processed == 6
 
 
 # -- trial level -----------------------------------------------------------------

@@ -137,9 +137,9 @@ def assert_live_at_trial_end(network, watch):
     live = macs_behind(pending_callbacks(network.simulator))
     sleepers = network.channel._sleepers
     for node_id, node in network.nodes.items():
-        if node.mac.queue_length:
+        if node.mac._queue:
             assert node_id in sleepers or node.mac in live, (
-                f"node {node_id} holds {node.mac.queue_length} queued frame(s) "
+                f"node {node_id} holds {len(node.mac._queue)} queued frame(s) "
                 "with no sleeper registration and no pending event"
             )
 

@@ -24,7 +24,6 @@ must be a :class:`~repro.runtime.base.Runtime`.
 """
 
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -122,19 +121,6 @@ class TestRuntimeConformance:
         node = next(iter(net.nodes.values()))
         assert isinstance(node, Runtime)
         assert node.clock is net.simulator
-
-    def test_node_rng_is_seed_deterministic(self):
-        scenario = EvaluationScale.smoke().scenario
-        nets = [
-            build_network(scenario, protocol_factory("SRP")) for _ in range(2)
-        ]
-        draws = []
-        for net in nets:
-            node = net.nodes[0]
-            rng = node.rng("test-stream")
-            assert isinstance(rng, random.Random)
-            draws.append([rng.random() for _ in range(4)])
-        assert draws[0] == draws[1]
 
     def test_protocol_clock_accessor_is_the_runtime_clock(self):
         scenario = EvaluationScale.smoke().scenario

@@ -31,8 +31,9 @@ class TestScenario:
 
     def test_offered_load_matches_paper(self):
         # 30 flows x 4 pps = 120 pps network wide, just over 490 kbps.
-        assert PAPER_SCENARIO.offered_load_pps == 120.0
-        assert PAPER_SCENARIO.offered_load_pps * 512 * 8 == pytest.approx(
+        offered_pps = PAPER_SCENARIO.flow_count * PAPER_SCENARIO.packets_per_second
+        assert offered_pps == 120.0
+        assert offered_pps * PAPER_SCENARIO.packet_size_bytes * 8 == pytest.approx(
             491_520.0
         )
 
